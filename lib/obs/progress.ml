@@ -45,6 +45,7 @@ let log fmt =
 
 type t = {
   mode : mode;
+  sink_lock : Mutex.t;  (* serializes this reporter's [Sink] calls *)
   label : string;
   interval : float;
   start : float;
@@ -55,7 +56,8 @@ type t = {
 }
 
 let create ?(interval_s = 0.5) ?(total = 0) mode ~label =
-  { mode; label; interval = interval_s; start = Unix.gettimeofday (); total; cells = 0; runs = 0; last = 0. }
+  { mode; sink_lock = Mutex.create (); label; interval = interval_s; start = Unix.gettimeofday ();
+    total; cells = 0; runs = 0; last = 0. }
 
 let set_total t total = locked (fun () -> t.total <- total)
 let add_total t n = locked (fun () -> t.total <- t.total + n)
@@ -69,43 +71,55 @@ let rates t now =
   in
   (rps, eta)
 
-let emit t ~final now =
+let json_line t ~final now =
   let rps, eta = rates t now in
+  Printf.sprintf
+    "{\"progress\":\"%s\",\"cells\":%d,\"total\":%d,\"runs\":%d,\"runs_per_s\":%.1f,\"eta_s\":%.1f%s}"
+    (String.escaped t.label) t.cells t.total t.runs rps eta
+    (if final then ",\"done\":true" else "")
+
+(* Runs under [lock]. Stderr output is written here; a [Sink] heartbeat
+   is only formatted, and returned for {!deliver} to hand over after the
+   lock is released: a sink may block (serve's is a socket write to a
+   peer that may have stopped reading), and under [lock] it would stall
+   every other reporter in the process. *)
+let emit t ~final now =
   match t.mode with
-  | Off -> ()
+  | Off -> None
   | Stderr ->
+      let rps, eta = rates t now in
       end_line ();
       Printf.fprintf stderr "\r[%s] %d/%d cells | %d runs | %.1f runs/s | ETA %.0fs" t.label
         t.cells t.total t.runs rps eta;
       if final then output_char stderr '\n' else line_active := true;
-      flush stderr
+      flush stderr;
+      None
   | Jsonl ->
       (* one compact machine-readable object per line, hand-formatted:
          the pretty printer in Trace.Json is multi-line by design *)
-      Printf.fprintf stderr
-        "{\"progress\":\"%s\",\"cells\":%d,\"total\":%d,\"runs\":%d,\"runs_per_s\":%.1f,\"eta_s\":%.1f%s}\n"
-        (String.escaped t.label) t.cells t.total t.runs rps eta
-        (if final then ",\"done\":true" else "");
-      flush stderr
-  | Sink f ->
-      let line =
-        Printf.sprintf
-          "{\"progress\":\"%s\",\"cells\":%d,\"total\":%d,\"runs\":%d,\"runs_per_s\":%.1f,\"eta_s\":%.1f%s}"
-          (String.escaped t.label) t.cells t.total t.runs rps eta
-          (if final then ",\"done\":true" else "")
-      in
-      (try f line with _ -> ())
+      output_string stderr (json_line t ~final now);
+      output_char stderr '\n';
+      flush stderr;
+      None
+  | Sink _ -> Some (json_line t ~final now)
+
+let deliver t line =
+  match (t.mode, line) with
+  | Sink f, Some line -> Mutex.protect t.sink_lock (fun () -> try f line with _ -> ())
+  | _ -> ()
 
 let tick ?(runs = 1) t =
   if t.mode <> Off then
-    locked (fun () ->
-        t.cells <- t.cells + 1;
-        t.runs <- t.runs + runs;
-        let now = Unix.gettimeofday () in
-        if now -. t.last >= t.interval then begin
-          t.last <- now;
-          emit t ~final:false now
-        end)
+    deliver t
+      (locked (fun () ->
+           t.cells <- t.cells + 1;
+           t.runs <- t.runs + runs;
+           let now = Unix.gettimeofday () in
+           if now -. t.last >= t.interval then begin
+             t.last <- now;
+             emit t ~final:false now
+           end
+           else None))
 
 let finish t =
-  if t.mode <> Off then locked (fun () -> emit t ~final:true (Unix.gettimeofday ()))
+  if t.mode <> Off then deliver t (locked (fun () -> emit t ~final:true (Unix.gettimeofday ())))

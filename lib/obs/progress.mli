@@ -14,8 +14,10 @@ type mode =
       (** each heartbeat is formatted as the [Jsonl] object (without
           the trailing newline) and handed to the callback instead of
           stderr — used by the campaign server to forward heartbeats
-          as socket frames. The callback runs under the module mutex:
-          keep it quick and never let it raise. *)
+          as socket frames. The callback runs on the ticking thread
+          after the module mutex is released, so a sink that blocks
+          stalls only its own reporter. Calls for one reporter are
+          serialized; exceptions it raises are dropped. *)
 
 val mode_of_string : string -> (mode, string) result
 (** Accepts ["off"], ["stderr"] and ["json"] (plus aliases ["none"],

@@ -108,6 +108,10 @@ let evict_excess t =
     | None -> ()
   done
 
+(* Read-only: whether [key] has an entry in any state. Touches neither
+   the LRU clock nor the counters. *)
+let mem t key = locked t (fun () -> Hashtbl.mem t.tbl key)
+
 type 'v claim =
   | Hit of 'v
   | Compute of int  (** this caller must enqueue one job carrying the token *)

@@ -17,7 +17,9 @@ let connect (addr : Server.addr) =
   in
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
   match Unix.connect fd sockaddr with
-  | () -> { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+  | () ->
+      Server.set_nodelay addr fd;
+      { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
   | exception e ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e

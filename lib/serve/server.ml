@@ -24,6 +24,16 @@ module Json = Trace.Json
 
 type addr = Unix_sock of string | Tcp of int
 
+(* Nagle's algorithm holds back a small segment while an earlier one is
+   unacknowledged, and the peer delays that ACK by up to 40 ms, so a
+   multi-frame response, or a request sent behind another, would wait
+   for it. Both ends of a TCP connection turn it off; it does not apply
+   to Unix-domain sockets. *)
+let set_nodelay addr fd =
+  match addr with
+  | Tcp _ -> ( try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
+  | Unix_sock _ -> ()
+
 type config = {
   addr : addr;
   jobs : int;
@@ -65,7 +75,7 @@ type t = {
   mutable workers : unit Domain.t array;
   m : Mutex.t;
   mutable conns : conn list;
-  mutable threads : Thread.t list;
+  threads : (int, Thread.t) Hashtbl.t;  (* live threads by id; guarded by [m] *)
   mutable stop_requested : bool;
   mutable stopped : bool;
   sheet : Obs.Sheet.t;  (* guarded by [m] *)
@@ -125,17 +135,21 @@ let resolve_app name =
 (* Split a request into cache units plus a final assembler from unit
    values (in unit order) to the response document. Validation errors
    come back as protocol errors before anything is admitted. *)
-let plan (req : Protocol.request) :
+let plan cache (req : Protocol.request) :
     (unit_of_work list * (value list -> string), Protocol.error) result =
   match req with
   | Protocol.Run { src; policy; failure; seed } -> (
+      let key = Protocol.run_key ~src ~policy ~failure ~seed in
       (* surface syntax errors as bad-request now, not as a poisoned
-         compute later *)
-      match Lang.Parser.parse src with
+         compute later. The key digests the source bytes and only
+         sources that parsed are admitted, so a resident key needs no
+         second parse; if it is evicted before [acquire], the compute
+         re-parses bytes that already parsed once. *)
+      let check_syntax () = if not (Cache.mem cache key) then ignore (Lang.Parser.parse src) in
+      match check_syntax () with
       | exception Lang.Parser.Error (_, msg) ->
           Error { Protocol.code = "bad-request"; msg = Printf.sprintf "run: parse error: %s" msg }
-      | _ ->
-          let key = Protocol.run_key ~src ~policy ~failure ~seed in
+      | () ->
           let compute () =
             Doc (Json.to_string (Oneshot.run_doc ~policy ~failure ~seed src))
           in
@@ -219,7 +233,7 @@ let cell_frame ~id ~index ~label ~cached = function
 
 let handle_job t conn id (req_st : req_state) req =
   bump t c_requests;
-  match plan req with
+  match plan t.cache req with
   | Error { Protocol.code; msg } ->
       bump t c_errors;
       send_error conn ~id ~code msg
@@ -368,7 +382,20 @@ let handle_control t conn = function
 
 (* {1 Connection lifecycle} *)
 
-let track_thread t th = with_lock t (fun () -> t.threads <- th :: t.threads)
+(* Start a server thread. [t.threads] holds only the live ones: each
+   removes itself on exit under [t.m], and is added under [t.m] before
+   it can take that lock, so a fast exit cannot race the add. *)
+let spawn t f =
+  with_lock t (fun () ->
+      let th =
+        Thread.create
+          (fun () ->
+            Fun.protect f ~finally:(fun () ->
+                let self = Thread.id (Thread.self ()) in
+                with_lock t (fun () -> Hashtbl.remove t.threads self)))
+          ()
+      in
+      Hashtbl.replace t.threads (Thread.id th) th)
 
 let cancel_conn_requests t conn =
   with_lock t (fun () -> Hashtbl.iter (fun _ st -> st.cancelled <- true) conn.reqs);
@@ -450,16 +477,10 @@ let reader_loop t conn =
                       (Printf.sprintf "request #%d already in flight" id)
                   else begin
                     let st = with_lock t (fun () -> Hashtbl.find conn.reqs id) in
-                    let th =
-                      Thread.create
-                        (fun () ->
-                          (try handle_job t conn id st req
-                           with e ->
-                             send_error conn ~id ~code:"internal" (Printexc.to_string e));
-                          with_lock t (fun () -> Hashtbl.remove conn.reqs id))
-                        ()
-                    in
-                    track_thread t th
+                    spawn t (fun () ->
+                        (try handle_job t conn id st req
+                         with e -> send_error conn ~id ~code:"internal" (Printexc.to_string e));
+                        with_lock t (fun () -> Hashtbl.remove conn.reqs id))
                   end;
                   loop ()))
   in
@@ -473,6 +494,7 @@ let accept_loop t =
       | [ _ ], _, _ when not t.stop_requested -> (
           match Unix.accept t.lsock with
           | fd, _ ->
+              set_nodelay t.config.addr fd;
               let conn =
                 {
                   fd;
@@ -485,7 +507,7 @@ let accept_loop t =
                 }
               in
               with_lock t (fun () -> t.conns <- conn :: t.conns);
-              track_thread t (Thread.create (fun () -> reader_loop t conn) ())
+              spawn t (fun () -> reader_loop t conn)
           | exception Unix.Unix_error _ -> ())
       | _ -> ()
       | exception Unix.Unix_error _ -> ());
@@ -549,7 +571,7 @@ let start config =
       workers = [||];
       m = Mutex.create ();
       conns = [];
-      threads = [];
+      threads = Hashtbl.create 16;
       stop_requested = false;
       stopped = false;
       sheet = Obs.Sheet.create ();
@@ -557,11 +579,12 @@ let start config =
     }
   in
   t.workers <- Array.init config.jobs (fun _ -> Domain.spawn (worker_loop t));
-  track_thread t (Thread.create (fun () -> accept_loop t) ());
-  track_thread t (Thread.create (fun () -> ticker_loop t) ());
+  spawn t (fun () -> accept_loop t);
+  spawn t (fun () -> ticker_loop t);
   t
 
 let port t = t.port
+let live_threads t = with_lock t (fun () -> Hashtbl.length t.threads)
 let stop_requested t = t.stop_requested
 let cache_stats t = Cache.stats t.cache
 let queue_max_depth t = Jobq.max_depth t.queue
@@ -581,8 +604,15 @@ let stop t =
     List.iter shutdown_conn conns;
     Array.iter Domain.join t.workers;
     Cache.broadcast t.cache;
-    let threads = with_lock t (fun () -> t.threads) in
-    List.iter Thread.join threads;
+    (* a reader may spawn one last orchestrator while we join *)
+    let rec join_live () =
+      match with_lock t (fun () -> Hashtbl.fold (fun _ th acc -> th :: acc) t.threads []) with
+      | [] -> ()
+      | live ->
+          List.iter Thread.join live;
+          join_live ()
+    in
+    join_live ();
     (try Unix.close t.lsock with Unix.Unix_error _ -> ());
     match t.config.addr with
     | Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())

@@ -246,6 +246,41 @@ let test_progress_mode_parse () =
   | Ok _ -> Alcotest.fail "bogus mode should not parse"
   | Error _ -> ()
 
+(* A sink blocked on a stalled consumer (serve's is a socket write)
+   must stall only its own reporter. The blocked sink is released
+   whatever happens, so a tick stuck behind it fails the test by
+   timeout rather than hanging it. *)
+let test_progress_blocked_sink_isolated () =
+  let entered = Semaphore.Binary.make false and gate = Semaphore.Binary.make false in
+  let blocked =
+    Obs.Progress.create ~interval_s:0.
+      (Obs.Progress.Sink
+         (fun _ ->
+           Semaphore.Binary.release entered;
+           Semaphore.Binary.acquire gate))
+      ~label:"blocked"
+  in
+  let other = Obs.Progress.create ~interval_s:0. (Obs.Progress.Sink ignore) ~label:"other" in
+  let a = Thread.create (fun () -> Obs.Progress.tick blocked) () in
+  Semaphore.Binary.acquire entered;
+  let done_ = Atomic.make false in
+  let b =
+    Thread.create
+      (fun () ->
+        Obs.Progress.tick other;
+        Atomic.set done_ true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 2. in
+  while (not (Atomic.get done_)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  let completed = Atomic.get done_ in
+  Semaphore.Binary.release gate;
+  Thread.join a;
+  Thread.join b;
+  checkb "tick on another reporter completes while a sink is blocked" true completed
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "obs"
@@ -276,5 +311,9 @@ let () =
           tc "throughput collapse" `Quick test_report_throughput_collapse_only;
           tc "regressions filter" `Quick test_report_regressions_filter;
         ] );
-      ("progress", [ tc "mode parsing" `Quick test_progress_mode_parse ]);
+      ( "progress",
+        [
+          tc "mode parsing" `Quick test_progress_mode_parse;
+          tc "blocked sink stalls only its reporter" `Quick test_progress_blocked_sink_isolated;
+        ] );
     ]

@@ -346,6 +346,102 @@ let test_eviction_correctness () =
           Alcotest.(check bool) "evictions happened" true (stats.Serve.Cache.evictions > 0);
           Alcotest.(check int) "capacity respected" 1 stats.Serve.Cache.entries))
 
+(* {1 Latency and lifecycle}
+
+   Each test drives one persistent TCP connection, as the benchmark's
+   clients do. Without TCP_NODELAY on both ends, a multi-frame response
+   and a request sent behind another each wait about 40 ms for a
+   delayed ACK. *)
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, (Unix.gettimeofday () -. t0) *. 1000.)
+
+let test_cached_run_latency () =
+  with_server ~jobs:1 (fun _ addr ->
+      with_client addr (fun c ->
+          let run id = rpc_ok c ~id (Serve.Protocol.run_request ~id ~seed:7 ~src:trivial_src ()) in
+          ignore (run 1);
+          let rtts =
+            List.init 20 (fun i ->
+                let o, ms = timed (fun () -> run (i + 2)) in
+                Alcotest.(check bool) "repeat served from cache" true o.Serve.Client.result_cached;
+                ms)
+          in
+          let p50 = median rtts in
+          if p50 >= 20. then Alcotest.failf "cached run median round trip %.2f ms >= 20 ms" p50))
+
+let test_ping_behind_cold_cell () =
+  with_server ~jobs:2 (fun _ addr ->
+      with_client addr (fun c ->
+          let pong_ms seed =
+            Serve.Client.send c
+              (Serve.Protocol.faults_request ~id:seed ~runtime:Apps.Common.Easeio
+                 ~sweep:(Faultkit.Campaign.Boundaries { stride = 32 })
+                 ~seed ~app:"Weather App." ());
+            let (), ms =
+              timed (fun () ->
+                  match Serve.Client.ping c with
+                  | Ok () -> ()
+                  | Error msg -> Alcotest.failf "ping behind a cold cell: %s" msg)
+            in
+            let rec drain () =
+              match Serve.Client.next c with
+              | Ok (Serve.Client.Result { id; _ }) when id = seed -> ()
+              | Ok _ -> drain ()
+              | Error msg -> Alcotest.failf "transport error: %s" msg
+            in
+            drain ();
+            ms
+          in
+          let p50 = median (List.map pong_ms [ 1; 2; 3 ]) in
+          if p50 >= 20. then Alcotest.failf "pong behind a cold cell took %.2f ms >= 20 ms" p50))
+
+let test_parse_error_never_admitted () =
+  with_server ~jobs:1 (fun t addr ->
+      with_client addr (fun c ->
+          ignore (rpc_ok c ~id:1 (Serve.Protocol.run_request ~id:1 ~seed:7 ~src:trivial_src ()));
+          let misses () = (Serve.Server.cache_stats t).Serve.Cache.misses in
+          let before = misses () in
+          let bad = "program t;\nnv int x;\ntask a { x = ; stop; }\n" in
+          List.iter
+            (fun id ->
+              match Serve.Client.rpc c ~id (Serve.Protocol.run_request ~id ~seed:7 ~src:bad ()) with
+              | Error (`Error (code, msg)) ->
+                  Alcotest.(check string) "code" "bad-request" code;
+                  if not (String.starts_with ~prefix:"run: parse error" msg) then
+                    Alcotest.failf "unexpected message %S" msg
+              | _ -> Alcotest.failf "request #%d: expected a bad-request" id)
+            [ 2; 3 ];
+          Alcotest.(check int) "cache misses unchanged" before (misses ())))
+
+let test_threads_reclaimed () =
+  with_server ~jobs:2 (fun t addr ->
+      (* accept + ticker, plus one reader per open connection *)
+      let settles_to n =
+        let deadline = Unix.gettimeofday () +. 5. in
+        while Serve.Server.live_threads t <> n && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        Alcotest.(check int) "live threads" n (Serve.Server.live_threads t)
+      in
+      let clients = Array.init 4 (fun _ -> Serve.Client.connect_retry addr) in
+      for i = 0 to 199 do
+        let id = i + 1 in
+        ignore
+          (rpc_ok clients.(i mod 4) ~id
+             (Serve.Protocol.run_request ~id ~seed:(i mod 5) ~src:trivial_src ()))
+      done;
+      settles_to (2 + Array.length clients);
+      Array.iter Serve.Client.close clients;
+      settles_to 2)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "serve"
@@ -370,4 +466,11 @@ let () =
           tc "cancel mid-flight, server survives" `Quick test_cancel_in_flight;
           QCheck_alcotest.to_alcotest prop_stress;
         ] );
+      ( "latency",
+        [
+          tc "cached run: median round trip < 20 ms" `Quick test_cached_run_latency;
+          tc "ping behind a cold cell: pong < 20 ms" `Quick test_ping_behind_cold_cell;
+          tc "parse error: bad-request, never admitted" `Quick test_parse_error_never_admitted;
+        ] );
+      ("lifecycle", [ tc "finished threads are reclaimed" `Quick test_threads_reclaimed ]);
     ]

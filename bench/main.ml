@@ -488,13 +488,16 @@ let ablations ~reps =
 
 (* {1 Prefix-resume: checkpointed vs from-power-on boundary sweep}
 
-   Boundary sweeps resume each nth:k case from the pacer run's engine
-   checkpoint instead of replaying the prefix from power on. Both
-   paths are run sequentially over the same sweep, their reports must
-   agree structurally (the harness exits nonzero otherwise — the
-   byte-identity claim, enforced on every bench run), and both wall
-   clocks land in the JSON: *_wall_s rows are informational,
-   *_runs_per_s rows are gated against a throughput collapse. *)
+   Boundary sweeps resume each nth:k case from a pacer run's engine
+   checkpoint instead of replaying the prefix from power on, and fan
+   the resumed cases out over the domain pool. The same sweep runs
+   resumed at jobs=1, resumed at the host's default jobs, and from
+   power on at jobs=1; the three reports must be byte-identical (the
+   harness exits nonzero otherwise — the identity claim, enforced on
+   every bench run), and every wall clock lands in the JSON: *_wall_s
+   rows are informational, *_runs_per_s rows are gated against a
+   throughput collapse. The parallel figure is only meaningful beside
+   [recommended_domains], which is recorded with it. *)
 
 let sweep_resume ~reps =
   (* the sweep cost is fixed (one case per boundary), so scale the
@@ -502,31 +505,36 @@ let sweep_resume ~reps =
      strided for the quick smoke *)
   let stride = if reps >= 100 then 1 else 8 in
   let sweep = Faultkit.Campaign.Boundaries { stride } in
-  let timed resume =
+  let par_jobs = Expkit.Pool.default_jobs () in
+  let timed ~jobs resume =
     let t0 = Unix.gettimeofday () in
-    let r =
-      Faultkit.Campaign.run ~jobs:1 ~resume ~sweep ~variants:[ Common.Easeio ] Weather.spec
-    in
-    (r, Unix.gettimeofday () -. t0)
+    let r = Faultkit.Campaign.run ~jobs ~resume ~sweep ~variants:[ Common.Easeio ] Weather.spec in
+    (Faultkit.Campaign.to_json r, r, Unix.gettimeofday () -. t0)
   in
-  let resumed, resumed_s = timed true in
-  let replay, replay_s = timed false in
-  if Faultkit.Campaign.to_json resumed <> Faultkit.Campaign.to_json replay then begin
-    Obs.Progress.log "sweep-resume: resumed report differs from the from-power-on replay";
+  let resumed_json, resumed, resumed_s = timed ~jobs:1 true in
+  let parallel_json, _, parallel_s = timed ~jobs:par_jobs true in
+  let replay_json, _, replay_s = timed ~jobs:1 false in
+  if parallel_json <> resumed_json || replay_json <> resumed_json then begin
+    Obs.Progress.log
+      "sweep-resume: resumed jobs=1, resumed jobs=%d and from-power-on reports are not identical"
+      par_jobs;
     exit 1
   end;
   let _, run = Faultkit.Campaign.coverage_totals resumed in
   let per_s wall = if wall > 0. then float_of_int run /. wall else 0. in
   print_endline
     (Expkit.Tablefmt.heading "Prefix-resume: checkpointed vs from-power-on boundary sweep");
-  let w = [ 26; 12; 12; 10 ] in
-  print_endline (Expkit.Tablefmt.row w [ "Sweep"; "resumed"; "replay"; "speedup" ]);
+  let w = [ 26; 12; 14; 12; 10 ] in
+  print_endline
+    (Expkit.Tablefmt.row w
+       [ "Sweep"; "resumed"; Printf.sprintf "resumed j=%d" par_jobs; "replay"; "speedup" ]);
   print_endline (Expkit.Tablefmt.rule w);
   print_endline
     (Expkit.Tablefmt.row w
        [
          Printf.sprintf "Weather/EaseIO, %d cases" run;
          Printf.sprintf "%.2fs" resumed_s;
+         Printf.sprintf "%.2fs" parallel_s;
          Printf.sprintf "%.2fs" replay_s;
          Printf.sprintf "%.1fx" (if resumed_s > 0. then replay_s /. resumed_s else 1.);
        ]);
@@ -542,6 +550,10 @@ let sweep_resume ~reps =
          ("replay_wall_s", Expkit.Json.Float replay_s);
          ("resumed_runs_per_s", Expkit.Json.Float (per_s resumed_s));
          ("replay_runs_per_s", Expkit.Json.Float (per_s replay_s));
+         ("resumed_jobs", Expkit.Json.Int par_jobs);
+         ("recommended_domains", Expkit.Json.Int (Domain.recommended_domain_count ()));
+         ("resumed_parallel_wall_s", Expkit.Json.Float parallel_s);
+         ("resumed_parallel_runs_per_s", Expkit.Json.Float (per_s parallel_s));
        ])
 
 (* {1 Campaign service: cold compute vs warm cache replay}

@@ -599,8 +599,9 @@ let faults_cmd =
       & opt int (Expkit.Pool.default_jobs ())
       & info [ "jobs"; "j" ]
           ~doc:
-            "Worker domains for the schedule sweep (default: one per core; 1 = sequential). \
-             Reports are bit-identical for every value.")
+            "Worker domains for the schedule sweep (default: one per core; 1 = sequential), \
+             resumed or not: each domain that resumes cases paces its own checkpoints. Reports \
+             are bit-identical for every value.")
   in
   let no_resume =
     Arg.(
@@ -608,8 +609,8 @@ let faults_cmd =
       & info [ "no-resume" ]
           ~doc:
             "Replay every boundary case from power on instead of resuming from the pacer run's \
-             engine checkpoints. The report is byte-identical either way; this just trades the \
-             sequential prefix-sharing fast path for the domain-pool one.")
+             engine checkpoints. The report is byte-identical either way and both paths use \
+             the --jobs domains; this one is slower, a reference for the resumed path.")
   in
   let json_out =
     Arg.(

@@ -8,17 +8,23 @@ let chunk_size n jobs = max 1 (n / (jobs * 8))
 
 let no_tick () = ()
 
-let fill_parallel results n jobs chunk tick f =
+(* The calling domain is always one of the [jobs] workers, so
+   [jobs = 1] spawns nothing and runs every index in order on it. Each
+   worker builds its state with [init] only once it holds a chunk, and
+   takes chunks in ascending index order off the shared cursor. *)
+let fill results n jobs chunk tick init f =
   let cursor = Atomic.make 0 in
   let error = Atomic.make None in
   let worker () =
+    let state = lazy (init ()) in
     let rec loop () =
       let lo = Atomic.fetch_and_add cursor chunk in
       if lo < n && Atomic.get error = None then begin
         let hi = min n (lo + chunk) in
         (try
+           let s = Lazy.force state in
            for i = lo to hi - 1 do
-             results.(i) <- Some (f i);
+             results.(i) <- Some (f s i);
              tick ()
            done
          with e ->
@@ -36,7 +42,7 @@ let fill_parallel results n jobs chunk tick f =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let map ?jobs ?chunk ?(tick = no_tick) n f =
+let map_init ?jobs ?chunk ?(tick = no_tick) ~init n f =
   if n < 0 then invalid_arg "Pool.map: negative size";
   let jobs =
     match jobs with
@@ -55,12 +61,8 @@ let map ?jobs ?chunk ?(tick = no_tick) n f =
     | Some c -> if c < 1 then invalid_arg "Pool.map: chunk must be positive" else c
   in
   let results = Array.make n None in
-  if jobs = 1 then
-    for i = 0 to n - 1 do
-      results.(i) <- Some (f i);
-      tick ()
-    done
-  else fill_parallel results n jobs chunk tick f;
+  fill results n jobs chunk tick init f;
   Array.map (function Some v -> v | None -> assert false) results
 
+let map ?jobs ?chunk ?tick n f = map_init ?jobs ?chunk ?tick ~init:ignore n (fun () i -> f i)
 let map_seeds ?jobs ?tick ~runs f = map ?jobs ?tick runs (fun i -> f ~seed:(i + 1))

@@ -46,6 +46,24 @@ val map : ?jobs:int -> ?chunk:int -> ?tick:(unit -> unit) -> int -> (int -> 'a) 
 
     @raise Invalid_argument if [n < 0], [jobs < 1] or [chunk < 1]. *)
 
+val map_init :
+  ?jobs:int ->
+  ?chunk:int ->
+  ?tick:(unit -> unit) ->
+  init:(unit -> 's) ->
+  int ->
+  ('s -> int -> 'a) ->
+  'a array
+(** [map_init ~init n f] is {!map} with per-domain state: each domain
+    that takes a chunk first calls [init ()] once, on itself, and
+    passes the result to every [f s i] it runs. A domain that takes no
+    chunk never calls [init], so with [jobs = 1] it runs once, on the
+    calling domain, if [n > 0]. Each
+    domain's indices arrive in ascending order, so state can keep a
+    forward-only cursor. An exception from [init] is re-raised like
+    one from [f], after every worker has been joined. [map] is
+    [map_init ~init:ignore]. *)
+
 val map_seeds : ?jobs:int -> ?tick:(unit -> unit) -> runs:int -> (seed:int -> 'a) -> 'a array
 (** [map_seeds ~runs f] is [map runs (fun i -> f ~seed:(i + 1))]: the
     paper protocol's 1-based seed range. *)

@@ -197,11 +197,9 @@ let cell_of_results ~sweep ~golden variant results =
     cell_totals;
   }
 
-let c_prefix_saved = Obs.Registry.counter "resume/prefix_us_saved"
-
 (* Prefix-sharing boundary sweep. Apps with a [session] runner expose
    raw engine inputs, so an exhaustive [Nth_charge] sweep need not
-   replay the whole prefix from power on once per boundary: a single
+   replay the whole prefix from power on once per boundary: a
    continuous pacer run checkpoints the engine at every attempt top
    (copy-on-write machine snapshot + a copy of the metering sheet + a
    cursor into the recorded event stream + the session's extra-machine
@@ -214,144 +212,164 @@ let c_prefix_saved = Obs.Registry.counter "resume/prefix_us_saved"
    attribution collector makes every harvested artifact — violations,
    metric snapshot, profile, totals — byte-identical to the
    from-power-on path (the equivalence test holds the two against each
-   other). Sequential by construction: all cases share one arena. The
-   skipped simulated prefix time is accounted under
-   [resume/prefix_us_saved] on an internal sheet (kept out of the
-   report so both paths serialize identically). *)
-let run_cell_resumed ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_session variant =
-  let session = mk_session ?ablate_regions:None ?ablate_semantics:None variant ~seed in
-  let m = session.Apps.Common.ses_machine in
-  let pacer_sheet = Obs.Sheet.create () in
-  let ev_buf = ref [] and ev_len = ref 0 in
-  Machine.set_sink m (fun e ->
-      ev_buf := e :: !ev_buf;
-      incr ev_len);
-  Machine.set_meter m pacer_sheet;
-  session.Apps.Common.ses_begin ();
-  let engine =
-    Kernel.Engine.start ~hooks:session.Apps.Common.ses_hooks
-      ?cur_slot:session.Apps.Common.ses_cur_slot m session.Apps.Common.ses_app
-  in
-  let cks = ref [] in
-  let on_attempt s =
-    (* sheet copy, event cursor and session state first: the engine
-       checkpoint's own page-copy accounting must stay out of the case
-       prefixes (a from-power-on case takes no snapshots) *)
-    let sheet_at = Obs.Sheet.copy pacer_sheet in
-    let extras = session.Apps.Common.ses_save () in
-    let cursor = !ev_len in
-    Machine.clear_meter m;
-    let ck = Kernel.Engine.checkpoint s in
+   other).
+
+   The resumable cases fan out over [Expkit.Pool.map_init]. All cases
+   resumed from one pacer share its arena, so each domain that takes a
+   chunk runs its own pacer (a deterministic rerun of the same
+   no-failure run, so its checkpoints are the same), except the calling
+   domain, which reuses the one that captured the golden image — at
+   [jobs = 1] that is the only pacer. Pool hands each domain its chunks
+   in ascending order, which keeps every pacer's cursor forward-only,
+   and returns results by index, so the fold is in schedule order for
+   any [jobs]. *)
+let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_session variant =
+  (* one pacer run: its outcome and machine, the first checkpoint's
+     charge count, and the case runner resuming from its checkpoints *)
+  let pacer () =
+    let session = mk_session ?ablate_regions:None ?ablate_semantics:None variant ~seed in
+    let m = session.Apps.Common.ses_machine in
+    let pacer_sheet = Obs.Sheet.create () in
+    let ev_buf = ref [] and ev_len = ref 0 in
+    Machine.set_sink m (fun e ->
+        ev_buf := e :: !ev_buf;
+        incr ev_len);
     Machine.set_meter m pacer_sheet;
-    cks := (ck, sheet_at, cursor, extras) :: !cks
-  in
-  let drive ?on_attempt () =
-    let rec go () =
-      match Kernel.Engine.run_until_boundary ?on_attempt engine with
-      | Kernel.Engine.Paused ->
-          Kernel.Engine.resume engine;
-          go ()
-      | Kernel.Engine.Finished o -> o
+    session.Apps.Common.ses_begin ();
+    let engine =
+      Kernel.Engine.start ~hooks:session.Apps.Common.ses_hooks
+        ?cur_slot:session.Apps.Common.ses_cur_slot m session.Apps.Common.ses_app
     in
-    go ()
+    let cks = ref [] in
+    let on_attempt s =
+      (* sheet copy, event cursor and session state first: the engine
+         checkpoint's own page-copy accounting must stay out of the case
+         prefixes (a from-power-on case takes no snapshots) *)
+      let sheet_at = Obs.Sheet.copy pacer_sheet in
+      let extras = session.Apps.Common.ses_save () in
+      let cursor = !ev_len in
+      Machine.clear_meter m;
+      let ck = Kernel.Engine.checkpoint s in
+      Machine.set_meter m pacer_sheet;
+      cks := (ck, sheet_at, cursor, extras) :: !cks
+    in
+    let drive ?on_attempt () =
+      let rec go () =
+        match Kernel.Engine.run_until_boundary ?on_attempt engine with
+        | Kernel.Engine.Paused ->
+            Kernel.Engine.resume engine;
+            go ()
+        | Kernel.Engine.Finished o -> o
+      in
+      go ()
+    in
+    let o0 = drive ~on_attempt () in
+    let cks = Array.of_list (List.rev !cks) in
+    let events = Array.of_list (List.rev !ev_buf) in
+    (* latest checkpoint strictly before charge [k]; each pacer sees its
+       cases in ascending boundary order, so a moving cursor never
+       backtracks *)
+    let cursor = ref 0 in
+    let ck_charges i =
+      let ck, _, _, _ = cks.(i) in
+      Kernel.Engine.checkpoint_charges ck
+    in
+    let advance k =
+      while !cursor + 1 < Array.length cks && ck_charges (!cursor + 1) < k do
+        incr cursor
+      done;
+      cks.(!cursor)
+    in
+    let resumed_case ~golden k schedule =
+      let ck, sheet_at, ev_idx, extras = advance k in
+      let watch, skips = Oracle.always_skip_watch () in
+      let attr = Obs.Attr.create () in
+      let attr_sink = Obs.Attr.sink attr in
+      let sink e =
+        watch e;
+        attr_sink e
+      in
+      for i = 0 to ev_idx - 1 do
+        sink events.(i)
+      done;
+      let sheet = Obs.Sheet.copy sheet_at in
+      Machine.set_sink m sink;
+      Machine.set_meter m sheet;
+      Kernel.Engine.restore engine ck;
+      extras ();
+      Machine.set_failure m schedule;
+      let o = drive () in
+      session.Apps.Common.ses_finish ();
+      Obs.Attr.add_run attr;
+      let violations =
+        if o.Kernel.Engine.gave_up then
+          [ Livelock (Option.value ~default:"(unknown)" o.Kernel.Engine.stuck_task) ]
+        else
+          (if o.Kernel.Engine.correct = Some false then [ App_incorrect ] else [])
+          @ (match Oracle.nv_diff ~extra_volatile:spec.nv_volatile ~golden m with
+            | [] -> []
+            | ms -> [ Nv_mismatch ms ])
+          @ match skips () with [] -> [] | ss -> [ Always_skipped ss ]
+      in
+      let mt = o.Kernel.Engine.metrics in
+      ( { schedule; pf = o.Kernel.Engine.power_failures; violations },
+        Obs.Snapshot.of_sheet ~events:(Machine.events m) sheet,
+        Obs.Attr.profile attr,
+        {
+          app_us = mt.Kernel.Metrics.useful_app_us;
+          ovh_us = mt.Kernel.Metrics.useful_ovh_us;
+          wasted_us = mt.Kernel.Metrics.wasted_us;
+          commits = mt.Kernel.Metrics.commits;
+          attempts = mt.Kernel.Metrics.attempts;
+        } )
+    in
+    (o0, m, (if Array.length cks = 0 then max_int else ck_charges 0), resumed_case)
   in
-  (* the pacer run doubles as the golden capture *)
-  let o0 = drive ~on_attempt () in
+  (* the calling domain's pacer run doubles as the golden capture *)
+  let o0, m, c0, home_case = pacer () in
   let golden = Oracle.capture m in
   if o0.Kernel.Engine.gave_up || o0.Kernel.Engine.correct = Some false then
     failwith
       (Printf.sprintf "Campaign: golden (no-failure) run of %s under %s is not correct" spec.app_name
          (Apps.Common.variant_name variant));
-  let cks = Array.of_list (List.rev !cks) in
-  let events = Array.of_list (List.rev !ev_buf) in
   let scheds = Array.of_list (schedules ~sweep ~seed ~golden) in
-  Option.iter (fun p -> Obs.Progress.add_total p (Array.length scheds)) progress;
-  (* latest checkpoint strictly before charge [k]; schedules come in
-     ascending boundary order, so a moving cursor never backtracks *)
-  let cursor = ref 0 in
-  let ck_charges i =
-    let ck, _, _, _ = cks.(i) in
-    Kernel.Engine.checkpoint_charges ck
-  in
-  let advance k =
-    while !cursor + 1 < Array.length cks && ck_charges (!cursor + 1) < k do
-      incr cursor
-    done;
-    cks.(!cursor)
-  in
-  let resumed_case k schedule =
-    let ck, sheet_at, ev_idx, extras = advance k in
-    let watch, skips = Oracle.always_skip_watch () in
-    let attr = Obs.Attr.create () in
-    let attr_sink = Obs.Attr.sink attr in
-    let sink e =
-      watch e;
-      attr_sink e
-    in
-    for i = 0 to ev_idx - 1 do
-      sink events.(i)
-    done;
-    let sheet = Obs.Sheet.copy sheet_at in
-    Machine.set_sink m sink;
-    Machine.set_meter m sheet;
-    Kernel.Engine.restore engine ck;
-    extras ();
-    Obs.Sheet.add pacer_sheet c_prefix_saved (Machine.now m);
-    Machine.set_failure m schedule;
-    let o = drive () in
-    session.Apps.Common.ses_finish ();
-    Obs.Attr.add_run attr;
-    let violations =
-      if o.Kernel.Engine.gave_up then
-        [ Livelock (Option.value ~default:"(unknown)" o.Kernel.Engine.stuck_task) ]
-      else
-        (if o.Kernel.Engine.correct = Some false then [ App_incorrect ] else [])
-        @ (match Oracle.nv_diff ~extra_volatile:spec.nv_volatile ~golden m with
-          | [] -> []
-          | ms -> [ Nv_mismatch ms ])
-        @ match skips () with [] -> [] | ss -> [ Always_skipped ss ]
-    in
-    let mt = o.Kernel.Engine.metrics in
-    ( { schedule; pf = o.Kernel.Engine.power_failures; violations },
-      Obs.Snapshot.of_sheet ~events:(Machine.events m) sheet,
-      Obs.Attr.profile attr,
-      {
-        app_us = mt.Kernel.Metrics.useful_app_us;
-        ovh_us = mt.Kernel.Metrics.useful_ovh_us;
-        wasted_us = mt.Kernel.Metrics.wasted_us;
-        commits = mt.Kernel.Metrics.commits;
-        attempts = mt.Kernel.Metrics.attempts;
-      } )
-  in
-  (* boundaries at or before the first checkpoint's charge count (power
-     failed during the initial boot, before the first attempt top) have
-     no resumable prefix; they fall back to from-power-on runs AFTER the
-     resumed pass, because [spec.run] resets the shared arena *)
-  let c0 = if Array.length cks = 0 then max_int else ck_charges 0 in
   let n = Array.length scheds in
-  let results = Array.make n None in
+  Option.iter (fun p -> Obs.Progress.add_total p n) progress;
+  let tick = Option.map (fun p () -> Obs.Progress.tick p) progress in
   let k_of = function Failure.Nth_charge k -> k | _ -> invalid_arg "Campaign: resumed sweep" in
-  Array.iteri
-    (fun i schedule ->
-      let k = k_of schedule in
-      if k > c0 then begin
-        results.(i) <- Some (resumed_case k schedule);
-        Option.iter (fun p -> Obs.Progress.tick p) progress
-      end)
-    scheds;
-  Array.iteri
-    (fun i schedule ->
-      if results.(i) = None then begin
-        results.(i) <- Some (run_case spec variant ~golden ~seed schedule);
-        Option.iter (fun p -> Obs.Progress.tick p) progress
-      end)
-    scheds;
-  cell_of_results ~sweep ~golden variant (Array.map Option.get results)
+  (* boundaries at or before the first checkpoint's charge count [c0]
+     (power failed during the initial boot, before the first attempt
+     top) have no resumable prefix. Schedules ascend, so these are the
+     first [first] cases; they run from power on AFTER the fan-out,
+     because [spec.run] resets the calling domain's arena. *)
+  let first =
+    let rec go i = if i < n && k_of scheds.(i) <= c0 then go (i + 1) else i in
+    go 0
+  in
+  let home = Domain.self () in
+  let init () =
+    if Domain.self () = home then home_case
+    else
+      let _, _, _, case = pacer () in
+      case
+  in
+  let resumed =
+    Expkit.Pool.map_init ?jobs ?tick ~init (n - first) (fun case j ->
+        let schedule = scheds.(first + j) in
+        case ~golden (k_of schedule) schedule)
+  in
+  let from_power_on =
+    Array.init first (fun i ->
+        let r = run_case spec variant ~golden ~seed scheds.(i) in
+        Option.iter (fun t -> t ()) tick;
+        r)
+  in
+  cell_of_results ~sweep ~golden variant (Array.append from_power_on resumed)
 
 let run_cell ?jobs ?progress ~resume ~sweep ~seed (spec : Apps.Common.spec) variant =
   match (sweep, spec.Apps.Common.session) with
   | Boundaries _, Some mk_session when resume ->
-      run_cell_resumed ?progress ~sweep ~seed spec mk_session variant
+      run_cell_resumed ?jobs ?progress ~sweep ~seed spec mk_session variant
   | _ ->
       let golden = golden_of spec variant ~seed in
       let scheds = Array.of_list (schedules ~sweep ~seed ~golden) in

@@ -88,12 +88,14 @@ val run :
     is the caller's job).
 
     [resume] (default [true]): boundary sweeps of apps that expose a
-    {!Apps.Common.spec} [session] run prefix-sharing — one continuous
+    {!Apps.Common.spec} [session] run prefix-sharing — a continuous
     pacer run checkpoints the engine at every attempt top, and each
     [Nth_charge] case restores the latest checkpoint before its
-    boundary instead of replaying from power on. The report is
-    byte-identical to [~resume:false]; only the wall-clock changes.
-    Resumed sweeps are sequential ([jobs] is ignored for them). *)
+    boundary instead of replaying from power on. The resumed cases
+    fan out over the same domain pool, each domain that takes a chunk
+    pacing its own checkpoints (the calling domain reuses the golden
+    pacer, so [jobs = 1] paces once). The report is byte-identical to
+    [~resume:false] and for any [jobs]; only the wall-clock changes. *)
 
 val cell_passed : cell -> bool
 val passed : report -> bool

@@ -90,6 +90,7 @@ let informational path =
          "schema_version";
          "reps";
          "jobs";
+         "resumed_jobs";
          "recommended_domains";
          "seed";
          "runs";

@@ -333,6 +333,72 @@ let test_campaign_deterministic_across_jobs () =
     (Trace.Json.to_string (Faultkit.Campaign.to_json r1))
     (Trace.Json.to_string (Faultkit.Campaign.to_json r4))
 
+(* {1 Parallel resumed sweeps}
+
+   A resumed boundary sweep fans its cases out over the domain pool,
+   each domain pacing its own checkpoints; the report must not show
+   it. Every [jobs] value gives the JSON bytes of the from-power-on
+   path. FIR under all four runtimes folds Alpaca's and InK's failed
+   cases; Weather at stride 2000 has two cases per cell, fewer than
+   [jobs = 3]. *)
+
+let resume_invariant ~what ~stride ~variants spec =
+  let sweep = Faultkit.Campaign.Boundaries { stride } in
+  let run ~jobs ~resume = Faultkit.Campaign.run ~jobs ~resume ~sweep ~variants spec in
+  let reference = run ~jobs:2 ~resume:false in
+  let bytes r = Trace.Json.to_string (Faultkit.Campaign.to_json r) in
+  List.iter
+    (fun jobs ->
+      checks
+        (Printf.sprintf "%s: resumed jobs=%d == from power on" what jobs)
+        (bytes reference)
+        (bytes (run ~jobs ~resume:true)))
+    [ 1; 2; 3 ];
+  reference
+
+let test_resumed_sweep_jobs_invariant () =
+  let fir =
+    resume_invariant ~what:"FIR" ~stride:29 ~variants:Apps.Common.all_variants
+      (Apps.Catalog.find "FIR filter")
+  in
+  List.iter
+    (fun (c : Faultkit.Campaign.cell) ->
+      match c.variant with
+      | Apps.Common.Alpaca | Apps.Common.Ink -> checkb "baseline cell has failed cases" true (c.failed <> [])
+      | _ -> ())
+    fir.Faultkit.Campaign.cells;
+  let weather = Apps.Catalog.find "Weather App." in
+  ignore (resume_invariant ~what:"Weather" ~stride:61 ~variants:[ Apps.Common.Easeio ] weather);
+  let sparse =
+    resume_invariant ~what:"Weather, sparse" ~stride:2000
+      ~variants:[ Apps.Common.Alpaca; Apps.Common.Easeio_op ]
+      weather
+  in
+  List.iter
+    (fun (c : Faultkit.Campaign.cell) -> checkb "fewer cases than jobs" true (c.cases < 3))
+    sparse.Faultkit.Campaign.cells
+
+(* With more than one domain available, a [jobs = 2] resumed sweep
+   really runs on two: one progress tick per case, and the ticks come
+   from more than one domain. *)
+let test_resumed_sweep_fans_out () =
+  if Domain.recommended_domain_count () < 2 then Alcotest.skip ();
+  let tickers = ref [] in
+  let progress =
+    Obs.Progress.create ~interval_s:0.
+      (Obs.Progress.Sink (fun _ -> tickers := Domain.self () :: !tickers))
+      ~label:"fan-out"
+  in
+  let report =
+    Faultkit.Campaign.run ~jobs:2 ~progress ~resume:true
+      ~sweep:(Faultkit.Campaign.Boundaries { stride = 4 })
+      ~variants:[ Apps.Common.Easeio ] (Apps.Catalog.find "FIR filter")
+  in
+  let cases = (List.hd report.Faultkit.Campaign.cells).Faultkit.Campaign.cases in
+  checki "one tick per case" cases (List.length !tickers);
+  checkb "ticks from more than one domain" true
+    (List.length (List.sort_uniq compare !tickers) > 1)
+
 let test_sweep_spec_round_trip () =
   List.iter
     (fun s ->
@@ -460,6 +526,8 @@ let () =
           tc "catches ablated semantics" `Quick test_oracle_catches_ablated_semantics;
           tc "deterministic across jobs" `Quick test_campaign_deterministic_across_jobs;
           tc "sweep spec round trip" `Quick test_sweep_spec_round_trip;
+          tc "resumed sweep jobs-invariant" `Quick test_resumed_sweep_jobs_invariant;
+          tc "resumed sweep fans out" `Quick test_resumed_sweep_fans_out;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_nv_state_schedule_independent ]);
     ]

@@ -175,6 +175,7 @@ let base_doc =
       ("app_ms", Trace.Json.Float 10.0);
       ("vm_runs_per_s", Trace.Json.Float 1000.0);
       ("total_wall_s", Trace.Json.Float 5.0);
+      ("resumed_jobs", Trace.Json.Int 2);
     ]
 
 let with_field name v =
@@ -194,6 +195,9 @@ let test_report_informational_rows_never_regress () =
   let findings = diff (with_field "meta" (Trace.Json.Obj [ ("git_sha", Trace.Json.String "def"); ("jobs", Trace.Json.Int 8) ])) in
   checkb "meta rows are notes" true
     (List.for_all (fun f -> f.Obs.Report.level = Obs.Report.Note) findings);
+  checkb "a bigger host's job count is a note" true
+    (level_of "resumed_jobs" (diff (with_field "resumed_jobs" (Trace.Json.Int 64)))
+    = Some Obs.Report.Note);
   let findings = diff (with_field "total_wall_s" (Trace.Json.Float 500.0)) in
   checkb "wall-clock rows are notes even when 100x worse" true
     (List.for_all (fun f -> f.Obs.Report.level = Obs.Report.Note) findings)
@@ -281,6 +285,38 @@ let test_progress_blocked_sink_isolated () =
   Thread.join b;
   checkb "tick on another reporter completes while a sink is blocked" true completed
 
+(* Parallel sweeps tick one reporter from several domains, and a sink
+   may keep unsynchronised state (the benchmark's latency ticker pushes
+   into a plain buffer): that is sound only because calls for one
+   reporter are serialized. Two domains tick one reporter 1000 times
+   each; the sink must see every line and never be entered twice at
+   once. *)
+let test_progress_sink_serialized () =
+  let inside = Atomic.make false and overlapped = Atomic.make false in
+  let lines = ref 0 in
+  let p =
+    Obs.Progress.create ~interval_s:0.
+      (Obs.Progress.Sink
+         (fun _ ->
+           if Atomic.exchange inside true then Atomic.set overlapped true;
+           incr lines;
+           for _ = 1 to 500 do
+             Domain.cpu_relax ()
+           done;
+           Atomic.set inside false))
+      ~label:"shared"
+  in
+  let ticks () =
+    for _ = 1 to 1000 do
+      Obs.Progress.tick p
+    done
+  in
+  let other = Domain.spawn ticks in
+  ticks ();
+  Domain.join other;
+  checki "one line per tick" 2000 !lines;
+  checkb "sink never entered concurrently" false (Atomic.get overlapped)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "obs"
@@ -315,5 +351,6 @@ let () =
         [
           tc "mode parsing" `Quick test_progress_mode_parse;
           tc "blocked sink stalls only its reporter" `Quick test_progress_blocked_sink_isolated;
+          tc "sink calls serialized across domains" `Quick test_progress_sink_serialized;
         ] );
     ]

@@ -56,6 +56,69 @@ let prop_pool_chunk_invariant =
       && Array.for_all (fun c -> Atomic.get c = 1) calls
       && Array.for_all (fun b -> b) (Array.mapi (fun i v -> v = (i * 5) + 1) out))
 
+(* [map_init] over the same jobs x chunk grid: results in index order,
+   every index exactly once, [init] at most once per domain and only on
+   a domain that then runs indices (chunk >= n leaves the other domains
+   without one), and each index sees the state its own domain built. *)
+let prop_pool_map_init_invariant =
+  QCheck.Test.make ~count:60 ~name:"Pool.map_init inits once per working domain, for any jobs x chunk"
+    QCheck.(triple (int_bound 200) (int_range 1 6) (int_range 1 64))
+    (fun (n, jobs, chunk) ->
+      let m = Mutex.create () in
+      let inits = Hashtbl.create 8 and workers = Hashtbl.create 8 in
+      let note tbl =
+        Mutex.protect m (fun () ->
+            let d = Domain.self () in
+            Hashtbl.replace tbl d (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d)))
+      in
+      let calls = Array.init n (fun _ -> Atomic.make 0) in
+      let out =
+        Expkit.Pool.map_init ~jobs ~chunk
+          ~init:(fun () ->
+            note inits;
+            Domain.self ())
+          n
+          (fun owner i ->
+            Atomic.incr calls.(i);
+            note workers;
+            ((i * 5) + 1, owner = Domain.self ()))
+      in
+      let domains tbl = List.sort compare (List.of_seq (Hashtbl.to_seq_keys tbl)) in
+      Array.length out = n
+      && Array.for_all (fun c -> Atomic.get c = 1) calls
+      && Array.for_all (fun b -> b) (Array.mapi (fun i v -> v = ((i * 5) + 1, true)) out)
+      && Hashtbl.fold (fun _ k ok -> ok && k = 1) inits true
+      && domains inits = domains workers)
+
+(* An exception from [init] surfaces like one from [f]: only after
+   every worker has been joined, so no index is still running when it
+   does and none starts afterwards. *)
+let test_pool_init_exception_after_join () =
+  let home = Domain.self () in
+  let running = Atomic.make 0 and ran = Atomic.make 0 in
+  match
+    Expkit.Pool.map_init ~jobs:3 ~chunk:1 64
+      ~init:(fun () ->
+        if Domain.self () = home then begin
+          (* let the other workers get into [f] first *)
+          Unix.sleepf 0.01;
+          failwith "init boom"
+        end)
+      (fun () i ->
+        Atomic.incr running;
+        Unix.sleepf 0.001;
+        Atomic.decr running;
+        Atomic.incr ran;
+        i)
+  with
+  | _ -> Alcotest.fail "expected the init exception to surface"
+  | exception Failure msg ->
+      Alcotest.(check string) "original exception" "init boom" msg;
+      Alcotest.(check int) "no index still running" 0 (Atomic.get running);
+      let settled = Atomic.get ran in
+      Unix.sleepf 0.02;
+      Alcotest.(check int) "no index runs after the raise" settled (Atomic.get ran)
+
 let test_pool_rejects_bad_chunk () =
   match Expkit.Pool.map ~jobs:2 ~chunk:0 4 (fun i -> i) with
   | _ -> Alcotest.fail "expected invalid_arg for chunk=0"
@@ -148,6 +211,8 @@ let () =
           tc "jobs=1 sequential fallback" `Quick test_pool_jobs1_sequential_fallback;
           QCheck_alcotest.to_alcotest prop_pool_order_and_exactly_once;
           QCheck_alcotest.to_alcotest prop_pool_chunk_invariant;
+          QCheck_alcotest.to_alcotest prop_pool_map_init_invariant;
+          tc "init exception re-raised after join" `Quick test_pool_init_exception_after_join;
         ] );
       ( "parallel-sweep",
         [

@@ -389,7 +389,6 @@ type snapshot = {
   sn_att_ovh_us : int;
   sn_ev_counts : int array;
   sn_next_cap : int;
-  sn_hash : int;
 }
 
 (* Structural hash of everything that can influence future evolution or
@@ -398,33 +397,33 @@ type snapshot = {
    NOT its spec — the explorer compares states reached under different
    [Nth_charge] targets whose latched post-fire state is identical).
    Pure observers (memory access counters, sink, meter) are excluded. *)
-let hash_of t ~fram ~sram =
+let snapshot_hash sn =
   let h = ref 0x811c9dc5 in
   let add v = h := (!h * 0x01000193) lxor v in
   let addf f = add (Int64.to_int (Int64.bits_of_float f)) in
-  add (Memory.image_hash fram);
-  add (Memory.image_hash sram);
-  add t.now;
-  add (Bool.to_int t.on);
-  add (match t.tag with App -> 0 | Overhead -> 1);
-  add t.boots;
-  add t.failures;
-  add t.charges;
-  add t.critical_depth;
-  add (Bool.to_int t.pending_death);
-  addf t.acct.total_nj;
-  addf t.acct.app_nj;
-  addf t.acct.ovh_nj;
-  addf t.cap.Capacitor.level;
-  add (Int64.to_int (Rng.state t.rng));
-  let sends, reads, dmas = Faults.save t.faults in
+  add (Memory.image_hash sn.sn_fram);
+  add (Memory.image_hash sn.sn_sram);
+  add sn.sn_now;
+  add (Bool.to_int sn.sn_on);
+  add (match sn.sn_tag with App -> 0 | Overhead -> 1);
+  add sn.sn_boots;
+  add sn.sn_failures;
+  add sn.sn_charges;
+  add sn.sn_critical_depth;
+  add (Bool.to_int sn.sn_pending_death);
+  addf sn.sn_total_nj;
+  addf sn.sn_app_nj;
+  addf sn.sn_ovh_nj;
+  addf sn.sn_cap_level;
+  add (Int64.to_int sn.sn_rng);
+  let sends, reads, dmas = sn.sn_faults in
   add sends;
   add reads;
   add dmas;
-  add t.att_app_us;
-  add t.att_ovh_us;
-  Array.iter add t.ev_counts;
-  let deadline, charge_deadline, remaining = Failure.save t.failure in
+  add sn.sn_att_app_us;
+  add sn.sn_att_ovh_us;
+  Array.iter add sn.sn_ev_counts;
+  let deadline, charge_deadline, remaining = sn.sn_failure in
   add deadline;
   add charge_deadline;
   List.iter add remaining;
@@ -467,7 +466,6 @@ let snapshot t =
     sn_att_ovh_us = t.att_ovh_us;
     sn_ev_counts = Array.copy t.ev_counts;
     sn_next_cap = t.next_cap_sample_us;
-    sn_hash = hash_of t ~fram:sn_fram ~sram:sn_sram;
   }
 
 let restore_snapshot t sn =
@@ -499,8 +497,6 @@ let restore_snapshot t sn =
      Array.blit sn.sn_ev_counts 0 t.ev_counts 0 (Array.length sn.sn_ev_counts)
    else t.ev_counts <- Array.copy sn.sn_ev_counts);
   t.next_cap_sample_us <- sn.sn_next_cap
-
-let snapshot_hash sn = sn.sn_hash
 
 (* Convergence key for reboot-space pruning: everything that determines
    future {e decisions and committed values} — memories, RNG, power

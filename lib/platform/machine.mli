@@ -47,7 +47,11 @@ val create :
   t
 (** Defaults: MSP430FR5994 profile — 128 Ki FRAM words (256 KB), 4 Ki
     SRAM words (8 KB), no failures, no peripheral faults, constant
-    1 nJ/µs harvester, the paper's 1 mF capacitor window. *)
+    1 nJ/µs harvester, the paper's 1 mF capacitor window.
+    [fram_words] and [sram_words] are nominal capacities: they bound
+    addresses and {!alloc} layouts, while host memory follows the words
+    actually written (see {!Memory}), so creating a machine allocates
+    no memory image. *)
 
 val reset : ?seed:int -> ?failure:Failure.spec -> ?faults:Faults.plan -> t -> unit
 (** Recycle the machine for a fresh run: clear both memories and their
@@ -212,8 +216,9 @@ val events : t -> (string * int) list
 
     A {!snapshot} is a total, immutable capture of the machine's run
     state: both memory images (copy-on-write — see {!Memory.snapshot} —
-    so repeated captures along one run cost O(pages written between
-    them)), the failure and fault models' mutable state, capacitor
+    so repeated captures along one run copy only the pages written
+    between them, plus a page directory the size of the resident
+    prefix), the failure and fault models' mutable state, capacitor
     level, RNG state, clocks, counters, energy accounting and event
     counts. Static {!alloc} layouts are {e not} captured (they are
     monotone link-time data shared by every run of an arena), and
@@ -229,15 +234,16 @@ val snapshot : t -> snapshot
     the [snapshot/pages_copied] counter by the pages freshly copied. *)
 
 val restore_snapshot : t -> snapshot -> unit
-(** Roll the machine back to a captured state, O(pages changed since).
-    The sink and meter are left as they are. *)
+(** Roll the machine back to a captured state: O(resident pages) to
+    scan, copying only the pages that may have changed since. The sink
+    and meter are left as they are. *)
 
 val snapshot_hash : snapshot -> int
-(** Structural hash (precomputed at capture) of everything that can
-    influence future evolution or end-of-run checks — memories, clock,
-    power, energy, RNG, fault counters, event counts, armed failure
-    state — excluding the failure {e spec} and pure observers. Equal
-    hashes are the explorer's convergence test. *)
+(** Structural hash (computed on demand, O(resident pages)) of
+    everything that can influence future evolution or end-of-run checks
+    — memories, clock, power, energy, RNG, fault counters, event
+    counts, armed failure state — excluding the failure {e spec} and
+    pure observers. Equal hashes are the explorer's convergence test. *)
 
 val snapshot_behavior_hash : snapshot -> int
 (** Convergence key for reboot-space pruning: hashes what determines

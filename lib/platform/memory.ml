@@ -3,19 +3,39 @@ type space = Fram | Sram
 let space_to_string = function Fram -> "FRAM" | Sram -> "SRAM"
 let pp_space ppf s = Format.pp_print_string ppf (space_to_string s)
 
-(* {1 Copy-on-write images}
+(* {1 Resident prefix}
 
-   A snapshot is an immutable [image]: an array of page refs (64 words
-   per page) plus one structural hash per page. Consecutive snapshots
+   A memory keeps its nominal size for bounds checks, but only a prefix
+   of it is backed by a word array: [words] starts empty, grows
+   geometrically (capped at the nominal size) the first time a store
+   reaches past it, and every word beyond it reads as 0. Its length is
+   a whole number of pages unless it equals the nominal size, so host
+   memory follows the highest address a program writes, not the 256 KB
+   the device has.
+
+   {1 Copy-on-write images}
+
+   A snapshot is an immutable [image]: a directory of page refs (64
+   words per page) covering the resident prefix at capture time, plus
+   one structural hash per page; pages past the directory, and every
+   all-zero page, are the one shared [zero_page]. Consecutive snapshots
    share every page that was not written between them — the memory
    keeps a dirty-page set, maintained by the write path (one branch
-   when tracking is off), so the second and later snapshots cost
-   O(dirty pages), not O(size). Pages inside an image are never
+   when tracking is off), so the second and later snapshots copy only
+   dirty pages besides the directory. Pages inside an image are never
    aliased by the live word array and never mutated after creation, so
    images can be held, compared and restored freely. *)
 
 let page_bits = 6
 let page_words = 1 lsl page_bits
+let pages_of words = (words + page_words - 1) lsr page_bits
+
+(* FNV-1a-style fold; the stdlib's generic hash truncates deep
+   structures, so pages and images are folded by hand. *)
+let hash_seed = 0x811c9dc5
+let[@inline] hash_step h v = (h * 0x01000193) lxor v
+let zero_page = Array.make page_words 0
+let zero_hash = Array.fold_left hash_step hash_seed zero_page land max_int
 
 type image = {
   i_words : int;
@@ -26,22 +46,25 @@ type image = {
 
 type t = {
   space : space;
-  words : int array;
+  size : int;
+  mutable words : int array;  (* resident prefix *)
   mutable reads : int;
   mutable writes : int;
   (* snapshot support; [dirty]/[dirty_pages] stay empty until the first
      snapshot so untracked memories pay one dead branch per write *)
   mutable track : bool;
-  mutable dirty : Bytes.t;  (* one byte per page; '\001' = dirty *)
+  mutable dirty : Bytes.t;  (* one byte per resident page; '\001' = dirty *)
   mutable dirty_pages : int array;  (* stack of dirty page indices *)
   mutable n_dirty : int;
   mutable base : image option;  (* image the dirty set is relative to *)
 }
 
 let create space ~words =
+  if words < 0 then invalid_arg "Memory.create: negative size";
   {
     space;
-    words = Array.make words 0;
+    size = words;
+    words = [||];
     reads = 0;
     writes = 0;
     track = false;
@@ -52,17 +75,43 @@ let create space ~words =
   }
 
 let space t = t.space
-let size t = Array.length t.words
-let n_pages t = (Array.length t.words + page_words - 1) lsr page_bits
+let size t = t.size
 
-let check t addr op =
-  if addr < 0 || addr >= Array.length t.words then
-    invalid_arg
-      (Printf.sprintf "Memory.%s: address %d out of bounds for %s[%d]" op addr
-         (space_to_string t.space) (Array.length t.words))
+let[@inline never] out_of_bounds t addr op =
+  invalid_arg
+    (Printf.sprintf "Memory.%s: address %d out of bounds for %s[%d]" op addr
+       (space_to_string t.space) t.size)
+
+let[@inline] check t addr op = if addr < 0 || addr >= t.size then out_of_bounds t addr op
+
+(* Size the dirty set to cover [pages] pages, keeping its marks. *)
+let cover_dirty t pages =
+  if Bytes.length t.dirty < pages then begin
+    let dirty = Bytes.make pages '\000' in
+    Bytes.blit t.dirty 0 dirty 0 (Bytes.length t.dirty);
+    let stack = Array.make pages 0 in
+    Array.blit t.dirty_pages 0 stack 0 t.n_dirty;
+    t.dirty <- dirty;
+    t.dirty_pages <- stack
+  end
+
+(* Extend the resident prefix to at least [need] (<= size) words, out
+   of line: a store within the prefix pays one compare. Int comparisons
+   throughout: the polymorphic [min]/[max] call the generic
+   comparator. *)
+let[@inline never] grow t need =
+  let len = Array.length t.words in
+  let n = (Int.max need (2 * len) + page_words - 1) land lnot (page_words - 1) in
+  let n = Int.min t.size n in
+  let words = Array.make n 0 in
+  Array.blit t.words 0 words 0 len;
+  t.words <- words;
+  if t.track then cover_dirty t (pages_of n)
+
+let[@inline] reserve t need = if need > Array.length t.words then grow t need
 
 (* Dirty marking. Only reachable with [t.track] set, which implies the
-   structures were allocated by the first [snapshot]. *)
+   structures cover every resident page. *)
 let[@inline] mark t addr =
   let p = addr lsr page_bits in
   if Bytes.unsafe_get t.dirty p = '\000' then begin
@@ -87,16 +136,21 @@ let clear_dirty t =
   done;
   t.n_dirty <- 0
 
-let read t addr =
+let[@inline] read t addr =
   check t addr "read";
   t.reads <- t.reads + 1;
-  t.words.(addr)
+  if addr < Array.length t.words then Array.unsafe_get t.words addr else 0
 
+(* Out of line, unlike [read]: [Machine.write] is inlined at every store
+   site of the VM's dispatch loop, and inlining this body there too
+   made the benchmark's VM runs about 20% slower (traced montecarlo
+   [vm.run_us]), while inlining [read] sped up the verify workload. *)
 let write t addr v =
   check t addr "write";
   t.writes <- t.writes + 1;
+  reserve t (addr + 1);
   if t.track then mark t addr;
-  t.words.(addr) <- v
+  Array.unsafe_set t.words addr v
 
 let blit ~src ~src_addr ~dst ~dst_addr ~words =
   if words < 0 then invalid_arg "Memory.blit: negative length";
@@ -105,7 +159,12 @@ let blit ~src ~src_addr ~dst ~dst_addr ~words =
     check src (src_addr + words - 1) "blit";
     check dst dst_addr "blit";
     check dst (dst_addr + words - 1) "blit";
-    Array.blit src.words src_addr dst.words dst_addr words;
+    reserve dst (dst_addr + words);
+    (* source words past [src]'s resident prefix read as 0; measured
+       after [dst] grew, which may be the same memory *)
+    let resident = Int.max 0 (Int.min words (Array.length src.words - src_addr)) in
+    if resident > 0 then Array.blit src.words src_addr dst.words dst_addr resident;
+    if resident < words then Array.fill dst.words (dst_addr + resident) (words - resident) 0;
     src.reads <- src.reads + words;
     dst.writes <- dst.writes + words;
     if dst.track then mark_range dst dst_addr words
@@ -118,17 +177,15 @@ let load t addr values =
   if words > 0 then begin
     check t addr "load";
     check t (addr + words - 1) "load";
+    reserve t (addr + words);
     Array.blit values 0 t.words addr words;
     t.writes <- t.writes + words;
     if t.track then mark_range t addr words
   end
 
-let clear t =
-  Array.fill t.words 0 (Array.length t.words) 0;
-  if t.track then mark_range t 0 (Array.length t.words)
-
 let clear_prefix t words =
-  if words < 0 || words > Array.length t.words then invalid_arg "Memory.clear_prefix";
+  if words < 0 || words > t.size then invalid_arg "Memory.clear_prefix";
+  reserve t words;
   Array.fill t.words 0 words 0;
   if t.track then mark_range t 0 words
 
@@ -143,75 +200,80 @@ let set_counters t ~reads ~writes =
   t.reads <- reads;
   t.writes <- writes
 
-(* FNV-1a-style page hash over word contents; the stdlib's generic hash
-   truncates deep structures, so we fold by hand. *)
-let hash_page page =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to Array.length page - 1 do
-    h := (!h * 0x01000193) lxor page.(i)
-  done;
-  !h land max_int
-
-let copy_page t p =
+(* Copy and hash resident page [p] into slot [p] of a directory; an
+   all-zero page becomes the shared [zero_page]. *)
+let capture_page t pages hashes p =
   let base = p lsl page_bits in
-  let len = min page_words (Array.length t.words - base) in
-  Array.sub t.words base len
+  let len = Int.min page_words (Array.length t.words - base) in
+  let h = ref hash_seed and nonzero = ref 0 in
+  for i = base to base + len - 1 do
+    let v = Array.unsafe_get t.words i in
+    h := hash_step !h v;
+    nonzero := !nonzero lor v
+  done;
+  if !nonzero = 0 then begin
+    pages.(p) <- zero_page;
+    hashes.(p) <- zero_hash
+  end
+  else begin
+    pages.(p) <- Array.sub t.words base len;
+    hashes.(p) <- !h land max_int
+  end
+
+let[@inline] page_of img p =
+  if p < Array.length img.i_pages then Array.unsafe_get img.i_pages p else zero_page
 
 let snapshot t =
-  let pages = n_pages t in
-  if Bytes.length t.dirty < pages then begin
-    t.dirty <- Bytes.make pages '\000';
-    t.dirty_pages <- Array.make pages 0;
-    t.n_dirty <- 0
-  end;
-  let img =
+  let pages = pages_of (Array.length t.words) in
+  cover_dirty t pages;
+  let i_pages = Array.make pages zero_page and i_hashes = Array.make pages zero_hash in
+  let i_copied =
     match t.base with
     | None ->
-        (* first snapshot (or first after [untrack]): full copy *)
-        let i_pages = Array.init pages (fun p -> copy_page t p) in
-        let i_hashes = Array.map hash_page i_pages in
-        { i_words = Array.length t.words; i_pages; i_hashes; i_copied = pages }
-    | Some base ->
-        let i_pages = Array.copy base.i_pages in
-        let i_hashes = Array.copy base.i_hashes in
-        for i = 0 to t.n_dirty - 1 do
-          let p = t.dirty_pages.(i) in
-          let page = copy_page t p in
-          i_pages.(p) <- page;
-          i_hashes.(p) <- hash_page page
+        (* first snapshot (or first after [untrack]): full copy; counted
+           as every nominal page, the pages past the prefix being zero *)
+        for p = 0 to pages - 1 do
+          capture_page t i_pages i_hashes p
         done;
-        { i_words = Array.length t.words; i_pages; i_hashes; i_copied = t.n_dirty }
+        pages_of t.size
+    | Some base ->
+        (* the prefix never shrinks and [restore] grows it over the
+           image it installs, so [base] fits in [pages] *)
+        let n = Array.length base.i_pages in
+        Array.blit base.i_pages 0 i_pages 0 n;
+        Array.blit base.i_hashes 0 i_hashes 0 n;
+        for i = 0 to t.n_dirty - 1 do
+          capture_page t i_pages i_hashes t.dirty_pages.(i)
+        done;
+        t.n_dirty
   in
+  let img = { i_words = t.size; i_pages; i_hashes; i_copied } in
   clear_dirty t;
   t.base <- Some img;
   t.track <- true;
   img
 
 let restore t img =
-  if img.i_words <> Array.length t.words then invalid_arg "Memory.restore: size mismatch";
-  (match t.base with
-  | None ->
-      Array.iteri
-        (fun p page -> Array.blit page 0 t.words (p lsl page_bits) (Array.length page))
-        img.i_pages;
-      if Bytes.length t.dirty < Array.length img.i_pages then begin
-        t.dirty <- Bytes.make (Array.length img.i_pages) '\000';
-        t.dirty_pages <- Array.make (Array.length img.i_pages) 0;
-        t.n_dirty <- 0
-      end
-  | Some base ->
-      (* a live page differs from [img] only if it was written since
-         [base] was taken (dirty) or the two images disagree on it; a
-         physical page-ref compare over-approximates the latter, which
-         only costs a redundant copy *)
-      for p = 0 to Array.length img.i_pages - 1 do
-        if
-          Bytes.unsafe_get t.dirty p = '\001'
-          || img.i_pages.(p) != base.i_pages.(p)
-        then
-          let page = img.i_pages.(p) in
-          Array.blit page 0 t.words (p lsl page_bits) (Array.length page)
-      done);
+  if img.i_words <> t.size then invalid_arg "Memory.restore: size mismatch";
+  reserve t (Int.min t.size (Array.length img.i_pages lsl page_bits));
+  let len = Array.length t.words in
+  let pages = pages_of len in
+  cover_dirty t pages;
+  for p = 0 to pages - 1 do
+    let stale =
+      match t.base with
+      | None -> true
+      | Some base ->
+          (* a live page differs from [img] only if it was written since
+             [base] was taken (dirty) or the two images disagree on it; a
+             physical page-ref compare over-approximates the latter,
+             which only costs a redundant copy *)
+          Bytes.unsafe_get t.dirty p = '\001' || page_of img p != page_of base p
+    in
+    if stale then
+      let base = p lsl page_bits in
+      Array.blit (page_of img p) 0 t.words base (Int.min page_words (len - base))
+  done;
   clear_dirty t;
   t.base <- Some img;
   t.track <- true
@@ -223,27 +285,19 @@ let untrack t =
 
 let image_get img addr =
   if addr < 0 || addr >= img.i_words then invalid_arg "Memory.image_get: out of bounds";
-  img.i_pages.(addr lsr page_bits).(addr land (page_words - 1))
+  (page_of img (addr lsr page_bits)).(addr land (page_words - 1))
 
-let image_size img = img.i_words
 let image_copied img = img.i_copied
 
+(* Folds the page hashes up to the last non-zero page, so equal contents
+   hash equal whatever resident length each image was captured at. *)
 let image_hash img =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to Array.length img.i_hashes - 1 do
-    h := (!h * 0x01000193) lxor img.i_hashes.(i)
+  let last = ref (Array.length img.i_pages) in
+  while !last > 0 && img.i_pages.(!last - 1) == zero_page do
+    decr last
+  done;
+  let h = ref hash_seed in
+  for p = 0 to !last - 1 do
+    h := hash_step !h img.i_hashes.(p)
   done;
   !h land max_int
-
-let image_equal a b =
-  a.i_words = b.i_words
-  && begin
-       let eq = ref true in
-       for p = 0 to Array.length a.i_pages - 1 do
-         if !eq && a.i_pages.(p) != b.i_pages.(p) && a.i_pages.(p) <> b.i_pages.(p)
-         then eq := false
-       done;
-       !eq
-     end
-
-let to_array t = Array.copy t.words

@@ -5,7 +5,16 @@
     (8 KB, cleared on reboot). Words hold OCaml [int]s; conceptually they
     are 16-bit cells, and the cost model charges per-word. The memory
     module itself is cost-free — the machine charges energy/time around
-    each access — but it keeps access counters for diagnostics. *)
+    each access — but it keeps access counters for diagnostics.
+
+    A memory has a {e nominal} size, fixed at {!create}: it bounds every
+    address and is what {!size} reports. Host memory backs only a
+    {e resident prefix} of it, which starts empty and grows
+    geometrically (capped at the nominal size) the first time a
+    {!write}, {!blit}, {!load} or {!clear_prefix} reaches past it;
+    every word beyond the prefix reads as 0. Creating a memory is
+    therefore O(1), and its footprint follows the highest address
+    actually stored to. *)
 
 type space = Fram | Sram
 
@@ -15,8 +24,13 @@ val space_to_string : space -> string
 type t
 
 val create : space -> words:int -> t
+(** A zeroed memory of nominal size [words], with nothing resident yet.
+    Raises [Invalid_argument] when [words] is negative. *)
+
 val space : t -> space
+
 val size : t -> int
+(** The nominal size in words. *)
 
 val read : t -> int -> int
 (** [read t addr] returns the word at [addr]. Raises [Invalid_argument]
@@ -34,19 +48,14 @@ val load : t -> int -> int array -> unit
     The write counter advances by [Array.length values], exactly as the
     equivalent per-word {!write} loop would — harness setup helper. *)
 
-val clear : t -> unit
-(** Zero the whole memory; models SRAM content loss on reboot. *)
-
 val clear_prefix : t -> int -> unit
-(** [clear_prefix t words] zeroes only the first [words] cells.
-    Equivalent to {!clear} whenever every address the program can touch
-    lies below [words] (e.g. the memory's layout high-water mark) —
-    used by arena resets to avoid memset-ing the untouched tail of a
-    131k-word FRAM on every run. *)
+(** [clear_prefix t words] zeroes the first [words] cells (SRAM content
+    loss on reboot, arena resets) and makes them resident, so an arena
+    cleared up to its layout's high-water mark never grows again. *)
 
 val reset_counters : t -> unit
-(** Zero the diagnostic read/write counters ({!clear} leaves them
-    running); used when a machine arena is recycled between runs. *)
+(** Zero the diagnostic read/write counters; used when a machine arena
+    is recycled between runs. *)
 
 val reads : t -> int
 val writes : t -> int
@@ -58,28 +67,32 @@ val set_counters : t -> reads:int -> writes:int -> unit
 (** {1 Copy-on-write snapshots}
 
     An {!image} is an immutable, persistent copy of the memory's
-    contents, chunked into 64-word pages. The first {!snapshot} of a
-    memory copies every page and switches on dirty-page tracking (one
-    extra branch on the write path — memories that never snapshot pay
-    only that dead branch); each later snapshot copies {e only the
-    pages written since the previous one} and shares the rest with it
-    structurally. {!restore} is likewise O(pages changed since the
-    restored image). Images never alias the live word array and are
-    never mutated after creation, so they can be held indefinitely and
-    compared in O(shared-page short-circuits). *)
+    contents, chunked into 64-word pages: a page directory covering the
+    resident prefix at capture time, with every later page (and every
+    all-zero page) standing for one shared zero page. The first
+    {!snapshot} of a memory copies every resident page and switches on
+    dirty-page tracking (one extra branch on the write path — memories
+    that never snapshot pay only that dead branch); each later snapshot
+    copies {e only the pages written since the previous one} and shares
+    the rest with it structurally. Snapshot, {!restore} and
+    {!image_hash} all cost O(resident pages) for the directory, plus
+    the pages they copy. Images never alias the live word array and are
+    never mutated after creation, so they can be held indefinitely. *)
 
 type image
 
 val snapshot : t -> image
 (** Capture the current contents as a persistent image and make it the
-    new copy-on-write base. O(size) on the first call after [create] or
-    {!untrack}; O(dirty pages) afterwards. *)
+    new copy-on-write base. Copies every resident page on the first
+    call after [create] or {!untrack}, and only the dirty pages
+    afterwards; the page directory is O(resident pages) either way. *)
 
 val restore : t -> image -> unit
-(** Overwrite contents from an image of the same size (O(pages that
-    differ from the live contents)) and make it the new base. Raises
-    [Invalid_argument] on size mismatch. Access counters are {e not}
-    touched; use {!set_counters} to roll them back. *)
+(** Overwrite contents from an image of the same nominal size and make
+    it the new base, scanning the resident pages and copying those that
+    may differ from the live contents. Raises [Invalid_argument] on
+    size mismatch. Access counters are {e not} touched; use
+    {!set_counters} to roll them back. *)
 
 val untrack : t -> unit
 (** Drop the copy-on-write base and switch dirty tracking off; the next
@@ -87,22 +100,17 @@ val untrack : t -> unit
     recycled runs do not pay for a stale dirty set. *)
 
 val image_get : image -> int -> int
-(** [image_get img addr] reads one word of an image, O(1). *)
-
-val image_size : image -> int
+(** [image_get img addr] reads one word of an image, O(1). Raises
+    [Invalid_argument] outside the nominal size. *)
 
 val image_copied : image -> int
-(** Pages freshly copied when this image was taken (the rest are shared
-    with its predecessor) — feeds the [snapshot/pages_copied] obs
-    counter. *)
+(** Pages freshly copied when this image was taken — every nominal page
+    on a full capture (the non-resident ones being zero), the dirty
+    pages on an incremental one — which feeds the
+    [snapshot/pages_copied] obs counter. *)
 
 val image_hash : image -> int
 (** Structural hash of the full contents, folded from per-page hashes
-    computed when each page was captured — O(pages), no word
-    traversal. *)
-
-val image_equal : image -> image -> bool
-(** Content equality; shared pages compare by reference first. *)
-
-val to_array : t -> int array
-(** Plain copy of the current contents (diagnostics; not COW). *)
+    computed when each page was captured, up to the last non-zero page:
+    O(resident pages), no word traversal, and equal contents hash equal
+    whatever resident length each image was captured at. *)

@@ -93,6 +93,297 @@ let test_memory_snapshot_restore () =
   Memory.restore m snap;
   checki "restored" 11 (Memory.read m 1)
 
+(* The resident prefix may end past the last written word but never
+   past the nominal size, even when that size is not a whole page. *)
+let test_memory_bounds_partial_page () =
+  let m = Memory.create Fram ~words:100 in
+  Memory.write m 70 5;
+  Memory.write m 99 6;
+  checki "last word" 6 (Memory.read m 99);
+  Alcotest.check_raises "read past size"
+    (Invalid_argument "Memory.read: address 100 out of bounds for FRAM[100]") (fun () ->
+      ignore (Memory.read m 100));
+  Alcotest.check_raises "write past size"
+    (Invalid_argument "Memory.write: address 100 out of bounds for FRAM[100]") (fun () ->
+      Memory.write m 100 1);
+  let img = Memory.snapshot m in
+  Alcotest.check_raises "image past size" (Invalid_argument "Memory.image_get: out of bounds")
+    (fun () -> ignore (Memory.image_get img 100))
+
+let test_memory_hash_ignores_resident_length () =
+  let a = Memory.create Fram ~words:4096 and b = Memory.create Fram ~words:4096 in
+  Memory.write a 10 7;
+  Memory.write a 3000 5;
+  Memory.write a 3000 0;
+  Memory.write b 10 7;
+  checki "equal contents, equal hash"
+    (Memory.image_hash (Memory.snapshot b))
+    (Memory.image_hash (Memory.snapshot a));
+  Memory.write b 11 1;
+  checkb "different contents" true
+    (Memory.image_hash (Memory.snapshot a) <> Memory.image_hash (Memory.snapshot b))
+
+(* Model property: every operation on a memory matches the same
+   operation on a flat [int array] of the nominal size — values, access
+   counters, exceptions and their messages, and the pages each snapshot
+   reports as copied (every nominal page on a full capture, the dirty
+   pages after). Two memories let blits cross spaces and overlap within
+   one; addresses cluster around page boundaries and the nominal end so
+   ranges straddle the resident end. *)
+
+type mem_op =
+  | Read of int * int
+  | Write of int * int * int
+  | Blit of int * int * int * int * int  (** src, src_addr, dst, dst_addr, words *)
+  | Load of int * int * int array
+  | Clear_prefix of int * int
+  | Capture of int
+  | Restore of int * int  (** memory, image index *)
+  | Image_get of int * int  (** image index, addr *)
+  | Untrack of int
+
+let show_mem_op = function
+  | Read (i, a) -> Printf.sprintf "read m%d %d" i a
+  | Write (i, a, v) -> Printf.sprintf "write m%d %d %d" i a v
+  | Blit (s, sa, d, da, w) -> Printf.sprintf "blit m%d %d -> m%d %d x%d" s sa d da w
+  | Load (i, a, vs) -> Printf.sprintf "load m%d %d x%d" i a (Array.length vs)
+  | Clear_prefix (i, w) -> Printf.sprintf "clear_prefix m%d %d" i w
+  | Capture i -> Printf.sprintf "snapshot m%d" i
+  | Restore (i, k) -> Printf.sprintf "restore m%d img%d" i k
+  | Image_get (k, a) -> Printf.sprintf "image_get img%d %d" k a
+  | Untrack i -> Printf.sprintf "untrack m%d" i
+
+type mem_model = {
+  space : Memory.space;
+  cells : int array;
+  mutable m_reads : int;
+  mutable m_writes : int;
+  mutable based : bool;  (* a snapshot or restore set a copy-on-write base *)
+  dirty : (int, unit) Hashtbl.t;  (* pages stored to since that base *)
+}
+
+let model_pages words = (words + 63) / 64
+
+let model_check mm op addr =
+  if addr < 0 || addr >= Array.length mm.cells then
+    invalid_arg
+      (Printf.sprintf "Memory.%s: address %d out of bounds for %s[%d]" op addr
+         (Memory.space_to_string mm.space) (Array.length mm.cells))
+
+let model_mark mm addr words =
+  if mm.based && words > 0 then
+    for p = addr / 64 to (addr + words - 1) / 64 do
+      Hashtbl.replace mm.dirty p ()
+    done
+
+let mem_op_gen sizes =
+  let open QCheck.Gen in
+  let mem = int_range 0 (Array.length sizes - 1) in
+  let addr i =
+    let n = sizes.(i) in
+    frequency
+      [
+        (4, int_range 0 (n - 1));
+        ( 3,
+          let* p = int_range 0 (model_pages n) and* d = int_range (-2) 2 in
+          return ((p * 64) + d) );
+        (2, map (fun d -> n + d) (int_range (-3) 1));
+        (1, int_range (-2) (-1));
+      ]
+  in
+  let value = frequency [ (2, return 0); (5, int_range (-5) 1000) ] in
+  let words = frequency [ (6, int_range 1 40); (2, int_range 41 200); (1, int_range (-1) 0) ] in
+  frequency
+    [
+      (4, let* i = mem in map (fun a -> Read (i, a)) (addr i));
+      (6, let* i = mem in map2 (fun a v -> Write (i, a, v)) (addr i) value);
+      ( 3,
+        let* s = mem and* d = mem in
+        let* sa = addr s and* da = addr d and* w = words in
+        return (Blit (s, sa, d, da, w)) );
+      ( 2,
+        let* i = mem in
+        let* a = addr i and* vs = array_size (int_range 0 70) value in
+        return (Load (i, a, vs)) );
+      ( 1,
+        let* i = mem in
+        map (fun w -> Clear_prefix (i, w)) (oneof [ addr i; int_range 0 sizes.(i) ]) );
+      (3, map (fun i -> Capture i) mem);
+      (2, map2 (fun i k -> Restore (i, k)) mem nat);
+      (2, let* k = nat in map (fun a -> Image_get (k, a)) (addr 0));
+      (1, map (fun i -> Untrack i) mem);
+    ]
+
+let mem_case_gen =
+  let open QCheck.Gen in
+  let size = oneofl [ 1; 5; 63; 64; 65; 100; 127; 128; 130; 256; 300; 640 ] in
+  let* sizes = map2 (fun a b -> [| a; b |]) size size in
+  map (fun ops -> (sizes, ops)) (list_size (int_range 1 60) (mem_op_gen sizes))
+
+let outcome f = match f () with v -> Ok v | exception e -> Error e
+
+let prop_memory_matches_model =
+  QCheck.Test.make ~count:500 ~name:"memory matches a flat-array model"
+    (QCheck.make
+       ~print:(fun (sizes, ops) ->
+         Printf.sprintf "sizes %d,%d: %s" sizes.(0) sizes.(1)
+           (String.concat "; " (List.map show_mem_op ops)))
+       ~shrink:(fun (sizes, ops) -> QCheck.Iter.map (fun ops -> (sizes, ops)) (QCheck.Shrink.list ops))
+       mem_case_gen)
+    (fun (sizes, ops) ->
+      let spaces = [| Memory.Fram; Memory.Sram |] in
+      let mems = Array.init 2 (fun i -> Memory.create spaces.(i) ~words:sizes.(i)) in
+      let models =
+        Array.init 2 (fun i ->
+            {
+              space = spaces.(i);
+              cells = Array.make sizes.(i) 0;
+              m_reads = 0;
+              m_writes = 0;
+              based = false;
+              dirty = Hashtbl.create 8;
+            })
+      in
+      (* (contents, image) per snapshot, oldest first *)
+      let images = ref [||] in
+      let nth_image k = (!images).(k mod Array.length !images) in
+      let step op =
+        let real, model =
+          match op with
+          | Read (i, a) ->
+              ( outcome (fun () -> Memory.read mems.(i) a),
+                outcome (fun () ->
+                    let mm = models.(i) in
+                    model_check mm "read" a;
+                    mm.m_reads <- mm.m_reads + 1;
+                    mm.cells.(a)) )
+          | Write (i, a, v) ->
+              ( outcome (fun () -> Memory.write mems.(i) a v; 0),
+                outcome (fun () ->
+                    let mm = models.(i) in
+                    model_check mm "write" a;
+                    mm.m_writes <- mm.m_writes + 1;
+                    mm.cells.(a) <- v;
+                    model_mark mm a 1;
+                    0) )
+          | Blit (s, sa, d, da, w) ->
+              ( outcome (fun () ->
+                    Memory.blit ~src:mems.(s) ~src_addr:sa ~dst:mems.(d) ~dst_addr:da ~words:w;
+                    0),
+                outcome (fun () ->
+                    let src = models.(s) and dst = models.(d) in
+                    if w < 0 then invalid_arg "Memory.blit: negative length";
+                    if w > 0 then begin
+                      model_check src "blit" sa;
+                      model_check src "blit" (sa + w - 1);
+                      model_check dst "blit" da;
+                      model_check dst "blit" (da + w - 1);
+                      Array.blit src.cells sa dst.cells da w;
+                      src.m_reads <- src.m_reads + w;
+                      dst.m_writes <- dst.m_writes + w;
+                      model_mark dst da w
+                    end;
+                    0) )
+          | Load (i, a, vs) ->
+              ( outcome (fun () -> Memory.load mems.(i) a vs; 0),
+                outcome (fun () ->
+                    let mm = models.(i) and w = Array.length vs in
+                    if w > 0 then begin
+                      model_check mm "load" a;
+                      model_check mm "load" (a + w - 1);
+                      Array.blit vs 0 mm.cells a w;
+                      mm.m_writes <- mm.m_writes + w;
+                      model_mark mm a w
+                    end;
+                    0) )
+          | Clear_prefix (i, w) ->
+              ( outcome (fun () -> Memory.clear_prefix mems.(i) w; 0),
+                outcome (fun () ->
+                    let mm = models.(i) in
+                    if w < 0 || w > Array.length mm.cells then invalid_arg "Memory.clear_prefix";
+                    Array.fill mm.cells 0 w 0;
+                    model_mark mm 0 w;
+                    0) )
+          | Capture i ->
+              let img = Memory.snapshot mems.(i) in
+              let mm = models.(i) in
+              let copied =
+                if mm.based then Hashtbl.length mm.dirty
+                else model_pages (Array.length mm.cells)
+              in
+              mm.based <- true;
+              Hashtbl.reset mm.dirty;
+              images := Array.append !images [| (Array.copy mm.cells, img) |];
+              (Ok (Memory.image_copied img), Ok copied)
+          | Restore (_, _) when Array.length !images = 0 -> (Ok 0, Ok 0)
+          | Restore (i, k) ->
+              let contents, img = nth_image k in
+              ( outcome (fun () -> Memory.restore mems.(i) img; 0),
+                outcome (fun () ->
+                    let mm = models.(i) in
+                    if Array.length contents <> Array.length mm.cells then
+                      invalid_arg "Memory.restore: size mismatch";
+                    Array.blit contents 0 mm.cells 0 (Array.length contents);
+                    mm.based <- true;
+                    Hashtbl.reset mm.dirty;
+                    0) )
+          | Image_get (_, _) when Array.length !images = 0 -> (Ok 0, Ok 0)
+          | Image_get (k, a) ->
+              let contents, img = nth_image k in
+              ( outcome (fun () -> Memory.image_get img a),
+                outcome (fun () ->
+                    if a < 0 || a >= Array.length contents then
+                      invalid_arg "Memory.image_get: out of bounds";
+                    contents.(a)) )
+          | Untrack i ->
+              Memory.untrack mems.(i);
+              models.(i).based <- false;
+              Hashtbl.reset models.(i).dirty;
+              (Ok 0, Ok 0)
+        in
+        let show = function
+          | Ok v -> string_of_int v
+          | Error e -> Printexc.to_string e
+        in
+        if real <> model then
+          QCheck.Test.fail_reportf "%s: got %s, model %s" (show_mem_op op) (show real) (show model);
+        Array.iteri
+          (fun i mm ->
+            if Memory.reads mems.(i) <> mm.m_reads || Memory.writes mems.(i) <> mm.m_writes then
+              QCheck.Test.fail_reportf "%s: counters of m%d differ" (show_mem_op op) i)
+          models
+      in
+      List.iter step ops;
+      Array.iteri
+        (fun i mm ->
+          Array.iteri
+            (fun a v ->
+              if Memory.read mems.(i) a <> v then
+                QCheck.Test.fail_reportf "final m%d[%d] differs" i a)
+            mm.cells)
+        models;
+      Array.iter
+        (fun (ca, ia) ->
+          Array.iter
+            (fun (cb, ib) ->
+              if ca = cb && Memory.image_hash ia <> Memory.image_hash ib then
+                QCheck.Test.fail_report "equal images hash differently")
+            !images)
+        !images;
+      true)
+
+let test_machine_create_is_lazy () =
+  let before = Gc.allocated_bytes () in
+  let m = Machine.create () in
+  let allocated = Gc.allocated_bytes () -. before in
+  checkb (Printf.sprintf "create allocated %.0f bytes" allocated) true (allocated < 16_384.);
+  let copied sn =
+    Memory.image_copied (Snapshot.fram sn) + Memory.image_copied (Snapshot.sram sn)
+  in
+  checki "first capture counts every nominal page" (2_048 + 64) (copied (Snapshot.capture m));
+  Memory.write (Machine.mem m Memory.Fram) 100_000 3;
+  checki "then only the dirty page" 1 (copied (Snapshot.capture m))
+
 (* {1 Capacitor} *)
 
 let test_capacitor_drain_dead () =
@@ -321,6 +612,9 @@ let () =
           tc "bounds" `Quick test_memory_bounds;
           tc "blit overlap" `Quick test_memory_blit_overlap;
           tc "snapshot/restore" `Quick test_memory_snapshot_restore;
+          tc "bounds past a partial page" `Quick test_memory_bounds_partial_page;
+          tc "hash ignores resident length" `Quick test_memory_hash_ignores_resident_length;
+          QCheck_alcotest.to_alcotest prop_memory_matches_model;
         ] );
       ( "capacitor",
         [
@@ -350,6 +644,7 @@ let () =
           tc "energy-driven failure and recharge" `Quick test_energy_driven_failure_and_recharge;
           tc "events" `Quick test_machine_events;
           tc "timekeeper monotonic" `Quick test_timekeeper_monotonic;
+          tc "create allocates no memory image" `Quick test_machine_create_is_lazy;
           QCheck_alcotest.to_alcotest prop_timer_failure_within_window;
           QCheck_alcotest.to_alcotest prop_attempt_buckets_conserve_energy;
           QCheck_alcotest.to_alcotest prop_world_bucketed_noise_is_stable;

@@ -501,6 +501,11 @@ let faults_cmd =
           exit 1
         end;
         let jobs = min jobs Expkit.Pool.max_jobs in
+        (* sessions run on the bytecode VM only, so a tree-walker sweep
+           runs every case from power on *)
+        let spec =
+          if interp = Apps.Common.Tree_walk then { spec with Apps.Common.session = None } else spec
+        in
         let variants =
           match runtime with None -> Apps.Common.all_variants | Some v -> [ v ]
         in

@@ -221,73 +221,39 @@ let judge ?(stop_early = false) ?(config = default_config) (case : Gen.case) =
            vm
      in
      (* VM-shadow prefix resume: the continuous shadow run of each
-        variant is driven through the engine stepper and checkpointed at
-        every attempt top (copy-on-write machine snapshot + radio + a
-        cursor into its recorded event stream). Each [Nth_charge] shadow
-        in the boundary sweep then restores the latest checkpoint before
-        its boundary and runs only the suffix — the tree walker stays
-        from-power-on (it IS the oracle) while the VM side, whose
-        equivalence the stepper already pins down, skips the shared
-        prefix. Replaying the buffered prefix events into the case's
-        decision recorder keeps every comparison byte-exact. *)
-     let vm_pacers = Hashtbl.create 4 in
-     let drive_vm eng ~on_attempt =
-       let rec go () =
-         match Kernel.Engine.run_until_boundary ?on_attempt eng with
-         | Kernel.Engine.Paused ->
-             Kernel.Engine.resume eng;
-             go ()
-         | Kernel.Engine.Finished o -> o
-       in
-       go ()
-     in
+        variant paces a taped checkpoint walk ({!Kernel.Walker}, with
+        the radio as payload). Each [Nth_charge] shadow in the boundary
+        sweep then seeks the walk to its boundary, replaying the taped
+        prefix into the case's decision recorder, and runs only the
+        suffix — the tree walker stays from-power-on (it IS the oracle)
+        while the VM side, whose equivalence the stepper already pins
+        down, skips the shared prefix. *)
+     let vm_walks = Hashtbl.create 4 in
      let vm_continuous variant rec_v =
        let vm = vm_for variant in
        Vm.reset ~seed:config.machine_seed vm;
        let vm_m = Vm.machine vm in
-       let buf = ref [] and len = ref 0 in
+       let tape, record = Kernel.Walker.tape () in
        Machine.set_sink vm_m (fun e ->
            rec_v e;
-           buf := e :: !buf;
-           incr len);
+           record e);
        let app, hooks, cur_slot = Vm.prepare vm in
        Vm.begin_metered vm;
        let eng = Kernel.Engine.start ~hooks ~cur_slot vm_m app in
-       let cks = ref [] in
-       let on_attempt s =
-         let radio = Periph.Radio.snapshot (Vm.radio vm) in
-         let cursor = !len in
-         let ck = Kernel.Engine.checkpoint s in
-         cks := (ck, cursor, radio) :: !cks
+       let o, walk =
+         Kernel.Walker.pace ~tape ~save:(fun () -> Periph.Radio.snapshot (Vm.radio vm)) eng
        in
-       let o = drive_vm eng ~on_attempt:(Some on_attempt) in
        Vm.flush_counts vm;
-       Hashtbl.replace vm_pacers variant
-         (vm, eng, Array.of_list (List.rev !cks), Array.of_list (List.rev !buf));
+       Hashtbl.replace vm_walks variant (vm, eng, walk);
        (vm, o)
      in
+     (* [None] when the variant's continuous shadow crashed *)
      let vm_resumed variant k rec_v =
-       match Hashtbl.find_opt vm_pacers variant with
-       | None -> None
-       | Some (vm, eng, cks, events) ->
-           (* latest checkpoint strictly before charge [k] *)
-           let idx = ref (-1) in
-           Array.iteri
-             (fun i (ck, _, _) -> if Kernel.Engine.checkpoint_charges ck < k then idx := i)
-             cks;
-           if !idx < 0 then None
-           else begin
-             let ck, cursor, radio = cks.(!idx) in
-             for i = 0 to cursor - 1 do
-               rec_v events.(i)
-             done;
-             let vm_m = Vm.machine vm in
-             Machine.set_sink vm_m rec_v;
-             Kernel.Engine.restore eng ck;
-             Periph.Radio.restore (Vm.radio vm) radio;
-             Machine.set_failure vm_m (Failure.Nth_charge k);
-             Some (vm, drive_vm eng ~on_attempt:None)
-           end
+       Option.map
+         (fun (vm, eng, walk) ->
+           Periph.Radio.restore (Vm.radio vm) (Kernel.Walker.seek ~sink:rec_v walk k);
+           (vm, Kernel.Engine.drive eng))
+         (Hashtbl.find_opt vm_walks variant)
      in
      let decision_recorder () =
        let log = ref [] in

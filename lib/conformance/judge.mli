@@ -34,10 +34,13 @@
        observably: crash message, outcome/metrics summary, charge
        count, event counters, committed state of every declared
        global, and the trace-visible I/O decision sequence. Any
-       mismatch is a [vm-diverge] violation. Boundary-sweep shadows
-       resume from the continuous shadow's engine checkpoints instead
-       of replaying the prefix from power on — every compared artifact
-       is byte-identical either way. Disabled with [check_vm = false].
+       mismatch is a [vm-diverge] violation. The continuous shadow
+       paces a taped {!Kernel.Walker}, and each boundary-sweep shadow
+       seeks it to its boundary instead of replaying the prefix from
+       power on; the tape replays the prefix's decisions, so every
+       compared artifact is byte-identical either way, and each probe
+       checks resumption itself against the from-power-on tree
+       walker. Disabled with [check_vm = false].
 
     A violation is anything the shipped pipeline must never produce;
     expected-unsafe baseline divergence is reported separately as

@@ -14,14 +14,15 @@ open Platform
    {!Kernel.Engine.checkpoint} plus the extra-machine state of the
    app's session: radio log, VM dispatch counters). Visiting a node:
 
-   - run its continuation to completion with the (now inert, one-shot)
-     latched [Nth_charge] spec, recording a checkpoint at every attempt
-     top ([run_until_boundary]'s [on_attempt] hook);
-   - judge the final state with the campaign oracles (livelock, app
+   - pace its continuation to completion with the (now inert, one-shot)
+     latched [Nth_charge] spec, checkpointing at every attempt top
+     ({!Kernel.Walker.pace});
+   - judge the final state with the campaign verdict (livelock, app
      check, differential NV image, Always re-execution);
-   - for every charge boundary [k] the continuation crossed, restore
-     the latest checkpoint strictly before [k], latch [Nth_charge k],
-     run into the failure, reboot — that post-reboot state is a child.
+   - for every charge boundary [k] the continuation crossed, seek the
+     walk to [k] (restore the latest checkpoint strictly before [k],
+     latch [Nth_charge k]), run into the failure, reboot — that
+     post-reboot state is a child.
 
    Children whose {!Machine.snapshot_behavior_hash} (plus engine
    watchdog counter) was already visited are pruned: equal-hash states
@@ -61,17 +62,6 @@ let c_prefix_saved = Obs.Registry.counter "resume/prefix_us_saved"
 
 let passed r = r.findings = []
 
-(* Latest checkpoint strictly before charge [k], scanned with a moving
-   cursor: the children loop visits boundaries in ascending order, so
-   the best checkpoint index never moves backwards. *)
-let advance_cursor cks cursor k =
-  let n = Array.length cks in
-  let charges i = Kernel.Engine.checkpoint_charges (fst cks.(i)) in
-  while !cursor + 1 < n && charges (!cursor + 1) < k do
-    incr cursor
-  done;
-  cks.(!cursor)
-
 let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_semantics ?progress
     (spec : Apps.Common.spec) variant ~seed =
   let session =
@@ -101,38 +91,16 @@ let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_sem
       ?cur_slot:session.Apps.Common.ses_cur_slot m session.Apps.Common.ses_app
   in
   let golden = ref None in
-  (* Run the engine's current position to completion, checkpointing at
-     every attempt top. The latched failure spec is one-shot and has
-     already fired (or is [No_failures] at the root), so the run cannot
-     pause again. *)
+  (* Pace the engine's current position to completion. The latched
+     failure spec is one-shot and has already fired (or is
+     [No_failures] at the root), so the run does not pause. *)
   let run_continuation () =
     let w, skips = Faultkit.Oracle.always_skip_watch () in
     watch := w;
-    let cks = ref [] in
-    let on_attempt s =
-      let ck = Kernel.Engine.checkpoint s in
-      let extras = session.Apps.Common.ses_save () in
-      cks := (ck, extras) :: !cks
-    in
-    let step = Kernel.Engine.run_until_boundary ~on_attempt engine in
+    let o, walk = Kernel.Walker.pace ~save:session.Apps.Common.ses_save engine in
     watch := no_watch;
     Obs.Attr.add_run attr;
-    match step with
-    | Kernel.Engine.Paused -> failwith "Explore: continuation paused under an inert failure spec"
-    | Kernel.Engine.Finished o -> (o, Array.of_list (List.rev !cks), skips ())
-  in
-  let judge (o : Kernel.Engine.outcome) skips =
-    if o.Kernel.Engine.gave_up then
-      [ Livelock (Option.value ~default:"(unknown)" o.Kernel.Engine.stuck_task) ]
-    else
-      (if o.Kernel.Engine.correct = Some false then [ App_incorrect ] else [])
-      @ (match
-           Faultkit.Oracle.nv_diff ~extra_volatile:spec.Apps.Common.nv_volatile
-             ~golden:(Option.get !golden) m
-         with
-        | [] -> []
-        | ms -> [ Nv_mismatch ms ])
-      @ match skips with [] -> [] | ss -> [ Always_skipped ss ]
+    (o, walk, skips ())
   in
   let seen = Hashtbl.create 1024 in
   let states = ref 0
@@ -147,7 +115,16 @@ let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_sem
         false
     | _ -> true
   in
-  let record ~reboots violations =
+  (* judge a finished run; a violating one becomes a finding *)
+  let record ~reboots (o : Kernel.Engine.outcome) skipped =
+    let violations =
+      Faultkit.Campaign.verdict ~gave_up:o.Kernel.Engine.gave_up
+        ~stuck_task:o.Kernel.Engine.stuck_task ~correct:o.Kernel.Engine.correct
+        ~diff:
+          (Faultkit.Oracle.nv_diff ~extra_volatile:spec.Apps.Common.nv_volatile
+             ~golden:(Option.get !golden) m)
+        ~skipped
+    in
     if violations <> [] then findings := { reboots = List.rev reboots; violations } :: !findings
   in
   (* Visit the node the engine is currently positioned at: judge its
@@ -157,50 +134,44 @@ let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_sem
     incr states;
     Obs.Sheet.bump sheet c_states;
     Option.iter (fun p -> Obs.Progress.tick p) progress;
-    let o, cks, skips = run_continuation () in
-    record ~reboots (judge o skips);
-    if depth_left > 0 then expand ~reboots ~depth_left cks
-  and expand ~reboots ~depth_left cks =
+    let o, walk, skips = run_continuation () in
+    record ~reboots o skips;
+    if depth_left > 0 then expand ~reboots ~depth_left walk
+  and expand ~reboots ~depth_left walk =
     let n_final = Machine.charges m in
-    if Array.length cks > 0 then begin
-      let c0 = Kernel.Engine.checkpoint_charges (fst cks.(0)) in
-      let cursor = ref 0 in
-      let k = ref (c0 + 1) in
-      while !k <= n_final && budget_left () do
-        let ck, extras = advance_cursor cks cursor !k in
-        Kernel.Engine.restore engine ck;
-        extras ();
-        let before = Machine.now m in
-        Obs.Sheet.add sheet c_prefix_saved before;
-        Machine.set_failure m (Failure.Nth_charge !k);
-        (match Kernel.Engine.run_until_boundary engine with
-        | Kernel.Engine.Finished o ->
-            (* the failure was deferred into the final commit's critical
-               section and the run completed first: a full execution,
-               judged on its final state (its decisions replay the
-               parent's, so no fresh Always watch is needed) *)
-            explore_us := !explore_us + (Machine.now m - before);
-            record ~reboots:(!k :: reboots) (judge o [])
-        | Kernel.Engine.Paused ->
-            Kernel.Engine.resume engine;
-            explore_us := !explore_us + (Machine.now m - before);
-            let child = Kernel.Engine.checkpoint engine in
-            let key =
-              ( Machine.snapshot_behavior_hash (Kernel.Engine.checkpoint_snapshot child),
-                Kernel.Engine.checkpoint_stalled child )
-            in
-            if prune && Hashtbl.mem seen key then begin
-              incr pruned;
-              Obs.Sheet.bump sheet c_pruned
-            end
-            else begin
-              if prune then Hashtbl.add seen key ();
-              (* the engine is already positioned at the child *)
-              visit ~reboots:(!k :: reboots) ~depth_left:(depth_left - 1)
-            end);
-        incr k
-      done
-    end
+    let k = ref (Kernel.Walker.first_charges walk + 1) in
+    while !k <= n_final && budget_left () do
+      let restore_extras = Kernel.Walker.seek walk !k in
+      restore_extras ();
+      let before = Machine.now m in
+      Obs.Sheet.add sheet c_prefix_saved before;
+      (match Kernel.Engine.run_until_boundary engine with
+      | Kernel.Engine.Finished o ->
+          (* the failure was deferred into the final commit's critical
+             section and the run completed first: a full execution,
+             judged on its final state (its decisions replay the
+             parent's, so no fresh Always watch is needed) *)
+          explore_us := !explore_us + (Machine.now m - before);
+          record ~reboots:(!k :: reboots) o []
+      | Kernel.Engine.Paused ->
+          Kernel.Engine.resume engine;
+          explore_us := !explore_us + (Machine.now m - before);
+          let child = Kernel.Engine.checkpoint engine in
+          let key =
+            ( Machine.snapshot_behavior_hash (Kernel.Engine.checkpoint_snapshot child),
+              Kernel.Engine.checkpoint_stalled child )
+          in
+          if prune && Hashtbl.mem seen key then begin
+            incr pruned;
+            Obs.Sheet.bump sheet c_pruned
+          end
+          else begin
+            if prune then Hashtbl.add seen key ();
+            (* the engine is already positioned at the child *)
+            visit ~reboots:(!k :: reboots) ~depth_left:(depth_left - 1)
+          end);
+      incr k
+    done
   in
   (* Root: the continuous run doubles as the golden capture — its
      checkpoints seed the whole boundary space (the first attempt top
@@ -208,7 +179,7 @@ let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_sem
   incr states;
   Obs.Sheet.bump sheet c_states;
   Option.iter (fun p -> Obs.Progress.tick p) progress;
-  let o0, cks0, skips0 = run_continuation () in
+  let o0, walk0, skips0 = run_continuation () in
   golden := Some (Faultkit.Oracle.capture m);
   if o0.Kernel.Engine.gave_up || o0.Kernel.Engine.correct = Some false || skips0 <> [] then
     failwith
@@ -216,7 +187,7 @@ let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_sem
          spec.Apps.Common.app_name
          (Apps.Common.variant_name variant));
   let boundaries = Machine.charges m in
-  if depth > 0 then expand ~reboots:[] ~depth_left:depth cks0;
+  if depth > 0 then expand ~reboots:[] ~depth_left:depth walk0;
   session.Apps.Common.ses_finish ();
   Obs.Attr.add_phase attr "explore" !explore_us;
   {
@@ -235,43 +206,14 @@ let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_sem
 
 (* {1 Exports} *)
 
-let mismatch_json (mm : Faultkit.Oracle.mismatch) =
-  Trace.Json.Obj
-    [
-      ("region", Trace.Json.String mm.Faultkit.Oracle.region);
-      ("offset", Trace.Json.Int mm.Faultkit.Oracle.offset);
-      ("expected", Trace.Json.Int mm.Faultkit.Oracle.expected);
-      ("actual", Trace.Json.Int mm.Faultkit.Oracle.actual);
-    ]
-
-let violation_json = function
-  | Livelock task ->
-      Trace.Json.Obj
-        [ ("kind", Trace.Json.String "livelock"); ("stuck_task", Trace.Json.String task) ]
-  | App_incorrect -> Trace.Json.Obj [ ("kind", Trace.Json.String "app-incorrect") ]
-  | Nv_mismatch ms ->
-      Trace.Json.Obj
-        [
-          ("kind", Trace.Json.String "nv-mismatch");
-          ("mismatches", Trace.Json.List (List.map mismatch_json ms));
-        ]
-  | Always_skipped sites ->
-      Trace.Json.Obj
-        [
-          ("kind", Trace.Json.String "always-skipped");
-          ("sites", Trace.Json.List (List.map (fun s -> Trace.Json.String s) sites));
-        ]
-
 let finding_json f =
   Trace.Json.Obj
     [
       ("reboots", Trace.Json.List (List.map (fun k -> Trace.Json.Int k) f.reboots));
-      ("violations", Trace.Json.List (List.map violation_json f.violations));
+      ("violations", Trace.Json.List (List.map Faultkit.Campaign.violation_json f.violations));
     ]
 
 let max_findings_in_json = 20
-
-let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
 let to_json r =
   Trace.Json.Obj
@@ -286,7 +228,10 @@ let to_json r =
       ("truncated", Trace.Json.Bool r.truncated);
       ("passed", Trace.Json.Bool (passed r));
       ("findings_count", Trace.Json.Int (List.length r.findings));
-      ("findings", Trace.Json.List (List.map finding_json (take max_findings_in_json r.findings)));
+      ( "findings",
+        Trace.Json.List
+          (List.map finding_json (List.filteri (fun i _ -> i < max_findings_in_json) r.findings))
+      );
       ("metrics", Obs.Snapshot.to_json r.snap);
       ("profile", Obs.Attr.to_json r.profile);
     ]

@@ -3,11 +3,15 @@
     A boundary sweep ({!Faultkit.Campaign}) checks every {e single}
     power failure from power on. The explorer walks the full tree of
     reboot points up to a reboot-count [depth]: each post-reboot state
-    is a node, forked as a copy-on-write {!Platform.Machine.snapshot}
-    through the {!Kernel.Engine} stepper rather than replayed from
-    power on; each node's continuation is judged against the clean
-    run's golden NV image with the campaign oracles (livelock, app
-    check, differential NV state, Always re-execution).
+    is a node. Each node's continuation is paced through a
+    {!Kernel.Walker}, and each of its children is reached by seeking
+    that walk to the child's boundary and running into the failure,
+    rather than by replaying from power on. Every finished run gets the
+    campaign's {!Faultkit.Campaign.verdict} against the clean run's
+    golden NV image, and findings print with
+    {!Faultkit.Campaign.violation_json}. At [depth = 1] without pruning
+    the findings are exactly the failed cases of the exhaustive
+    boundary sweep (tested).
 
     Convergent states — equal {!Platform.Machine.snapshot_behavior_hash}
     plus engine watchdog counter — are visited once; pruning is what

@@ -68,6 +68,12 @@ let coverage ~sweep ~cases =
 
 type report = { app : string; sweep : sweep; seed : int; cells : cell list }
 
+let check_golden (spec : Apps.Common.spec) variant ~gave_up ~correct =
+  if gave_up || correct = Some false then
+    failwith
+      (Printf.sprintf "Campaign: golden (no-failure) run of %s under %s is not correct" spec.app_name
+         (Apps.Common.variant_name variant))
+
 let golden_of (spec : Apps.Common.spec) variant ~seed =
   let captured = ref None in
   let run =
@@ -80,10 +86,7 @@ let golden_of (spec : Apps.Common.spec) variant ~seed =
     | Some g -> g
     | None -> failwith "Campaign: app runner ignored the probe hook"
   in
-  if run.Expkit.Run.gave_up || run.Expkit.Run.correct = Some false then
-    failwith
-      (Printf.sprintf "Campaign: golden (no-failure) run of %s under %s is not correct" spec.app_name
-         (Apps.Common.variant_name variant));
+  check_golden spec variant ~gave_up:run.Expkit.Run.gave_up ~correct:run.Expkit.Run.correct;
   g
 
 (* Random schedules are derived from (campaign seed, case index) only,
@@ -120,6 +123,16 @@ let schedules ~sweep ~seed ~golden =
       if cases < 1 then invalid_arg "Campaign: random case count must be >= 1";
       List.init cases (random_schedule ~seed ~golden)
 
+let verdict ~gave_up ~stuck_task ~correct ~diff ~skipped =
+  if gave_up then
+    (* the final state was never reached: the NV diff is meaningless,
+       the livelock itself is the violation *)
+    [ Livelock (Option.value ~default:"(unknown)" stuck_task) ]
+  else
+    (if correct = Some false then [ App_incorrect ] else [])
+    @ (match diff with [] -> [] | ms -> [ Nv_mismatch ms ])
+    @ match skipped with [] -> [] | ss -> [ Always_skipped ss ]
+
 (* A case is one full app run plus its observability harvest. Each
    case gets a fresh sheet and attribution collector (never shared
    across domains); the fold back into the cell happens in schedule
@@ -144,14 +157,8 @@ let run_case (spec : Apps.Common.spec) variant ~golden ~seed schedule =
   let one = spec.run ~sink ~meter:sheet ~probe variant ~failure:schedule ~seed in
   Obs.Attr.add_run attr;
   let violations =
-    if one.Expkit.Run.gave_up then
-      (* the final state was never reached: the NV diff is meaningless,
-         the livelock itself is the violation *)
-      [ Livelock (Option.value ~default:"(unknown)" one.Expkit.Run.stuck_task) ]
-    else
-      (if one.Expkit.Run.correct = Some false then [ App_incorrect ] else [])
-      @ (match !diff with [] -> [] | ms -> [ Nv_mismatch ms ])
-      @ (match skips () with [] -> [] | ss -> [ Always_skipped ss ])
+    verdict ~gave_up:one.Expkit.Run.gave_up ~stuck_task:one.Expkit.Run.stuck_task
+      ~correct:one.Expkit.Run.correct ~diff:!diff ~skipped:(skips ())
   in
   ( { schedule; pf = one.Expkit.Run.pf; violations },
     Obs.Snapshot.of_sheet ~events:!events sheet,
@@ -200,19 +207,15 @@ let cell_of_results ~sweep ~golden variant results =
 (* Prefix-sharing boundary sweep. Apps with a [session] runner expose
    raw engine inputs, so an exhaustive [Nth_charge] sweep need not
    replay the whole prefix from power on once per boundary: a
-   continuous pacer run checkpoints the engine at every attempt top
-   (copy-on-write machine snapshot + a copy of the metering sheet + a
-   cursor into the recorded event stream + the session's extra-machine
-   state), and each case restores the latest checkpoint strictly before
-   its boundary, latches [Nth_charge k] and runs only the suffix.
-   [Nth_charge] deadlines are absolute charge counts and the machine's
-   charge counter is part of the snapshot, so a resumed case fails at
-   exactly the boundary a from-power-on run would. Replaying the
-   buffered prefix events into each case's fresh Always-watch and
-   attribution collector makes every harvested artifact — violations,
-   metric snapshot, profile, totals — byte-identical to the
-   from-power-on path (the equivalence test holds the two against each
-   other).
+   continuous pacer run walks its checkpoints ({!Kernel.Walker}, taped
+   so each case's fresh Always watch, attribution collector and sheet
+   see exactly the from-power-on prefix) and each case resumes from the
+   latest checkpoint strictly before its boundary, then runs only the
+   suffix. Every harvested artifact — violations, metric snapshot,
+   profile, totals — is byte-identical to the from-power-on path (the
+   equivalence test holds the two against each other). The engine
+   charges nothing before its first attempt top, so every boundary has
+   a checkpoint before it.
 
    The resumable cases fan out over [Expkit.Pool.map_init]. All cases
    resumed from one pacer share its arena, so each domain that takes a
@@ -220,68 +223,25 @@ let cell_of_results ~sweep ~golden variant results =
    no-failure run, so its checkpoints are the same), except the calling
    domain, which reuses the one that captured the golden image — at
    [jobs = 1] that is the only pacer. Pool hands each domain its chunks
-   in ascending order, which keeps every pacer's cursor forward-only,
-   and returns results by index, so the fold is in schedule order for
-   any [jobs]. *)
+   in ascending order, which is the order a walker seeks in, and
+   returns results by index, so the fold is in schedule order for any
+   [jobs]. *)
 let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_session variant =
-  (* one pacer run: its outcome and machine, the first checkpoint's
-     charge count, and the case runner resuming from its checkpoints *)
+  (* one pacer run: its outcome and machine, and the case runner
+     resuming from its checkpoints *)
   let pacer () =
     let session = mk_session ?ablate_regions:None ?ablate_semantics:None variant ~seed in
     let m = session.Apps.Common.ses_machine in
-    let pacer_sheet = Obs.Sheet.create () in
-    let ev_buf = ref [] and ev_len = ref 0 in
-    Machine.set_sink m (fun e ->
-        ev_buf := e :: !ev_buf;
-        incr ev_len);
-    Machine.set_meter m pacer_sheet;
+    let tape, record = Kernel.Walker.tape () in
+    Machine.set_sink m record;
+    Machine.set_meter m (Obs.Sheet.create ());
     session.Apps.Common.ses_begin ();
     let engine =
       Kernel.Engine.start ~hooks:session.Apps.Common.ses_hooks
         ?cur_slot:session.Apps.Common.ses_cur_slot m session.Apps.Common.ses_app
     in
-    let cks = ref [] in
-    let on_attempt s =
-      (* sheet copy, event cursor and session state first: the engine
-         checkpoint's own page-copy accounting must stay out of the case
-         prefixes (a from-power-on case takes no snapshots) *)
-      let sheet_at = Obs.Sheet.copy pacer_sheet in
-      let extras = session.Apps.Common.ses_save () in
-      let cursor = !ev_len in
-      Machine.clear_meter m;
-      let ck = Kernel.Engine.checkpoint s in
-      Machine.set_meter m pacer_sheet;
-      cks := (ck, sheet_at, cursor, extras) :: !cks
-    in
-    let drive ?on_attempt () =
-      let rec go () =
-        match Kernel.Engine.run_until_boundary ?on_attempt engine with
-        | Kernel.Engine.Paused ->
-            Kernel.Engine.resume engine;
-            go ()
-        | Kernel.Engine.Finished o -> o
-      in
-      go ()
-    in
-    let o0 = drive ~on_attempt () in
-    let cks = Array.of_list (List.rev !cks) in
-    let events = Array.of_list (List.rev !ev_buf) in
-    (* latest checkpoint strictly before charge [k]; each pacer sees its
-       cases in ascending boundary order, so a moving cursor never
-       backtracks *)
-    let cursor = ref 0 in
-    let ck_charges i =
-      let ck, _, _, _ = cks.(i) in
-      Kernel.Engine.checkpoint_charges ck
-    in
-    let advance k =
-      while !cursor + 1 < Array.length cks && ck_charges (!cursor + 1) < k do
-        incr cursor
-      done;
-      cks.(!cursor)
-    in
-    let resumed_case ~golden k schedule =
-      let ck, sheet_at, ev_idx, extras = advance k in
+    let o0, walk = Kernel.Walker.pace ~tape ~save:session.Apps.Common.ses_save engine in
+    let resumed_case ~golden k =
       let watch, skips = Oracle.always_skip_watch () in
       let attr = Obs.Attr.create () in
       let attr_sink = Obs.Attr.sink attr in
@@ -289,31 +249,22 @@ let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_s
         watch e;
         attr_sink e
       in
-      for i = 0 to ev_idx - 1 do
-        sink events.(i)
-      done;
-      let sheet = Obs.Sheet.copy sheet_at in
-      Machine.set_sink m sink;
-      Machine.set_meter m sheet;
-      Kernel.Engine.restore engine ck;
-      extras ();
-      Machine.set_failure m schedule;
-      let o = drive () in
+      let restore_extras = Kernel.Walker.seek ~sink walk k in
+      restore_extras ();
+      let o = Kernel.Engine.drive engine in
       session.Apps.Common.ses_finish ();
       Obs.Attr.add_run attr;
-      let violations =
-        if o.Kernel.Engine.gave_up then
-          [ Livelock (Option.value ~default:"(unknown)" o.Kernel.Engine.stuck_task) ]
-        else
-          (if o.Kernel.Engine.correct = Some false then [ App_incorrect ] else [])
-          @ (match Oracle.nv_diff ~extra_volatile:spec.nv_volatile ~golden m with
-            | [] -> []
-            | ms -> [ Nv_mismatch ms ])
-          @ match skips () with [] -> [] | ss -> [ Always_skipped ss ]
-      in
       let mt = o.Kernel.Engine.metrics in
-      ( { schedule; pf = o.Kernel.Engine.power_failures; violations },
-        Obs.Snapshot.of_sheet ~events:(Machine.events m) sheet,
+      ( {
+          schedule = Failure.Nth_charge k;
+          pf = o.Kernel.Engine.power_failures;
+          violations =
+            verdict ~gave_up:o.Kernel.Engine.gave_up ~stuck_task:o.Kernel.Engine.stuck_task
+              ~correct:o.Kernel.Engine.correct
+              ~diff:(Oracle.nv_diff ~extra_volatile:spec.nv_volatile ~golden m)
+              ~skipped:(skips ());
+        },
+        Obs.Snapshot.of_sheet ~events:(Machine.events m) (Option.get (Machine.meter m)),
         Obs.Attr.profile attr,
         {
           app_us = mt.Kernel.Metrics.useful_app_us;
@@ -323,48 +274,30 @@ let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_s
           attempts = mt.Kernel.Metrics.attempts;
         } )
     in
-    (o0, m, (if Array.length cks = 0 then max_int else ck_charges 0), resumed_case)
+    (o0, m, resumed_case)
   in
   (* the calling domain's pacer run doubles as the golden capture *)
-  let o0, m, c0, home_case = pacer () in
+  let o0, m, home_case = pacer () in
   let golden = Oracle.capture m in
-  if o0.Kernel.Engine.gave_up || o0.Kernel.Engine.correct = Some false then
-    failwith
-      (Printf.sprintf "Campaign: golden (no-failure) run of %s under %s is not correct" spec.app_name
-         (Apps.Common.variant_name variant));
+  check_golden spec variant ~gave_up:o0.Kernel.Engine.gave_up ~correct:o0.Kernel.Engine.correct;
   let scheds = Array.of_list (schedules ~sweep ~seed ~golden) in
   let n = Array.length scheds in
   Option.iter (fun p -> Obs.Progress.add_total p n) progress;
   let tick = Option.map (fun p () -> Obs.Progress.tick p) progress in
-  let k_of = function Failure.Nth_charge k -> k | _ -> invalid_arg "Campaign: resumed sweep" in
-  (* boundaries at or before the first checkpoint's charge count [c0]
-     (power failed during the initial boot, before the first attempt
-     top) have no resumable prefix. Schedules ascend, so these are the
-     first [first] cases; they run from power on AFTER the fan-out,
-     because [spec.run] resets the calling domain's arena. *)
-  let first =
-    let rec go i = if i < n && k_of scheds.(i) <= c0 then go (i + 1) else i in
-    go 0
-  in
   let home = Domain.self () in
   let init () =
     if Domain.self () = home then home_case
     else
-      let _, _, _, case = pacer () in
+      let _, _, case = pacer () in
       case
   in
-  let resumed =
-    Expkit.Pool.map_init ?jobs ?tick ~init (n - first) (fun case j ->
-        let schedule = scheds.(first + j) in
-        case ~golden (k_of schedule) schedule)
+  let results =
+    Expkit.Pool.map_init ?jobs ?tick ~init n (fun case i ->
+        match scheds.(i) with
+        | Failure.Nth_charge k -> case ~golden k
+        | _ -> invalid_arg "Campaign: resumed sweep")
   in
-  let from_power_on =
-    Array.init first (fun i ->
-        let r = run_case spec variant ~golden ~seed scheds.(i) in
-        Option.iter (fun t -> t ()) tick;
-        r)
-  in
-  cell_of_results ~sweep ~golden variant (Array.append from_power_on resumed)
+  cell_of_results ~sweep ~golden variant results
 
 let run_cell ?jobs ?progress ~resume ~sweep ~seed (spec : Apps.Common.spec) variant =
   match (sweep, spec.Apps.Common.session) with
@@ -468,8 +401,6 @@ let case_json c =
       ("violations", Trace.Json.List (List.map violation_json c.violations));
     ]
 
-let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
-
 let totals_json t =
   Trace.Json.Obj
     [
@@ -491,7 +422,9 @@ let cell_json c =
       ("strided", Trace.Json.Bool c.strided);
       ("passed", Trace.Json.Bool (cell_passed c));
       ("failed_count", Trace.Json.Int (List.length c.failed));
-      ("failed_cases", Trace.Json.List (List.map case_json (take max_failed_in_json c.failed)));
+      ( "failed_cases",
+        Trace.Json.List
+          (List.map case_json (List.filteri (fun i _ -> i < max_failed_in_json) c.failed)) );
       ("totals", totals_json c.cell_totals);
       ("metrics", Obs.Snapshot.to_json c.snap);
       ("profile", Obs.Attr.to_json c.cell_profile);

@@ -35,6 +35,21 @@ type violation =
 
 type case = { schedule : Failure.spec; pf : int; violations : violation list }
 
+val verdict :
+  gave_up:bool ->
+  stuck_task:string option ->
+  correct:bool option ->
+  diff:Oracle.mismatch list ->
+  skipped:string list ->
+  violation list
+(** The verdict on one finished run, for sweep cases and the explorer
+    alike. A run that gave up never reached its final state, so its
+    livelock is its only violation; otherwise the app check, the NV
+    diff ({!Oracle.nv_diff}) and the skipped Always sites, in order. *)
+
+val violation_json : violation -> Trace.Json.t
+(** As in campaign and explorer reports. *)
+
 type totals = { app_us : int; ovh_us : int; wasted_us : int; commits : int; attempts : int }
 (** Summed [Kernel.Metrics] over a set of runs — the ground truth the
     attribution profile reconciles against. *)
@@ -89,11 +104,12 @@ val run :
 
     [resume] (default [true]): boundary sweeps of apps that expose a
     {!Apps.Common.spec} [session] run prefix-sharing — a continuous
-    pacer run checkpoints the engine at every attempt top, and each
-    [Nth_charge] case restores the latest checkpoint before its
-    boundary instead of replaying from power on. The resumed cases
-    fan out over the same domain pool, each domain that takes a chunk
-    pacing its own checkpoints (the calling domain reuses the golden
+    pacer run paces a taped {!Kernel.Walker}, and each [Nth_charge]
+    case seeks it to its boundary instead of replaying from power on,
+    its observers fed the taped prefix. Every boundary resumes: the
+    engine charges nothing before its first checkpoint. The resumed
+    cases fan out over the same domain pool, each domain that takes a
+    chunk pacing its own walk (the calling domain reuses the golden
     pacer, so [jobs = 1] paces once). The report is byte-identical to
     [~resume:false] and for any [jobs]; only the wall-clock changes. *)
 

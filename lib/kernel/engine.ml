@@ -266,16 +266,15 @@ let run_until_boundary ?on_attempt s =
   done;
   match !result with Some step -> step | None -> Finished (outcome s)
 
+let rec drive ?on_attempt s =
+  match run_until_boundary ?on_attempt s with
+  | Paused ->
+      resume s;
+      drive ?on_attempt s
+  | Finished o -> o
+
 let run ?hooks ?max_failures ?stall_limit ?cur_slot m app =
-  let s = start ?hooks ?max_failures ?stall_limit ?cur_slot m app in
-  let rec go () =
-    match run_until_boundary s with
-    | Paused ->
-        resume s;
-        go ()
-    | Finished o -> o
-  in
-  go ()
+  drive (start ?hooks ?max_failures ?stall_limit ?cur_slot m app)
 
 (* {1 Checkpoints}
 

@@ -63,11 +63,10 @@ val run :
     task pointer — recycled arenas pass one so repeated runs don't grow
     the static layout; by default the engine allocates its own.
 
-    [run] is sugar over the stepper below: [start], then alternate
-    [run_until_boundary]/[resume] until [Finished]. The two produce
-    byte-identical observations (events, metrics, NV state) — verified
-    by the test suite across the app catalog, runtimes, failure
-    schedules and both interpreters. *)
+    [run] is [drive (start …)] over the stepper below. The two paths
+    produce byte-identical observations (events, metrics, NV state) —
+    verified by the test suite across the app catalog, runtimes,
+    failure schedules and both interpreters. *)
 
 (** {1 The stepper}
 
@@ -112,6 +111,11 @@ val resume : session -> unit
     clear SRAM, re-arm the failure model, fire [on_reboot]. The session
     is then ready for the next [run_until_boundary]. *)
 
+val drive : ?on_attempt:(session -> unit) -> session -> outcome
+(** Run the session to its end from where it stands: alternate
+    {!run_until_boundary} (passing [on_attempt] on) and {!resume} until
+    [Finished]. *)
+
 val machine : session -> Machine.t
 
 val running : session -> bool
@@ -124,8 +128,8 @@ val running : session -> bool
     counters): restoring one into its session and re-running the
     continuation is byte-identical to having re-executed the original
     prefix. Checkpoints are immutable and may be held across many
-    restores — the prefix-sharing primitive behind campaign resume and
-    the reboot-space explorer. *)
+    restores — the primitive behind {!Walker}, through which all
+    prefix sharing goes. *)
 
 type checkpoint
 
@@ -138,9 +142,9 @@ val restore : session -> checkpoint -> unit
     observers to the machine first; [restore] re-latches them. *)
 
 val checkpoint_charges : checkpoint -> int
-(** The machine's cumulative charge count at capture — the key for
-    picking the latest checkpoint strictly before an [Nth_charge]
-    boundary. *)
+(** The machine's cumulative charge count at capture — the key
+    {!Walker.seek} picks the latest checkpoint strictly before an
+    [Nth_charge] boundary by. *)
 
 val checkpoint_snapshot : checkpoint -> Machine.snapshot
 

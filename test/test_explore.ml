@@ -68,23 +68,16 @@ let catalog =
     ("weather", Apps.Weather.spec);
   ]
 
-let drive session =
-  let m = session.Apps.Common.ses_machine in
+let start session =
   session.Apps.Common.ses_begin ();
-  let eng =
-    Kernel.Engine.start ~hooks:session.Apps.Common.ses_hooks
-      ?cur_slot:session.Apps.Common.ses_cur_slot m session.Apps.Common.ses_app
-  in
-  let rec go () =
-    match Kernel.Engine.run_until_boundary eng with
-    | Kernel.Engine.Paused ->
-        Kernel.Engine.resume eng;
-        go ()
-    | Kernel.Engine.Finished o -> o
-  in
-  let o = go () in
+  Kernel.Engine.start ~hooks:session.Apps.Common.ses_hooks
+    ?cur_slot:session.Apps.Common.ses_cur_slot session.Apps.Common.ses_machine
+    session.Apps.Common.ses_app
+
+let run_session session =
+  let o = Kernel.Engine.drive (start session) in
   session.Apps.Common.ses_finish ();
-  Expkit.Run.of_outcome m o
+  Expkit.Run.of_outcome session.Apps.Common.ses_machine o
 
 let test_stepper_matches_run () =
   List.iter
@@ -97,7 +90,7 @@ let test_stepper_matches_run () =
               let via_run = spec.Apps.Common.run variant ~failure ~seed in
               let session = (Option.get spec.Apps.Common.session) variant ~seed in
               Machine.set_failure session.Apps.Common.ses_machine failure;
-              let via_stepper = drive session in
+              let via_stepper = run_session session in
               checkb
                 (Printf.sprintf "%s/%s/%s stepper = run" name
                    (Apps.Common.variant_name variant)
@@ -113,27 +106,74 @@ let test_stepper_matches_run () =
         [ Apps.Common.Easeio; Apps.Common.Alpaca; Apps.Common.Ink ])
     catalog
 
-(* {1 Explorer vs the exhaustive boundary sweep} *)
+(* {1 The checkpoint walker} *)
+
+(* The engine charges nothing before its first attempt top, so every
+   boundary of a fresh run has a checkpoint strictly before it. *)
+let test_first_checkpoint_at_power_on () =
+  List.iter
+    (fun (name, spec) ->
+      List.iter
+        (fun variant ->
+          let session = (Option.get spec.Apps.Common.session) variant ~seed:1 in
+          let _, walk = Kernel.Walker.pace ~save:ignore (start session) in
+          checki
+            (Printf.sprintf "%s/%s first checkpoint" name (Apps.Common.variant_name variant))
+            0
+            (Kernel.Walker.first_charges walk))
+        Apps.Common.all_variants)
+    catalog
+
+let test_seek_behind_cursor_raises () =
+  let session = (Option.get Apps.Fir.spec.Apps.Common.session) Apps.Common.Easeio ~seed:1 in
+  let _, walk = Kernel.Walker.pace ~save:ignore (start session) in
+  let raises what k =
+    match Kernel.Walker.seek walk k with
+    | () -> Alcotest.failf "seek to %s resumed" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "the first checkpoint's charge count" (Kernel.Walker.first_charges walk);
+  Kernel.Walker.seek walk 2_000;
+  raises "a boundary behind the previous seek" 1
+
+(* {1 Explorer vs the exhaustive boundary sweep}
+
+   At depth 1 the explorer places one failure at every boundary, as the
+   sweep does. Unpruned, its findings are exactly the sweep's failed
+   cases, boundary by boundary and violation by violation. *)
 
 let test_explorer_agrees_with_sweep () =
   List.iter
-    (fun (name, spec) ->
-      let variant = Apps.Common.Easeio in
-      let r = Explore.explore spec variant ~seed:1 in
+    (fun (name, spec, variant, prune, clean) ->
+      let r = Explore.explore ~prune spec variant ~seed:1 in
       let report =
         Faultkit.Campaign.run ~jobs:1
           ~sweep:(Faultkit.Campaign.Boundaries { stride = 1 })
           ~variants:[ variant ] spec
       in
       let cell = List.hd report.Faultkit.Campaign.cells in
-      checkb (name ^ ": explorer clean") true (Explore.passed r);
-      checkb (name ^ ": sweep clean") true (Faultkit.Campaign.passed report);
+      let found =
+        List.map
+          (fun f -> (Failure.Nth_charge (List.hd f.Explore.reboots), f.Explore.violations))
+          r.Explore.findings
+      in
+      let failed =
+        List.map
+          (fun (c : Faultkit.Campaign.case) -> (c.schedule, c.violations))
+          cell.Faultkit.Campaign.failed
+      in
+      checkb (name ^ ": explorer clean") clean (Explore.passed r);
+      checkb (name ^ ": sweep clean") clean (Faultkit.Campaign.passed report);
       checki (name ^ ": same boundary space") cell.Faultkit.Campaign.boundaries
         r.Explore.boundaries;
-      checkb (name ^ ": pruning collapsed the space") true
-        (r.Explore.states + r.Explore.pruned > r.Explore.states);
+      checkb (name ^ ": findings = failed cases") true (found = failed);
+      checkb (name ^ ": pruning collapsed the space") prune (r.Explore.pruned > 0);
       checkb (name ^ ": not truncated") false r.Explore.truncated)
-    [ ("weather", Apps.Weather.spec); ("fir", Apps.Fir.spec) ]
+    [
+      ("weather", Apps.Weather.spec, Apps.Common.Easeio, true, true);
+      ("fir", Apps.Fir.spec, Apps.Common.Easeio, true, true);
+      ("fir/alpaca", Apps.Fir.spec, Apps.Common.Alpaca, false, false);
+    ]
 
 (* {1 Prune soundness (the explorer's core claim)}
 
@@ -166,6 +206,13 @@ let () =
       ("snapshot", [ test_snapshot_round_trip ]);
       ( "stepper",
         [ Alcotest.test_case "byte-identical to Engine.run" `Quick test_stepper_matches_run ] );
+      ( "walker",
+        [
+          Alcotest.test_case "first checkpoint at charge 0" `Quick
+            test_first_checkpoint_at_power_on;
+          Alcotest.test_case "seek at or behind the cursor raises" `Quick
+            test_seek_behind_cursor_raises;
+        ] );
       ( "explorer",
         [
           Alcotest.test_case "agrees with the exhaustive sweep" `Quick

@@ -38,7 +38,7 @@ let () =
           in
           Machine.write m Memory.Fram (log + i) v;
           (* heavy per-sample processing keeps the duty cycle realistic *)
-          Machine.charge m ~us:6_000 ~nj:4_500.;
+          Machine.charge m ~us:6_000 ~pj:4_500_000;
           Easeio.Runtime.region rt ~id:1 ~vars:[ (Loc.fram cursor, 1) ] (fun () ->
               Machine.write m Memory.Fram cursor (i + 1));
           if i + 1 < samples then Task.Next "sample" else Task.Next "upload");

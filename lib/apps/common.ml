@@ -53,9 +53,9 @@ module Exec = struct
     | Tree t -> Lang.Interp.read_global t
     | Vm v -> Vm.read_global v
 
-  let read_global_block = function
-    | Tree t -> Lang.Interp.read_global_block t
-    | Vm v -> Vm.read_global_block v
+  let global_equals = function
+    | Tree t -> Lang.Interp.global_equals t
+    | Vm v -> Vm.global_equals v
 
   let global_loc = function
     | Tree t -> Lang.Interp.global_loc t

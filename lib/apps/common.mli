@@ -25,9 +25,11 @@ module Exec : sig
   val machine : t -> Machine.t
   val read_global : t -> string -> int -> int
 
-  val read_global_block : t -> string -> words:int -> int array
-  (** Bulk {!read_global}: one name resolution for [words] elements;
-      use in checks that scan whole arrays. *)
+  val global_equals : t -> string -> int array -> bool
+  (** Whether a global's first [Array.length expected] elements equal
+      [expected], compared in place (see
+      {!Lang.Interp.global_equals}); use in checks that scan whole
+      arrays. *)
 
   val global_loc : t -> string -> Loc.t
 end

@@ -80,22 +80,26 @@ let setup t =
   Common.flash m (Common.Exec.global_loc t "coefs") (Lazy.force coefs_image);
   Common.flash m (Common.Exec.global_loc t "wtab") (Lazy.force table_image)
 
+(* The whole signal buffer after a correct run: the filtered samples,
+   then the unfiltered tail, which must keep the input; and the checksum
+   the [fir] task computes over them. *)
+let expected_signal =
+  lazy
+    (let out = Lazy.force reference_output in
+     Array.init signal_words (fun i -> if i < samples then out.(i) else signal_pattern i))
+
+let expected_chksum =
+  lazy
+    (let out = Lazy.force reference_output in
+     let chk = ref 0 in
+     for i = 0 to (samples / 2) - 1 do
+       chk := !chk + (out.(i * 2) * table_pattern (i * 2 mod table_words))
+     done;
+     !chk)
+
 let check t =
-  let expected = Lazy.force reference_output in
-  let ok = ref true in
-  let signal = Common.Exec.read_global_block t "signal" ~words:signal_words in
-  for i = 0 to samples - 1 do
-    if signal.(i) <> expected.(i) then ok := false
-  done;
-  (* the unfiltered tail of the shared buffer must keep the input *)
-  for i = samples to signal_words - 1 do
-    if signal.(i) <> signal_pattern i then ok := false
-  done;
-  let chk = ref 0 in
-  for i = 0 to (samples / 2) - 1 do
-    chk := !chk + (expected.(i * 2) * table_pattern (i * 2 mod table_words))
-  done;
-  !ok && Common.Exec.read_global t "chksum" 0 = !chk
+  Common.Exec.global_equals t "signal" (Lazy.force expected_signal)
+  && Common.Exec.read_global t "chksum" 0 = Lazy.force expected_chksum
 
 (* DESIGN.md §6 ablations, run by the bench harness *)
 let run_ablated ?sink ?meter ?faults ?probe ~ablate_regions ~ablate_semantics ~failure ~seed () =

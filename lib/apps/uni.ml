@@ -65,9 +65,7 @@ let dma_references = lazy (Array.init 3 (fun k -> dma_compute_reference (k + 1))
 let dma_check t =
   let ok = ref true in
   List.iteri
-    (fun k name ->
-      let got = Common.Exec.read_global_block t name ~words:block in
-      if got <> (Lazy.force dma_images).(k) then ok := false)
+    (fun k name -> if not (Common.Exec.global_equals t name (Lazy.force dma_images).(k)) then ok := false)
     [ "dst1"; "dst2"; "dst3" ];
   List.iteri
     (fun k name ->
@@ -208,8 +206,10 @@ let lea_reference mult =
   done;
   r + (!post mod 5)
 
+let lea_references = lazy (lea_reference 3, lea_reference 5, lea_reference 7)
+
 let lea_check t =
-  let r1 = lea_reference 3 and r2 = lea_reference 5 and r3 = lea_reference 7 in
+  let r1, r2, r3 = Lazy.force lea_references in
   Common.Exec.read_global t "acc1" 0 = r1
   && Common.Exec.read_global t "acc2" 0 = r1 + r2
   && Common.Exec.read_global t "acc3" 0 = r1 + r2 + r3

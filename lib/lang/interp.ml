@@ -68,18 +68,21 @@ let read_global t name i =
   | Some (Raw (loc, _)) -> Memory.read (Machine.mem t.m loc.Loc.space) (loc.Loc.addr + i)
   | None -> raise Not_found
 
-(* Bulk observation: resolves [name] once instead of per element, so
-   result checks over large arrays don't pay a string-keyed lookup per
-   word (which used to dominate harness time on the DMA/FIR apps). *)
-let read_global_block t name ~words =
-  match Hashtbl.find_opt t.globals name with
+(* Result checks compare in place, resolving [name] once: no array is
+   built, and every word is read (no early exit), so memory counters
+   move as [Array.length expected] calls of [read_global] would move
+   them. *)
+let global_equals t name expected =
+  let ok = ref true in
+  (match Hashtbl.find_opt t.globals name with
   | Some (Managed (v, _)) ->
       let mgr = Option.get t.mgr in
-      Array.init words (fun i -> Runtimes.Manager.committed mgr v i)
+      Array.iteri (fun i x -> if Runtimes.Manager.committed mgr v i <> x then ok := false) expected
   | Some (Raw (loc, _)) ->
       let mem = Machine.mem t.m loc.Loc.space in
-      Array.init words (fun i -> Memory.read mem (loc.Loc.addr + i))
-  | None -> raise Not_found
+      Array.iteri (fun i x -> if Memory.read mem (loc.Loc.addr + i) <> x then ok := false) expected
+  | None -> raise Not_found);
+  !ok
 
 (* {1 Charged variable access} *)
 

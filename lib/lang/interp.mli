@@ -70,11 +70,12 @@ val read_global : t -> string -> int -> int
 (** Uncharged post-run read of a global (committed view under
     Alpaca/InK). Raises [Not_found] for unknown names. *)
 
-val read_global_block : t -> string -> words:int -> int array
-(** [read_global_block t name ~words] snapshots the first [words]
-    elements of a global in one call — equivalent to [words] calls of
-    {!read_global} but resolving [name] only once, so result checks
-    over large arrays stay cheap. *)
+val global_equals : t -> string -> int array -> bool
+(** [global_equals t name expected] compares the first
+    [Array.length expected] elements of a global (committed view) with
+    [expected] in place: no copy, one name resolution, and every word
+    read, as that many {!read_global} calls would. Raises [Not_found]
+    for unknown names. *)
 
 val global_loc : t -> string -> Loc.t
 (** Raw backing location of a global (for golden-state comparison). *)

@@ -1,7 +1,7 @@
 open Platform
 
 (* the imager draws real power while integrating the frame *)
-let exposure_nj_per_us = 0.8
+let exposure_pj_per_us = 800
 let ev_capture = Machine.event_id "io:Capture"
 
 let capture ?(exposure_us = 4_000) m ~(dst : Loc.t) ~pixels =
@@ -10,7 +10,7 @@ let capture ?(exposure_us = 4_000) m ~(dst : Loc.t) ~pixels =
   let rec expose remaining =
     if remaining > 0 then begin
       let step = min slice remaining in
-      Machine.charge m ~us:step ~nj:(exposure_nj_per_us *. float_of_int step);
+      Machine.charge m ~us:step ~pj:(exposure_pj_per_us * step);
       expose (remaining - step)
     end
   in

@@ -40,9 +40,9 @@ let restore t sn =
 let ev_send = Machine.event_id "io:Send"
 
 let preamble_us = 2_000
-let preamble_nj = 4_000.
+let preamble_pj = 4_000_000
 let word_us = 40
-let word_nj = 60.
+let word_pj = 60_000
 
 let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
@@ -64,13 +64,13 @@ let transmit t payload =
   (* The occurrence index is drawn when the transmission starts, so
      attempts cut short by power failures still advance the fault plan. *)
   let index, dropped = Faults.next_send (Machine.faults t.m) in
-  Machine.charge t.m ~us:preamble_us ~nj:preamble_nj;
+  Machine.charge t.m ~us:preamble_us ~pj:preamble_pj;
   (* charge per-word in slices so failures can interrupt a long packet;
      the packet is logged only if the whole transmission completes. *)
   let rec go i =
     if i < n then begin
       let k = min 8 (n - i) in
-      Machine.charge t.m ~us:(word_us * k) ~nj:(word_nj *. float_of_int k);
+      Machine.charge t.m ~us:(word_us * k) ~pj:(word_pj * k);
       go (i + k)
     end
   in

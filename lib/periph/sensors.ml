@@ -11,9 +11,9 @@ let ev_humd = Machine.event_id "io:Humd"
 let ev_pres = Machine.event_id "io:Pres"
 let ev_light = Machine.event_id "io:Light"
 
-let sample m ~event ~us ~nj read =
+let sample m ~event ~us ~pj read =
   Machine.bump_id m event;
-  Machine.charge m ~us ~nj;
+  Machine.charge m ~us ~pj;
   let v = read (Machine.world m) (Machine.now m) in
   let index, glitched = Faults.next_read (Machine.faults m) in
   if glitched then begin
@@ -23,7 +23,7 @@ let sample m ~event ~us ~nj read =
   end
   else v
 
-let temperature_dc m = sample m ~event:ev_temp ~us:900 ~nj:700. World.temperature_dc
-let humidity_pct m = sample m ~event:ev_humd ~us:700 ~nj:550. World.humidity_pct
-let pressure_pa10 m = sample m ~event:ev_pres ~us:600 ~nj:450. World.pressure_pa10
-let light_lux m = sample m ~event:ev_light ~us:400 ~nj:300. World.light_lux
+let temperature_dc m = sample m ~event:ev_temp ~us:900 ~pj:700_000 World.temperature_dc
+let humidity_pct m = sample m ~event:ev_humd ~us:700 ~pj:550_000 World.humidity_pct
+let pressure_pa10 m = sample m ~event:ev_pres ~us:600 ~pj:450_000 World.pressure_pa10
+let light_lux m = sample m ~event:ev_light ~us:400 ~pj:300_000 World.light_lux

@@ -7,12 +7,11 @@
     threshold). *)
 
 type t = { capacity : float; on_level : float; mutable level : float }
-(** All-float record, stored flat: the fields are public so the
-    simulator's charge path can drain it without a cross-module call
-    (which would box the energy argument on every simulated
-    instruction). Treat [capacity] and [on_level] as immutable and go
-    through the functions below everywhere that is not a proven hot
-    path. *)
+(** All-float record, stored flat. [level] is public so the machine
+    can settle it from its integer drain (timer modes) and capture and
+    restore it in snapshots without a cross-module call, which would box
+    the level. Treat [capacity] and [on_level] as immutable and go
+    through the functions below everywhere else. *)
 
 val create : capacity_nj:float -> on_level_nj:float -> t
 (** [create ~capacity_nj ~on_level_nj] makes a capacitor whose usable

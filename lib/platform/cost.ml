@@ -1,4 +1,4 @@
-type op_cost = { time_us : Units.time_us; energy_nj : Units.energy_nj }
+type op_cost = { time_us : Units.time_us; energy_pj : Units.energy_pj }
 
 type t = {
   cpu_op : op_cost;
@@ -10,7 +10,7 @@ type t = {
   dma_setup : op_cost;
   lea_element : op_cost;
   lea_setup : op_cost;
-  idle_nj_per_us : float;
+  idle_pj_per_us : Units.energy_pj;
 }
 
 (* MSP430FR5994 @ 1 MHz, ~3.3 V: roughly 120 uA/MHz active -> ~0.4 nJ per
@@ -19,19 +19,20 @@ type t = {
    one MAC per cycle at lower energy than the CPU doing the same. *)
 let msp430fr5994 =
   {
-    cpu_op = { time_us = 1; energy_nj = 0.40 };
-    sram_read = { time_us = 1; energy_nj = 0.35 };
-    sram_write = { time_us = 1; energy_nj = 0.40 };
-    fram_read = { time_us = 1; energy_nj = 0.50 };
-    fram_write = { time_us = 1; energy_nj = 0.70 };
-    dma_word = { time_us = 1; energy_nj = 0.30 };
-    dma_setup = { time_us = 8; energy_nj = 3.0 };
-    lea_element = { time_us = 1; energy_nj = 0.25 };
-    lea_setup = { time_us = 12; energy_nj = 5.0 };
-    idle_nj_per_us = 0.05;
+    cpu_op = { time_us = 1; energy_pj = 400 };
+    sram_read = { time_us = 1; energy_pj = 350 };
+    sram_write = { time_us = 1; energy_pj = 400 };
+    fram_read = { time_us = 1; energy_pj = 500 };
+    fram_write = { time_us = 1; energy_pj = 700 };
+    dma_word = { time_us = 1; energy_pj = 300 };
+    dma_setup = { time_us = 8; energy_pj = 3_000 };
+    lea_element = { time_us = 1; energy_pj = 250 };
+    lea_setup = { time_us = 12; energy_pj = 5_000 };
+    idle_pj_per_us = 50;
   }
 
-let scale_op f c = { c with energy_nj = c.energy_nj *. f }
+let scale_pj f pj = Float.to_int (Float.round (float_of_int pj *. f))
+let scale_op f c = { c with energy_pj = scale_pj f c.energy_pj }
 
 let scale f t =
   {
@@ -44,5 +45,5 @@ let scale f t =
     dma_setup = scale_op f t.dma_setup;
     lea_element = scale_op f t.lea_element;
     lea_setup = scale_op f t.lea_setup;
-    idle_nj_per_us = t.idle_nj_per_us *. f;
+    idle_pj_per_us = scale_pj f t.idle_pj_per_us;
   }

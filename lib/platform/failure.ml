@@ -50,6 +50,8 @@ let[@inline] fires t ~now ~charges =
           true
         end
 
+let[@inline] quiet t ~now ~charges = now < t.deadline && charges < t.charge_deadline
+
 let energy_driven t =
   match t.spec with
   | Energy_driven -> true

@@ -59,6 +59,13 @@ val fires : t -> now:Units.time_us -> charges:int -> bool
     most once per run. Always [false] for [No_failures] and
     [Energy_driven] (the latter dies by capacitor drain instead). *)
 
+val quiet : t -> now:Units.time_us -> charges:int -> bool
+(** [quiet t ~now ~charges] holds when {!fires} would answer [false] at
+    every charge whose clock and cumulative count stay at or below
+    [now] and [charges]: the armed deadline lies past [now] and the
+    [Nth_charge] target past [charges]. Pure — no latch moves — so a
+    caller can apply a run of charges ending there as one step. *)
+
 val energy_driven : t -> bool
 
 val save : t -> int * int * int list

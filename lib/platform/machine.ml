@@ -4,14 +4,6 @@ type tag = App | Overhead
 
 type attempt = { app_us : int; ovh_us : int; app_nj : float; ovh_nj : float }
 
-(* Energy accounting lives in its own all-float record: OCaml stores
-   all-float records flat, so the per-charge accumulations below mutate
-   unboxed doubles in place. Keeping these as float fields of the mixed
-   [t] record would box a fresh float on every charge — two minor
-   allocations per simulated instruction, which dominates the hot
-   loop. *)
-type acct = { mutable total_nj : float; mutable app_nj : float; mutable ovh_nj : float }
-
 type t = {
   fram : Memory.t;
   sram : Memory.t;
@@ -32,7 +24,15 @@ type t = {
   mutable faults : Faults.t;
   mutable critical_depth : int;
   mutable pending_death : bool;
-  acct : acct;
+  (* energy accounts in whole picojoules: integer sums are exact, so
+     the order and grouping of charges cannot change them *)
+  mutable total_pj : int;
+  mutable app_pj : int;
+  mutable ovh_pj : int;
+  (* Timer modes never consult the capacitor, so the charge path leaves
+     it alone: [cap] holds its level as of [total_pj = cap_pj], and
+     [settle_cap] drains the difference when something reads it. *)
+  mutable cap_pj : int;
   (* [Failure.energy_driven failure], cached: probed on every charge *)
   mutable energy_mode : bool;
   mutable att_app_us : int;
@@ -75,7 +75,10 @@ let create ?(seed = 1) ?(cost = Cost.msp430fr5994) ?(failure = Failure.No_failur
     faults = Faults.create faults;
     critical_depth = 0;
     pending_death = false;
-    acct = { total_nj = 0.; app_nj = 0.; ovh_nj = 0. };
+    total_pj = 0;
+    app_pj = 0;
+    ovh_pj = 0;
+    cap_pj = 0;
     energy_mode = Failure.energy_driven failure;
     att_app_us = 0;
     att_ovh_us = 0;
@@ -113,9 +116,10 @@ let reset ?(seed = 1) ?(failure = Failure.No_failures) ?(faults = Faults.none) t
   t.critical_depth <- 0;
   t.pending_death <- false;
   t.energy_mode <- Failure.energy_driven t.failure;
-  t.acct.total_nj <- 0.;
-  t.acct.app_nj <- 0.;
-  t.acct.ovh_nj <- 0.;
+  t.total_pj <- 0;
+  t.app_pj <- 0;
+  t.ovh_pj <- 0;
+  t.cap_pj <- 0;
   t.att_app_us <- 0;
   t.att_ovh_us <- 0;
   Array.fill t.ev_counts 0 (Array.length t.ev_counts) 0;
@@ -149,12 +153,28 @@ let emit t payload =
   | None -> ()
   | Some sink -> sink { Trace.Event.ts_us = t.now; payload }
 
+(* Bring the capacitor's level up to date in timer modes (see
+   [cap_pj]); energy mode keeps it current on every charge. Only the
+   readers that report the level settle it — trace samples and boot and
+   failure events, {!capacitor}, a switch into energy mode — so where
+   they read is what fixes its rounding, and a snapshot (which captures
+   the unsettled pair) changes nothing that is read later. *)
+let settle_cap t =
+  if not t.energy_mode then begin
+    let lvl = t.cap.Capacitor.level -. Units.nj_of_pj (t.total_pj - t.cap_pj) in
+    t.cap_pj <- t.total_pj;
+    t.cap.Capacitor.level <- (if lvl <= 0. then 0. else lvl)
+  end
+
+(* Settles only when a sample is due, never per charge, so a traced
+   charge pays nothing for the lazy level. *)
 let maybe_sample_cap t =
   match t.sink with
   | None -> ()
   | Some sink ->
       if t.now >= t.next_cap_sample_us then begin
         t.next_cap_sample_us <- t.now + cap_sample_interval_us;
+        settle_cap t;
         sink
           {
             Trace.Event.ts_us = t.now;
@@ -171,8 +191,12 @@ let boots t = t.boots
 let failures t = t.failures
 let charges t = t.charges
 let faults t = t.faults
-let energy_used_nj t = t.acct.total_nj
-let capacitor t = t.cap
+let energy_used_nj t = Units.nj_of_pj t.total_pj
+
+let capacitor t =
+  settle_cap t;
+  t.cap
+
 let failure_spec t = Failure.spec t.failure
 let set_tag t tag = t.tag <- tag
 let tag t = t.tag
@@ -186,8 +210,10 @@ let with_tag t tag f =
    the failure instant (with the capacitor level at death). *)
 let kill t =
   t.on <- false;
-  if traced t then
-    emit t (Trace.Event.Power_failure { index = t.failures + 1; cap_nj = Capacitor.level t.cap });
+  if traced t then begin
+    settle_cap t;
+    emit t (Trace.Event.Power_failure { index = t.failures + 1; cap_nj = Capacitor.level t.cap })
+  end;
   raise Power_failure
 
 let die t = if t.critical_depth > 0 then t.pending_death <- true else kill t
@@ -213,40 +239,59 @@ let critical t f =
       t.critical_depth <- t.critical_depth - 1;
       raise e
 
-(* The accounting every simulated instruction pays. [@inline] lets
-   [charge_op]/[cpu]/[read]/[write] absorb the body, so the energy
-   argument stays in a float register instead of being boxed at each
-   call boundary (non-flambda boxes float arguments of out-of-line
-   calls); the capacitor drain is open-coded for the same reason. *)
-let[@inline] charge t ~us ~nj =
+(* The accounting every simulated instruction pays, inlined into
+   [charge_op]/[cpu]/[read]/[write]. Integer picojoules keep every
+   account exact and unboxed; in timer modes the capacitor is settled
+   lazily (see [cap_pj]), so the charge touches no float at all. *)
+let[@inline] charge t ~us ~pj =
   if us < 0 then invalid_arg "Machine.charge: negative time";
   t.charges <- t.charges + 1;
-  let nj = nj +. (t.cost.Cost.idle_nj_per_us *. float_of_int us) in
+  let pj = pj + (t.cost.Cost.idle_pj_per_us * us) in
   t.now <- t.now + us;
-  t.acct.total_nj <- t.acct.total_nj +. nj;
+  t.total_pj <- t.total_pj + pj;
   (match t.tag with
   | App ->
       t.att_app_us <- t.att_app_us + us;
-      t.acct.app_nj <- t.acct.app_nj +. nj
+      t.app_pj <- t.app_pj + pj
   | Overhead ->
       t.att_ovh_us <- t.att_ovh_us + us;
-      t.acct.ovh_nj <- t.acct.ovh_nj +. nj);
+      t.ovh_pj <- t.ovh_pj + pj);
   if t.energy_mode then begin
     Capacitor.harvest t.cap (Harvester.energy t.harvester ~at:(t.now - us) ~dur:us);
-    (match Capacitor.drain t.cap nj with `Dead -> die t | `Ok -> ());
+    (match Capacitor.drain t.cap (Units.nj_of_pj pj) with `Dead -> die t | `Ok -> ());
     maybe_sample_cap t
   end
   else begin
-    (* Capacitor.drain, open-coded (result unused in timer modes) *)
-    let cap = t.cap in
-    let lvl = cap.Capacitor.level -. nj in
-    cap.Capacitor.level <- (if lvl <= 0. then 0. else lvl);
     if Failure.fires t.failure ~now:t.now ~charges:t.charges then die t;
     maybe_sample_cap t
   end
 
 let[@inline] charge_op t (op : Cost.op_cost) n =
-  if n > 0 then charge t ~us:(op.time_us * n) ~nj:(op.energy_nj *. float_of_int n)
+  if n > 0 then charge t ~us:(op.time_us * n) ~pj:(op.energy_pj * n)
+
+(* A run of charges that no failure, sink or capacitor can observe
+   between its first and last charge may be applied as one step; with
+   integer accounts the result is the same as charging one by one. *)
+let[@inline] batchable t ~n ~us =
+  (not t.energy_mode)
+  && (match t.sink with None -> true | Some _ -> false)
+  && Failure.quiet t.failure ~now:(t.now + us) ~charges:(t.charges + n)
+
+let[@inline] charge_block t ~n ~us ~pj ~ovh_us ~ovh_pj =
+  let idle = t.cost.Cost.idle_pj_per_us in
+  let pj = pj + (idle * us) and ovh_pj = ovh_pj + (idle * ovh_us) in
+  t.charges <- t.charges + n;
+  t.now <- t.now + us + ovh_us;
+  t.total_pj <- t.total_pj + pj + ovh_pj;
+  match t.tag with
+  | App ->
+      t.att_app_us <- t.att_app_us + us;
+      t.app_pj <- t.app_pj + pj;
+      t.att_ovh_us <- t.att_ovh_us + ovh_us;
+      t.ovh_pj <- t.ovh_pj + ovh_pj
+  | Overhead ->
+      t.att_ovh_us <- t.att_ovh_us + us + ovh_us;
+      t.ovh_pj <- t.ovh_pj + pj + ovh_pj
 
 let[@inline] cpu t n = charge_op t t.cost.Cost.cpu_op n
 
@@ -256,7 +301,7 @@ let idle t dur =
   let rec go remaining =
     if remaining > 0 then begin
       let step = min slice remaining in
-      charge t ~us:step ~nj:0.;
+      charge t ~us:step ~pj:0;
       go (remaining - step)
     end
   in
@@ -285,6 +330,7 @@ let boot t =
   Failure.arm t.failure t.rng ~now:t.now;
   if traced t then begin
     emit t (Trace.Event.Boot { index = t.boots });
+    settle_cap t;
     emit t (Trace.Event.Cap_level { nj = Capacitor.level t.cap });
     t.next_cap_sample_us <- t.now + cap_sample_interval_us
   end
@@ -309,12 +355,17 @@ let reboot t =
 
 let take_attempt t =
   let a =
-    { app_us = t.att_app_us; ovh_us = t.att_ovh_us; app_nj = t.acct.app_nj; ovh_nj = t.acct.ovh_nj }
+    {
+      app_us = t.att_app_us;
+      ovh_us = t.att_ovh_us;
+      app_nj = Units.nj_of_pj t.app_pj;
+      ovh_nj = Units.nj_of_pj t.ovh_pj;
+    }
   in
   t.att_app_us <- 0;
   t.att_ovh_us <- 0;
-  t.acct.app_nj <- 0.;
-  t.acct.ovh_nj <- 0.;
+  t.app_pj <- 0;
+  t.ovh_pj <- 0;
   a
 
 (* Event counters are a dense int array indexed by interned id; hot
@@ -372,6 +423,7 @@ type snapshot = {
   sn_faults_plan : Faults.plan;
   sn_faults : int * int * int;
   sn_cap_level : float;
+  sn_cap_pj : int;
   sn_rng : int64;
   sn_now : Units.time_us;
   sn_on : bool;
@@ -381,9 +433,9 @@ type snapshot = {
   sn_charges : int;
   sn_critical_depth : int;
   sn_pending_death : bool;
-  sn_total_nj : float;
-  sn_app_nj : float;
-  sn_ovh_nj : float;
+  sn_total_pj : int;
+  sn_app_pj : int;
+  sn_ovh_pj : int;
   sn_energy_mode : bool;
   sn_att_app_us : int;
   sn_att_ovh_us : int;
@@ -411,10 +463,11 @@ let snapshot_hash sn =
   add sn.sn_charges;
   add sn.sn_critical_depth;
   add (Bool.to_int sn.sn_pending_death);
-  addf sn.sn_total_nj;
-  addf sn.sn_app_nj;
-  addf sn.sn_ovh_nj;
+  add sn.sn_total_pj;
+  add sn.sn_app_pj;
+  add sn.sn_ovh_pj;
   addf sn.sn_cap_level;
+  add sn.sn_cap_pj;
   add (Int64.to_int sn.sn_rng);
   let sends, reads, dmas = sn.sn_faults in
   add sends;
@@ -449,6 +502,7 @@ let snapshot t =
     sn_faults_plan = Faults.plan t.faults;
     sn_faults = Faults.save t.faults;
     sn_cap_level = t.cap.Capacitor.level;
+    sn_cap_pj = t.cap_pj;
     sn_rng = Rng.state t.rng;
     sn_now = t.now;
     sn_on = t.on;
@@ -458,9 +512,9 @@ let snapshot t =
     sn_charges = t.charges;
     sn_critical_depth = t.critical_depth;
     sn_pending_death = t.pending_death;
-    sn_total_nj = t.acct.total_nj;
-    sn_app_nj = t.acct.app_nj;
-    sn_ovh_nj = t.acct.ovh_nj;
+    sn_total_pj = t.total_pj;
+    sn_app_pj = t.app_pj;
+    sn_ovh_pj = t.ovh_pj;
     sn_energy_mode = t.energy_mode;
     sn_att_app_us = t.att_app_us;
     sn_att_ovh_us = t.att_ovh_us;
@@ -478,6 +532,7 @@ let restore_snapshot t sn =
   t.faults <- Faults.create sn.sn_faults_plan;
   Faults.load t.faults sn.sn_faults;
   t.cap.Capacitor.level <- sn.sn_cap_level;
+  t.cap_pj <- sn.sn_cap_pj;
   Rng.set_state t.rng sn.sn_rng;
   t.now <- sn.sn_now;
   t.on <- sn.sn_on;
@@ -487,9 +542,9 @@ let restore_snapshot t sn =
   t.charges <- sn.sn_charges;
   t.critical_depth <- sn.sn_critical_depth;
   t.pending_death <- sn.sn_pending_death;
-  t.acct.total_nj <- sn.sn_total_nj;
-  t.acct.app_nj <- sn.sn_app_nj;
-  t.acct.ovh_nj <- sn.sn_ovh_nj;
+  t.total_pj <- sn.sn_total_pj;
+  t.app_pj <- sn.sn_app_pj;
+  t.ovh_pj <- sn.sn_ovh_pj;
   t.energy_mode <- sn.sn_energy_mode;
   t.att_app_us <- sn.sn_att_app_us;
   t.att_ovh_us <- sn.sn_att_ovh_us;
@@ -543,6 +598,13 @@ let snapshot_sram sn = sn.sn_sram
    [Timer] specs, perturbing the stream relative to a machine created
    with the failure latched — so it is left to [boot]. *)
 let set_failure t spec =
+  let was_energy = t.energy_mode in
   t.failure <- Failure.create spec;
-  t.energy_mode <- Failure.energy_driven t.failure;
+  let energy = Failure.energy_driven t.failure in
+  (* across a mode switch the level must be current on the energy side;
+     between timer specs nothing is settled, so a resumed run reads the
+     same levels as one from power-on *)
+  if energy && not was_energy then settle_cap t;
+  if was_energy && not energy then t.cap_pj <- t.total_pj;
+  t.energy_mode <- energy;
   if t.on && t.boots > 0 then Failure.arm t.failure t.rng ~now:t.now

@@ -15,7 +15,21 @@
     runtime: privatization, commit, flag checks). The per-attempt buckets
     let the kernel attribute each microsecond to useful work, runtime
     overhead, or wasted (lost to a power failure) — the three bars of the
-    paper's Figures 7 and 10. *)
+    paper's Figures 7 and 10.
+
+    {b Accounting.} The total, App and Overhead energy accounts are
+    integers in picojoules ({!Cost} holds whole picojoules), so every
+    sum is exact and independent of the order and grouping of charges;
+    the nanojoule figures below are conversions of them.
+
+    {b Capacitor.} In energy-driven mode every charge harvests and
+    drains the capacitor and may kill the machine. Timer modes never
+    consult it, so the charge path leaves it alone: the integer drain
+    since the level was last brought up to date is subtracted when
+    something reports the level — a trace sample, a boot or failure
+    event, {!capacitor}, a switch into energy mode. Snapshots capture
+    the level with its pending drain, so taking one changes nothing
+    read later. *)
 
 exception Power_failure
 (** Raised mid-operation when power is lost. Never escapes the kernel
@@ -128,7 +142,13 @@ val faults : t -> Faults.t
     {!Faults}). *)
 
 val energy_used_nj : t -> float
+(** Total energy charged this run, in nJ (the picojoule account
+    converted). *)
+
 val capacitor : t -> Capacitor.t
+(** The capacitor, with its level brought up to date first (see the
+    capacitor note above). *)
+
 val failure_spec : t -> Failure.spec
 
 (** {1 Charged operations} *)
@@ -140,14 +160,30 @@ val with_tag : t -> tag -> (unit -> 'a) -> 'a
 (** Run a thunk with the given accounting tag, restoring the previous
     tag afterwards (also on exception). *)
 
-val charge : t -> us:int -> nj:float -> unit
-(** Low-level: consume time and energy; may raise {!Power_failure}. *)
+val charge : t -> us:int -> pj:int -> unit
+(** Low-level: consume time and energy (picojoules, plus the profile's
+    idle leakage for [us]); may raise {!Power_failure}. *)
 
 val charge_op : t -> Cost.op_cost -> int -> unit
 (** [charge_op t op n] charges [n] repetitions of [op]. *)
 
 val cpu : t -> int -> unit
 (** [cpu t n] charges [n] CPU instructions. *)
+
+val batchable : t -> n:int -> us:int -> bool
+(** Whether the next [n] charges, [us] µs in all, may be applied as one
+    {!charge_block}: the machine is in a timer mode, no trace sink is
+    attached, and the failure model cannot fire at any of them (see
+    {!Failure.quiet}). Metering is the caller's to check. *)
+
+val charge_block : t -> n:int -> us:int -> pj:int -> ovh_us:int -> ovh_pj:int -> unit
+(** Apply [n] charges in one step, exactly as [n] calls of {!charge}
+    would leave the machine when none of them fires: [us]/[pj] are the
+    sums of the charges made under the current tag, [ovh_us]/[ovh_pj]
+    of those made under [Overhead] whatever the tag; the idle leakage
+    is added as {!charge} adds it. Precondition:
+    [batchable t ~n ~us:(us + ovh_us)]. Negated arguments take back a
+    suffix of a block already applied (an error raised inside it). *)
 
 val idle : t -> Units.time_us -> unit
 (** Busy-wait (delay loop) for a duration; charges CPU time at idle

@@ -84,6 +84,22 @@ let[@inline never] out_of_bounds t addr op =
 
 let[@inline] check t addr op = if addr < 0 || addr >= t.size then out_of_bounds t addr op
 
+(* Word copy for every bulk path below. [Array.blit] runs the write
+   barrier ([caml_modify]) per word when the destination lives in the
+   major heap, as a resident prefix soon does, although the words are
+   ints; a loop over [int array] stores them directly. Overlapping
+   ranges of one array copy as [Array.blit] would. Callers check the
+   ranges. *)
+let blit_words (src : int array) src_pos (dst : int array) dst_pos len =
+  if src == dst && src_pos < dst_pos then
+    for i = len - 1 downto 0 do
+      Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
+    done
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
+    done
+
 (* Size the dirty set to cover [pages] pages, keeping its marks. *)
 let cover_dirty t pages =
   if Bytes.length t.dirty < pages then begin
@@ -104,7 +120,7 @@ let[@inline never] grow t need =
   let n = (Int.max need (2 * len) + page_words - 1) land lnot (page_words - 1) in
   let n = Int.min t.size n in
   let words = Array.make n 0 in
-  Array.blit t.words 0 words 0 len;
+  blit_words t.words 0 words 0 len;
   t.words <- words;
   if t.track then cover_dirty t (pages_of n)
 
@@ -163,7 +179,7 @@ let blit ~src ~src_addr ~dst ~dst_addr ~words =
     (* source words past [src]'s resident prefix read as 0; measured
        after [dst] grew, which may be the same memory *)
     let resident = Int.max 0 (Int.min words (Array.length src.words - src_addr)) in
-    if resident > 0 then Array.blit src.words src_addr dst.words dst_addr resident;
+    if resident > 0 then blit_words src.words src_addr dst.words dst_addr resident;
     if resident < words then Array.fill dst.words (dst_addr + resident) (words - resident) 0;
     src.reads <- src.reads + words;
     dst.writes <- dst.writes + words;
@@ -178,7 +194,7 @@ let load t addr values =
     check t addr "load";
     check t (addr + words - 1) "load";
     reserve t (addr + words);
-    Array.blit values 0 t.words addr words;
+    blit_words values 0 t.words addr words;
     t.writes <- t.writes + words;
     if t.track then mark_range t addr words
   end
@@ -270,9 +286,12 @@ let restore t img =
              which only costs a redundant copy *)
           Bytes.unsafe_get t.dirty p = '\001' || page_of img p != page_of base p
     in
-    if stale then
-      let base = p lsl page_bits in
-      Array.blit (page_of img p) 0 t.words base (Int.min page_words (len - base))
+    if stale then begin
+      let base = p lsl page_bits and page = page_of img p in
+      (* a page is [page_words] long unless it ends a memory whose size
+         is no page multiple, and then so does the live prefix *)
+      blit_words page 0 t.words base (Int.min (Array.length page) (len - base))
+    end
   done;
   clear_dirty t;
   t.base <- Some img;

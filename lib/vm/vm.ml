@@ -3,12 +3,17 @@
    tables, executed by a threaded dispatch loop.
 
    The contract is strict observational equivalence with the tree-walker
-   ([Lang.Interp]): the same sequence of [Machine.charge] calls (so the
-   same [Nth_charge] boundary behavior), the same step counting, the
-   same accounting tags, the same event bumps and trace emissions, the
-   same error strings, the same final NV state. The tree-walker remains
-   the conformance oracle; every opcode here is justified line-by-line
-   against the corresponding [Interp] clause.
+   ([Lang.Interp]), which charges one op at a time and remains the
+   conformance oracle: the same charge count, clock, per-tag time and
+   energy, memory, step counting, event bumps, trace emissions, error
+   strings and [vm/op/*] counters at every point that a failure, an
+   error, a trace sink or a meter can observe. Every per-op opcode here
+   is justified line-by-line against the corresponding [Interp] clause
+   and charges exactly where it does. Between those points the VM may
+   apply a straight-line block's charges in one step ([blockify],
+   [Machine.charge_block]): energy is counted in integer picojoules, so
+   the one-step sums equal the per-op ones, and a block is batched only
+   when no failure, sink or meter could see inside it.
 
    What the lowering buys:
    - every global access is resolved at compile time to a concrete word
@@ -64,6 +69,7 @@ type t = {
   calls : callsite array;
   dmas : dmasite array;
   strs : string array;
+  backs : int array;  (* block take-back records, [back_width] ints each (see [blockify]) *)
   hooks : Kernel.Engine.hooks;
   mutable app : Kernel.Task.app option;
   cur_slot : int;  (* pre-allocated engine task pointer (arena reuse) *)
@@ -100,17 +106,18 @@ let read_global t name i =
   | Some { back = Braw { space; addr; _ }; _ } -> Memory.read (Machine.mem t.m space) (addr + i)
   | None -> raise Not_found
 
-(* Bulk observation: resolves [name] once instead of per element (see
-   Interp.read_global_block, which this mirrors). *)
-let read_global_block t name ~words =
-  match Hashtbl.find_opt t.globals name with
+(* see Interp.global_equals, which this mirrors *)
+let global_equals t name expected =
+  let ok = ref true in
+  (match Hashtbl.find_opt t.globals name with
   | Some { back = Bman v; _ } ->
       let mgr = Option.get t.mgr in
-      Array.init words (fun i -> Runtimes.Manager.committed mgr v i)
+      Array.iteri (fun i x -> if Runtimes.Manager.committed mgr v i <> x then ok := false) expected
   | Some { back = Braw { space; addr; _ }; _ } ->
       let mem = Machine.mem t.m space in
-      Array.init words (fun i -> Memory.read mem (addr + i))
-  | None -> raise Not_found
+      Array.iteri (fun i x -> if Memory.read mem (addr + i) <> x then ok := false) expected
+  | None -> raise Not_found);
+  !ok
 
 let global_loc t name =
   match Hashtbl.find_opt t.globals name with
@@ -176,7 +183,26 @@ let o_dmago = 47 (* d — pop words; bounds; run the transfer *)
 let o_cpygo = 48 (* pop words; bounds; Overhead word-copy loop *)
 let o_seal = 49 (* Easeio.Runtime.seal_dmas (no-op under baselines) *)
 
+(* Block ops, placed by [blockify] after lowering. BLOCK heads a
+   straight-line block of the per-op code above and either applies the
+   whole block's charges and steps and runs its uncharged copy, or falls
+   through to the per-op code. The U* ops appear in copies only: the
+   per-op semantics minus steps and charges; the ones that can raise
+   first take back the part of the block not reached (record k). *)
+let o_block = 50 (* n steps us pj ovh_us ovh_pj copy — see [blockify] *)
+let o_uldloc = 51 (* l *)
+let o_ustloc = 52 (* l *)
+let o_uldg = 53 (* a *)
+let o_ustg = 54 (* a *)
+let o_ulde = 55 (* a k *)
+let o_uste = 56 (* a k *)
+let o_udiv = 57 (* k *)
+let o_umod = 58 (* k *)
+
+(* opcodes with a [vm/op/*] counter: the per-op ISA (0–49); block ops
+   stay out of the counters *)
 let n_ops = 50
+let n_codes = o_umod + 1
 
 (* Keep in sync with the opcode table above; index = opcode. *)
 let op_names =
@@ -226,6 +252,20 @@ let[@inline] check_index i { words; aname; _ } =
 
 let[@inline] check_offset off { words; aname; _ } =
   if off < 0 || off > words then error "offset %d out of bounds for %s[%d]" off aname words
+
+(* A take-back record: the charge count, steps, µs and picojoules of
+   the ops of a block from one that raises to the block's end (layout:
+   [sum_ops]). *)
+let back_width = 6
+
+(* An error inside a block copy: undo the part of the block's one-step
+   charge that the per-op code would not have reached, so the error is
+   observed at the same charge count, clock and energy. *)
+let take_back t k =
+  let b = t.backs and o = k * back_width in
+  t.steps <- t.steps - b.(o + 1);
+  Machine.charge_block t.m ~n:(-b.(o)) ~us:(-b.(o + 2)) ~pj:(-b.(o + 3)) ~ovh_us:(-b.(o + 4))
+    ~ovh_pj:(-b.(o + 5))
 
 let exec t pc0 =
   let code = t.code
@@ -512,6 +552,73 @@ let exec t pc0 =
     | 49 (* SEAL *) ->
         (match t.rt with Some rt -> Easeio.Runtime.seal_dmas rt | None -> ());
         go (pc + 1) sp
+    | 50 (* BLOCK *) ->
+        let n = code.(pc + 1) and steps = code.(pc + 2) in
+        let us = code.(pc + 3) and ovh_us = code.(pc + 5) in
+        if
+          (not t.metered)
+          && t.steps + steps <= step_limit
+          && Machine.batchable m ~n ~us:(us + ovh_us)
+        then begin
+          t.steps <- t.steps + steps;
+          Machine.charge_block m ~n ~us ~pj:code.(pc + 4) ~ovh_us ~ovh_pj:code.(pc + 6);
+          go code.(pc + 7) sp
+        end
+        else go (pc + 8) sp
+    | 51 (* ULDLOC *) ->
+        stack.(sp) <- locals.(code.(pc + 1));
+        go (pc + 2) (sp + 1)
+    | 52 (* USTLOC *) ->
+        locals.(code.(pc + 1)) <- stack.(sp - 1);
+        go (pc + 2) (sp - 1)
+    | 53 (* ULDG *) ->
+        (match t.accs.(code.(pc + 1)).back with
+        | Braw { space; addr; _ } -> stack.(sp) <- Memory.read (Machine.mem m space) addr
+        | Bman _ -> assert false);
+        go (pc + 2) (sp + 1)
+    | 54 (* USTG *) ->
+        (match t.accs.(code.(pc + 1)).back with
+        | Braw { space; addr; _ } -> Memory.write (Machine.mem m space) addr stack.(sp - 1)
+        | Bman _ -> assert false);
+        go (pc + 2) (sp - 1)
+    | 55 (* ULDE *) ->
+        let a = t.accs.(code.(pc + 1)) in
+        let i = stack.(sp - 1) in
+        if i < 0 || i >= a.words then begin
+          take_back t code.(pc + 2);
+          check_index i a
+        end;
+        (match a.back with
+        | Braw { space; addr; _ } -> stack.(sp - 1) <- Memory.read (Machine.mem m space) (addr + i)
+        | Bman _ -> assert false);
+        go (pc + 3) sp
+    | 56 (* USTE *) ->
+        let a = t.accs.(code.(pc + 1)) in
+        let v = stack.(sp - 1) and i = stack.(sp - 2) in
+        if i < 0 || i >= a.words then begin
+          take_back t code.(pc + 2);
+          check_index i a
+        end;
+        (match a.back with
+        | Braw { space; addr; _ } -> Memory.write (Machine.mem m space) (addr + i) v
+        | Bman _ -> assert false);
+        go (pc + 3) (sp - 2)
+    | 57 (* UDIV *) ->
+        let y = stack.(sp - 1) in
+        if y = 0 then begin
+          take_back t code.(pc + 1);
+          error "division by zero"
+        end;
+        stack.(sp - 2) <- stack.(sp - 2) / y;
+        go (pc + 2) (sp - 1)
+    | 58 (* UMOD *) ->
+        let y = stack.(sp - 1) in
+        if y = 0 then begin
+          take_back t code.(pc + 1);
+          error "modulo by zero"
+        end;
+        stack.(sp - 2) <- stack.(sp - 2) mod y;
+        go (pc + 2) (sp - 1)
     | op -> Printf.ksprintf failwith "Vm.exec: bad opcode %d at pc %d" op pc
   in
   go pc0 0
@@ -833,6 +940,197 @@ let max_stack prog =
     prog.p_tasks;
   !mx
 
+(* {1 Blocks}
+
+   A block is a maximal straight-line run of the per-op code whose
+   charges are known at lowering — CPU ops and raw global or element
+   accesses — entered only at its head and optionally ended by a branch.
+   [blockify] rewrites the lowered code: each block with at least
+   [min_block_charges] charges gets a BLOCK op in front of it, carrying
+   the block's charge count, steps, and µs and picojoules split into
+   current-tag and Overhead parts, and an uncharged copy of it appended
+   after the per-op code. When the failure model cannot fire inside the
+   block, the machine is in a timer mode, no sink is attached, the run
+   is not metered and the step budget covers it, BLOCK applies the sums
+   in one [Machine.charge_block] and jumps to the copy; otherwise it
+   falls through to the per-op code, which this pass leaves as it was.
+   Integer picojoules make the one-step sums equal the per-op ones, so
+   the two paths agree at every point a failure, error, sink or meter
+   can observe. *)
+
+let min_block_charges = 2
+
+(* instruction width per per-op opcode (0–49) *)
+let width = function
+  | 35 -> 3
+  | 3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 11 | 12 | 13 | 14 | 15 | 16 | 17 | 33 | 34 | 36 | 37 | 39 | 40
+  | 42 | 43 | 44 | 45 | 46 | 47 ->
+      2
+  | _ -> 1
+
+(* JMP JZ JNZ FORTEST, and where each keeps its target *)
+let is_branch op = op = 15 || op = 16 || op = 17 || op = 35
+let target_at op pc = if op = 35 then pc + 2 else pc + 1
+
+(* ops a block may hold besides its closing branch: statically charged
+   or uncharged, and with no effect beyond the stack, locals, loop
+   registers and raw memory *)
+let in_block = function
+  | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 11 | 12 | 18 | 19 | 20 | 21 | 22 | 23 | 24 | 25 | 26 | 27
+  | 28 | 29 | 30 | 31 | 33 | 34 | 36 | 38 ->
+      true
+  | _ -> false
+
+(* The steps and charges of the ops in [pc, stop) — what their arms in
+   [exec] do through [bump_step] and [Machine] — laid out as a BLOCK's
+   operands and a take-back record: [n; steps; us; pj; ovh_us; ovh_pj],
+   with us/pj charged under the current tag and ovh_* under Overhead. *)
+let sum_ops (c : Cost.t) accs code pc stop =
+  let s = Array.make back_width 0 in
+  let bump i x = s.(i) <- s.(i) + x in
+  let charge ~ovh (oc : Cost.op_cost) =
+    bump 0 1;
+    bump (if ovh then 4 else 2) oc.time_us;
+    bump (if ovh then 5 else 3) oc.energy_pj
+  in
+  let rec go pc =
+    if pc < stop then begin
+      let access ~read =
+        match accs.(code.(pc + 1)).back with
+        | Braw { space = Memory.Fram; ovh; _ } -> charge ~ovh (if read then c.fram_read else c.fram_write)
+        | Braw { space = Memory.Sram; ovh; _ } -> charge ~ovh (if read then c.sram_read else c.sram_write)
+        | Bman _ -> assert false
+      in
+      (match code.(pc) with
+      | 0 (* STMT *) | 2 (* PRE1 *) | 5 (* LDLOC *) ->
+          bump 1 1;
+          charge ~ovh:false c.cpu_op
+      | 1 (* STEP *) | 3 (* PUSH *) -> bump 1 1
+      | 6 (* STLOC *) -> charge ~ovh:false c.cpu_op
+      | 7 (* LDG *) ->
+          bump 1 1;
+          access ~read:true
+      | 11 (* LDE *) -> access ~read:true
+      | 8 (* STG *) | 12 (* STE *) -> access ~read:false
+      | _ -> ());
+      go (pc + width code.(pc))
+    end
+  in
+  go pc;
+  s
+
+let blockify c accs code task_pcs =
+  let len = Array.length code in
+  let fold f acc =
+    let rec go pc acc = if pc >= len then acc else go (pc + width code.(pc)) (f pc acc) in
+    go 0 acc
+  in
+  (* leaders: task entries, branch targets and the code after a branch *)
+  let leader = Array.make (len + 1) false in
+  Array.iter (fun pc -> leader.(pc) <- true) task_pcs;
+  fold
+    (fun pc () ->
+      let op = code.(pc) in
+      if is_branch op then begin
+        leader.(code.(target_at op pc)) <- true;
+        leader.(pc + width op) <- true
+      end)
+    ();
+  (* blocks as [head, stop) ranges, in reverse code order *)
+  let blocks = ref [] and head = ref (-1) in
+  let close stop =
+    if !head >= 0 then blocks := (!head, stop) :: !blocks;
+    head := -1
+  in
+  fold
+    (fun pc () ->
+      let op = code.(pc) in
+      if leader.(pc) then close pc;
+      if in_block op || is_branch op then begin
+        if !head < 0 then head := pc;
+        if is_branch op then close (pc + width op)
+      end
+      else close pc)
+    ();
+  close len;
+  let kept =
+    List.rev !blocks
+    |> List.filter_map (fun (h, stop) ->
+           let s = sum_ops c accs code h stop in
+           if s.(0) >= min_block_charges then Some (h, stop, s) else None)
+  in
+  (* a BLOCK op (8 words) goes before each kept head, and jumps to the
+     head land on it *)
+  let sums = Array.make (len + 1) [||] in
+  List.iter (fun (h, _, s) -> sums.(h) <- s) kept;
+  let is_head pc = Array.length sums.(pc) > 0 in
+  let newpc = Array.make (len + 1) 0 in
+  let main_len =
+    fold
+      (fun pc at ->
+        let at = if is_head pc then at + 8 else at in
+        newpc.(pc) <- at;
+        at + width code.(pc))
+      0
+  in
+  newpc.(len) <- main_len;
+  let dest pc = if is_head pc then newpc.(pc) - 8 else newpc.(pc) in
+  let emit_op buf pc =
+    let op = code.(pc) in
+    for i = pc to pc + width op - 1 do
+      emit buf (if is_branch op && i = target_at op pc then dest code.(i) else code.(i))
+    done
+  in
+  (* the uncharged copies, appended after the per-op code *)
+  let copies = buf_create () and backs = buf_create () in
+  let copy_at = Array.make (len + 1) 0 in
+  List.iter
+    (fun (h, stop, _) ->
+      copy_at.(h) <- main_len + copies.len;
+      let emit_all = List.iter (emit copies) in
+      (* the part of the block not reached when the op at [pc] raises *)
+      let back pc =
+        Array.iter (emit backs) (sum_ops c accs code pc stop);
+        (backs.len / back_width) - 1
+      in
+      let rec go pc last =
+        if pc < stop then begin
+          (match code.(pc) with
+          | 0 | 1 | 2 -> ()
+          | 3 (* PUSH *) -> emit_all [ o_pushraw; code.(pc + 1) ]
+          | 5 -> emit_all [ o_uldloc; code.(pc + 1) ]
+          | 6 -> emit_all [ o_ustloc; code.(pc + 1) ]
+          | 7 -> emit_all [ o_uldg; code.(pc + 1) ]
+          | 8 -> emit_all [ o_ustg; code.(pc + 1) ]
+          | 11 -> emit_all [ o_ulde; code.(pc + 1); back pc ]
+          | 12 -> emit_all [ o_uste; code.(pc + 1); back pc ]
+          | 22 -> emit_all [ o_udiv; back pc ]
+          | 23 -> emit_all [ o_umod; back pc ]
+          | _ -> emit_op copies pc);
+          go (pc + width code.(pc)) code.(pc)
+        end
+        else if last <> o_jmp then
+          (* off the end of the copy (no branch, or one not taken):
+             continue where the per-op code would *)
+          emit_all [ o_jmp; dest stop ]
+      in
+      go h (-1))
+    kept;
+  let out = buf_create () in
+  fold
+    (fun pc () ->
+      if is_head pc then begin
+        emit out o_block;
+        Array.iter (emit out) sums.(pc);
+        emit out copy_at.(pc)
+      end;
+      emit_op out pc)
+    ();
+  assert (out.len = main_len);
+  ( Array.append (Array.sub out.b 0 out.len) (Array.sub copies.b 0 copies.len),
+    Array.map dest task_pcs,
+    Array.sub backs.b 0 backs.len )
+
 let compile ?(policy = Interp.Easeio) ?(extra_io = []) ?priv_buffer_words ?ablate_regions
     ?ablate_semantics m prog =
   validate prog;
@@ -961,6 +1259,10 @@ let compile ?(policy = Interp.Easeio) ?(extra_io = []) ?priv_buffer_words ?ablat
   in
   let cur_slot = Machine.alloc m Memory.Fram ~name:"kernel.cur_task" ~words:1 in
   let calls = tbl_to_array ctx.xcalls in
+  let accs = tbl_to_array ctx.xaccs in
+  let code, task_pcs, backs =
+    blockify (Machine.cost m) accs (Array.sub ctx.cb.b 0 ctx.cb.len) task_pcs
+  in
   let t =
     {
       m;
@@ -971,12 +1273,13 @@ let compile ?(policy = Interp.Easeio) ?(extra_io = []) ?priv_buffer_words ?ablat
       rt;
       transformed;
       globals;
-      code = Array.sub ctx.cb.b 0 ctx.cb.len;
+      code;
       task_pcs;
-      accs = tbl_to_array ctx.xaccs;
+      accs;
       calls;
       dmas = tbl_to_array ctx.xdmas;
       strs = tbl_to_array ctx.xstrs;
+      backs;
       hooks = Kernel.Engine.no_hooks;
       app = None;
       cur_slot;
@@ -986,7 +1289,7 @@ let compile ?(policy = Interp.Easeio) ?(extra_io = []) ?priv_buffer_words ?ablat
       regs = Array.make (max 1 ctx.n_regs) 0;
       steps = 0;
       metered = false;
-      opcounts = Array.make n_ops 0;
+      opcounts = Array.make n_codes 0;
       callcounts = Array.make (max 1 (Array.length calls)) 0;
       sc_src_space = Memory.Fram;
       sc_src_addr = 0;
@@ -1069,7 +1372,7 @@ let prepare ?check t =
 let begin_metered t =
   t.metered <- Machine.metered t.m;
   if t.metered then begin
-    Array.fill t.opcounts 0 n_ops 0;
+    Array.fill t.opcounts 0 n_codes 0;
     Array.fill t.callcounts 0 (Array.length t.callcounts) 0
   end
 
@@ -1079,7 +1382,10 @@ let flush_counts t =
   | Some sheet ->
       (* flush the run's dispatch counts to the campaign sheet; the
          per-callsite intern is a hash lookup once per run, cold *)
-      Array.iteri (fun op n -> if n > 0 then Obs.Sheet.add sheet vm_op_ids.(op) n) t.opcounts;
+      for op = 0 to n_ops - 1 do
+        let n = t.opcounts.(op) in
+        if n > 0 then Obs.Sheet.add sheet vm_op_ids.(op) n
+      done;
       Array.iteri
         (fun i n ->
           if n > 0 then

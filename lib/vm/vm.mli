@@ -11,12 +11,18 @@
     charging behavior is baked into the opcode choice at compile time.
 
     The contract is {e exact observational equivalence} with the tree
-    walker: the same sequence of {!Platform.Machine.charge} calls (order
-    matters — [Nth_charge] failures latch on a specific charge), the
-    same step counts and step-limit error, the same App/Overhead
-    attribution, the same event bumps, the same error messages, and the
-    same final non-volatile state. The conformance judge cross-checks
-    this on every fuzzing run.
+    walker, which charges one op at a time: the same charge count,
+    clock, App/Overhead time and energy, memory, step-limit error, event
+    bumps, error messages and dispatch counters at every point a power
+    failure, an error, a trace sink or a metrics sheet can observe, and
+    the same final non-volatile state. Between such points a
+    straight-line block of statically charged ops (CPU ops, raw global
+    and element accesses) has its charges applied in one
+    {!Platform.Machine.charge_block} and runs uncharged — only when the
+    failure model cannot fire inside it, the machine is in a timer mode,
+    no sink is attached, the run is not metered and the step budget
+    covers it; otherwise it runs op by op. The conformance judge
+    cross-checks this on every fuzzing run.
 
     A compiled program owns a reusable arena (machine, stack, locals,
     loop registers, scratch): [compile] once per (program, policy), then
@@ -99,11 +105,9 @@ val read_global : t -> string -> int -> int
 (** Uncharged post-run read of a global (committed view under
     Alpaca/InK). Raises [Not_found] for unknown names. *)
 
-val read_global_block : t -> string -> words:int -> int array
-(** [read_global_block t name ~words] snapshots the first [words]
-    elements of a global in one call — equivalent to [words] calls of
-    {!read_global} but resolving [name] only once, so result checks
-    over large arrays stay cheap. *)
+val global_equals : t -> string -> int array -> bool
+(** In-place comparison of a global's prefix with an expected image;
+    see {!Lang.Interp.global_equals}. *)
 
 val global_loc : t -> string -> Loc.t
 (** Raw backing location of a global (for golden-state comparison). *)

@@ -197,7 +197,7 @@ let test_dependence_forces_reexecution () =
               Periph.Sensors.temperature_dc m)
         in
         Easeio.Runtime.call_io_unit rt ~deps:[ "Temp" ] ~name:"Send"
-          ~sem:Easeio.Semantics.Single (fun m -> Machine.charge m ~us:200 ~nj:400.);
+          ~sem:Easeio.Semantics.Single (fun m -> Machine.charge m ~us:200 ~pj:400_000);
         ignore v;
         Machine.idle m 2_000)
   in
@@ -214,7 +214,7 @@ let test_dependence_send_follows_temp () =
         Easeio.Runtime.call_io_unit rt ~deps:[ "Temp" ] ~name:"Send"
           ~sem:Easeio.Semantics.Single (fun m ->
             incr sends;
-            Machine.charge m ~us:200 ~nj:400.);
+            Machine.charge m ~us:200 ~pj:400_000);
         Machine.idle m 2_000)
   in
   ignore m;
@@ -230,7 +230,7 @@ let test_dependence_skips_when_dep_skipped () =
         Easeio.Runtime.call_io_unit rt ~deps:[ "Temp" ] ~name:"Send"
           ~sem:Easeio.Semantics.Single (fun m ->
             incr sends;
-            Machine.charge m ~us:200 ~nj:400.);
+            Machine.charge m ~us:200 ~pj:400_000);
         Machine.idle m 2_000)
   in
   checki "sent once" 1 !sends
@@ -436,7 +436,7 @@ let test_multiple_deps_any_forces () =
         Easeio.Runtime.call_io_unit rt ~deps:[ "Temp"; "Humd" ] ~name:"Send"
           ~sem:Easeio.Semantics.Single (fun m ->
             incr sends;
-            Machine.charge m ~us:100 ~nj:100.);
+            Machine.charge m ~us:100 ~pj:100_000);
         Machine.idle m 2_000)
   in
   (* Temp stays fresh on re-execution but Humd is stale -> Send re-runs *)
@@ -479,7 +479,7 @@ let test_non_termination_avoided () =
   let failure =
     Failure.Timer { on_min_us = 5_000; on_max_us = 20_000; off_min_us = 2_000; off_max_us = 15_000 }
   in
-  let op m = Machine.charge m ~us:6_000 ~nj:5_000. in
+  let op m = Machine.charge m ~us:6_000 ~pj:5_000_000 in
   let run_easeio () =
     let m = Machine.create ~seed:3 ~failure () in
     let rt = Easeio.Runtime.create m in

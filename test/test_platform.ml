@@ -575,7 +575,7 @@ let prop_attempt_buckets_conserve_energy =
         (fun op ->
           match op with
           | 0 -> Machine.cpu m 7
-          | 1 -> Machine.with_tag m Machine.Overhead (fun () -> Machine.charge m ~us:3 ~nj:2.5)
+          | 1 -> Machine.with_tag m Machine.Overhead (fun () -> Machine.charge m ~us:3 ~pj:2_500)
           | _ -> flush ())
         ops;
       flush ();

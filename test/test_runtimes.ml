@@ -236,7 +236,7 @@ let samoyed_app ~fail_at =
   let log = ref [] in
   let step name cost m =
     log := name :: !log;
-    Machine.charge m ~us:cost ~nj:(float_of_int cost);
+    Machine.charge m ~us:cost ~pj:(cost * 1000);
     if Some name = fail_at && Machine.failures m = 0 then Machine.die m
   in
   let t =
@@ -302,7 +302,7 @@ let test_samoyed_wasted_work_between_alpaca_and_easeio () =
       body =
         (fun m ->
           incr count;
-          Machine.charge m ~us:2_300 ~nj:2_300.;
+          Machine.charge m ~us:2_300 ~pj:2_300_000;
           if Machine.failures m = 0 then Machine.die m;
           Kernel.Task.Stop);
     }

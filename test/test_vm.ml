@@ -7,7 +7,14 @@
    final NV state, under every runtime and failure schedule, including
    an exhaustive-in-spirit [Nth_charge] boundary sweep. The arena-reuse
    contract ([Vm.reset]) is exercised by running many configurations
-   through one compiled image. *)
+   through one compiled image.
+
+   The VM applies a straight-line block's charges in one step when
+   nothing can observe the charges between (see [Vm.blockify]); the
+   cases under "blocks" aim at the points where that must not show:
+   errors and the step limit inside a block, failures landing inside
+   loop bodies, and metered, traced and energy-driven runs, which must
+   take the per-op path. *)
 
 open Platform
 
@@ -22,12 +29,16 @@ let checki = Alcotest.(check int)
 type observation = {
   result : (Expkit.Run.one, string) result;
   charges : int;
+  now : int;
+  energy_nj : float;
   events : (string * int) list;
   globals : (string * int array) list;
 }
 
-let observe_tree prog policy ~failure ~seed =
-  let m = Machine.create ~seed ~failure () in
+let default_machine ~seed ~failure = Machine.create ~seed ~failure ()
+
+let observe_tree ?(machine = default_machine) prog policy ~failure ~seed =
+  let m = machine ~seed ~failure in
   let t = Lang.Interp.build ~policy ~extra_io:[ Apps.Common.lea_fir_seg ] m prog in
   let result =
     match Lang.Interp.run t with
@@ -37,6 +48,8 @@ let observe_tree prog policy ~failure ~seed =
   {
     result;
     charges = Machine.charges m;
+    now = Machine.now m;
+    energy_nj = Machine.energy_used_nj m;
     events = Machine.events m;
     globals =
       (* the executed program: under EaseIO the transform inserts
@@ -44,7 +57,7 @@ let observe_tree prog policy ~failure ~seed =
       List.map
         (fun d ->
           ( d.Lang.Ast.v_name,
-            Lang.Interp.read_global_block t d.Lang.Ast.v_name ~words:d.Lang.Ast.v_words ))
+            Array.init d.Lang.Ast.v_words (Lang.Interp.read_global t d.Lang.Ast.v_name) ))
         (Lang.Interp.program t).Lang.Ast.p_globals;
   }
 
@@ -60,11 +73,13 @@ let observe_vm vm ~failure ~seed =
   {
     result;
     charges = Machine.charges m;
+    now = Machine.now m;
+    energy_nj = Machine.energy_used_nj m;
     events = Machine.events m;
     globals =
       List.map
         (fun d ->
-          (d.Lang.Ast.v_name, Vm.read_global_block vm d.Lang.Ast.v_name ~words:d.Lang.Ast.v_words))
+          (d.Lang.Ast.v_name, Array.init d.Lang.Ast.v_words (Vm.read_global vm d.Lang.Ast.v_name)))
         prog.Lang.Ast.p_globals;
   }
 
@@ -95,6 +110,8 @@ let assert_program_matches ?(failures = [ Failure.No_failures; Failure.paper_tim
               let vr = observe_vm vm ~failure ~seed in
               checkb (where ^ ": run summary") true (tr.result = vr.result);
               checki (where ^ ": charges") tr.charges vr.charges;
+              checki (where ^ ": clock") tr.now vr.now;
+              checkb (where ^ ": energy") true (tr.energy_nj = vr.energy_nj);
               checkb (where ^ ": events") true (tr.events = vr.events);
               checkb (where ^ ": NV state") true (tr.globals = vr.globals))
             seeds)
@@ -162,32 +179,223 @@ let test_fuzz_corpus_matches () =
 
 (* {1 Nth_charge boundary sweep} *)
 
-(* Power failures at strided charge boundaries of the Temp application:
-   the finest-grained failure placement the simulator supports, so VM
-   and tree must agree wherever the failure strikes. *)
+(* Power failures at strided charge boundaries of every task-language
+   catalog app under every runtime: the finest-grained failure placement
+   the simulator supports, so VM and tree must agree wherever the
+   failure strikes — also at a charge in the middle of a block, where
+   the VM must not batch. With an odd stride of about a twelfth of the
+   run, successive points fall at different phases of the loop bodies,
+   inside their blocks. *)
+let task_language_apps = [ "LEA"; "DMA"; "Temp"; "FIR" ]
+
 let test_nth_charge_sweep () =
-  let spec = Apps.Catalog.find "Temp" in
-  let probe_charges = ref 0 in
+  List.iter
+    (fun name ->
+      let spec = Apps.Catalog.find name in
+      List.iter
+        (fun variant ->
+          let probe_charges = ref 0 in
+          Apps.Common.default_interp := Apps.Common.Bytecode;
+          ignore
+            (spec.Apps.Common.run variant ~failure:Failure.No_failures ~seed:1
+               ~probe:(fun m -> probe_charges := Machine.charges m));
+          let total = !probe_charges in
+          checkb "clean run charges known" true (total > 0);
+          let stride = (total / 12) lor 1 in
+          let n = ref 3 in
+          while !n <= total do
+            let failure = Failure.Nth_charge !n in
+            let run interp =
+              Apps.Common.default_interp := interp;
+              spec.Apps.Common.run variant ~failure ~seed:1
+            in
+            let tr = run Apps.Common.Tree_walk in
+            let vr = run Apps.Common.Bytecode in
+            Apps.Common.default_interp := Apps.Common.Bytecode;
+            checkb
+              (Printf.sprintf "%s/%s/nth:%d" name (Apps.Common.variant_name variant) !n)
+              true (tr = vr);
+            n := !n + stride
+          done)
+        Apps.Common.all_variants)
+    task_language_apps
+
+(* {1 Blocks} *)
+
+(* Programs that raise in the middle of a straight-line block, after
+   several charged ops and a store: the VM must take back the part of
+   the block's one-step charge that the error cut off. Locals and a
+   volatile array keep the block whole under Alpaca too, whose managed
+   NV accesses end blocks. *)
+let error_program ~name body =
+  Printf.sprintf
+    {|
+program %s;
+nv int out;
+vol int buf[4];
+task t {
+  int a;
+  int b;
+  int z;
+  a = 3;
+  b = a + 4;
+  buf[1] = a * b;
+  z = buf[1] - 21;
+  %s
+  b = b + a;
+  out = b;
+  stop;
+}
+|}
+    name body
+
+let error_cases =
+  [
+    ("index load", error_program ~name:"err_load" "a = buf[b + 1];", "index 8 out of bounds for buf[4]");
+    ("index store", error_program ~name:"err_store" "buf[b - 11] = a;", "index -4 out of bounds for buf[4]");
+    ("division", error_program ~name:"err_div" "a = b / z;", "division by zero");
+    ("modulo", error_program ~name:"err_mod" "a = b % z;", "modulo by zero");
+  ]
+
+let block_policies = [ Lang.Interp.Plain; Lang.Interp.Alpaca; Lang.Interp.Easeio ]
+
+let check_raises ~name ~failures src msg =
+  let prog = Lang.Parser.program src in
+  List.iter
+    (fun policy ->
+      let vm =
+        Vm.compile ~policy ~extra_io:[ Apps.Common.lea_fir_seg ]
+          (Machine.create ~seed:1 ~failure:Failure.No_failures ())
+          prog
+      in
+      List.iter
+        (fun failure ->
+          let where = name ^ " " ^ ctx_name policy failure 1 in
+          let tr = observe_tree prog policy ~failure ~seed:1 in
+          let vr = observe_vm vm ~failure ~seed:1 in
+          checkb (where ^ ": tree raises") true (tr.result = Error msg);
+          checkb (where ^ ": VM raises") true (vr.result = Error msg);
+          checki (where ^ ": charges") tr.charges vr.charges;
+          checki (where ^ ": clock") tr.now vr.now;
+          checkb (where ^ ": energy") true (tr.energy_nj = vr.energy_nj);
+          checkb (where ^ ": events and NV state") true (tr = vr))
+        failures)
+    block_policies
+
+let test_errors_inside_blocks () =
+  List.iter
+    (fun (name, src, msg) ->
+      check_raises ~name ~failures:[ Failure.No_failures; Failure.paper_timer ] src msg)
+    error_cases
+
+(* The step limit must stop the loop at the same op: the budget runs
+   out in the middle of the loop body's block, so the VM must see at
+   the block head that the block would overrun it. *)
+let spin_src =
+  {|
+program spin;
+nv int out;
+task t {
+  int a;
+  int b;
+  a = 0;
+  b = 0;
+  while (1) { a = a + 1; b = a * 2; }
+}
+|}
+
+let test_step_limit_inside_block () =
+  check_raises ~name:"spin" ~failures:[ Failure.No_failures ] spin_src
+    "step limit exceeded (infinite loop?)"
+
+(* Observers force the per-op path: a metered run must count every
+   per-op dispatch — as many as when a sink forces the per-op path too
+   (only the [vm/] counters are compared there: private-DMA I/O
+   verdicts are metered only when traced) — a traced run must emit the
+   same events as the tree walker, and both must leave the same
+   results. *)
+let counters sheet = (Obs.Snapshot.of_sheet sheet).Obs.Snapshot.counters
+
+let is_vm (k, _) = String.starts_with ~prefix:"vm/" k
+let without_vm cs = List.filter (fun c -> not (is_vm c)) cs
+
+let run_with interp f =
+  Apps.Common.default_interp := interp;
+  let r = f () in
   Apps.Common.default_interp := Apps.Common.Bytecode;
-  ignore
-    (spec.Apps.Common.run Apps.Common.Easeio ~failure:Failure.No_failures ~seed:1
-       ~probe:(fun m -> probe_charges := Machine.charges m));
-  let total = !probe_charges in
-  checkb "clean run charges known" true (total > 0);
-  let stride = max 1 (total / 25) in
-  let n = ref 1 in
-  while !n <= total do
-    let failure = Failure.Nth_charge !n in
-    let run interp =
-      Apps.Common.default_interp := interp;
-      spec.Apps.Common.run Apps.Common.Easeio ~failure ~seed:1
-    in
-    let tr = run Apps.Common.Tree_walk in
-    let vr = run Apps.Common.Bytecode in
-    Apps.Common.default_interp := Apps.Common.Bytecode;
-    checkb (Printf.sprintf "nth:%d" !n) true (tr = vr);
-    n := !n + stride
-  done
+  r
+
+let test_metered_run () =
+  List.iter
+    (fun name ->
+      let spec = Apps.Catalog.find name in
+      let run ?sink interp =
+        run_with interp (fun () ->
+            let sheet = Obs.Sheet.create () in
+            let one =
+              spec.Apps.Common.run ?sink ~meter:sheet Apps.Common.Easeio
+                ~failure:Failure.paper_timer ~seed:3
+            in
+            (one, counters sheet))
+      in
+      let tr, tc = run Apps.Common.Tree_walk in
+      let vr, vc = run Apps.Common.Bytecode in
+      let _, vc_traced = run ~sink:(fun _ -> ()) Apps.Common.Bytecode in
+      checkb (name ^ ": metered result") true (tr = vr);
+      checkb (name ^ ": shared counters") true (without_vm tc = without_vm vc);
+      checkb (name ^ ": dispatch counts") true (List.filter is_vm vc = List.filter is_vm vc_traced);
+      checkb (name ^ ": ops counted") true
+        (List.exists (fun (k, n) -> k = "vm/op/stmt" && n > 0) vc);
+      checkb (name ^ ": no block counter") true
+        (List.for_all (fun (k, _) -> not (String.starts_with ~prefix:"vm/op/block" k)) vc))
+    task_language_apps
+
+let test_traced_run () =
+  List.iter
+    (fun name ->
+      let spec = Apps.Catalog.find name in
+      let run interp =
+        run_with interp (fun () ->
+            let rec_ = Trace.Recorder.create () in
+            let one =
+              spec.Apps.Common.run ~sink:(Trace.Recorder.sink rec_) Apps.Common.Alpaca
+                ~failure:Failure.paper_timer ~seed:5
+            in
+            (one, Trace.Recorder.events rec_))
+      in
+      let tr, te = run Apps.Common.Tree_walk in
+      let vr, ve = run Apps.Common.Bytecode in
+      checkb (name ^ ": traced result") true (tr = vr);
+      checkb (name ^ ": trace events") true (te = ve);
+      checkb (name ^ ": capacitor sampled") true
+        (List.exists
+           (fun e -> match e.Trace.Event.payload with Trace.Event.Cap_level _ -> true | _ -> false)
+           ve))
+    task_language_apps
+
+(* Energy-driven failures drain the capacitor on every charge: a small
+   capacitor and a weak harvester make the Temp app die and recharge
+   several times, and the VM must match the tree walker charge for
+   charge. *)
+let test_energy_mode_run () =
+  let machine ~seed ~failure =
+    Machine.create ~seed ~failure
+      ~capacitor:(Capacitor.create ~capacity_nj:3_000. ~on_level_nj:2_000.)
+      ~harvester:(Harvester.constant 0.05) ()
+  in
+  let prog = Lang.Parser.program Apps.Uni.temp_source in
+  List.iter
+    (fun policy ->
+      let failure = Failure.Energy_driven in
+      let vm = Vm.compile ~policy (machine ~seed:1 ~failure) prog in
+      let tr = observe_tree ~machine prog policy ~failure ~seed:1 in
+      let vr = observe_vm vm ~failure ~seed:1 in
+      let where = ctx_name policy failure 1 in
+      (match tr.result with
+      | Ok one -> checkb (where ^ ": power failures") true (one.Expkit.Run.pf > 0)
+      | Error e -> Alcotest.failf "%s: %s" where e);
+      checkb (where ^ ": energy-mode run") true (tr = vr))
+    block_policies
 
 (* {1 Generated programs (qcheck)} *)
 
@@ -218,5 +426,13 @@ let () =
           Alcotest.test_case "fuzz corpus programs" `Quick test_fuzz_corpus_matches;
           Alcotest.test_case "Nth_charge boundary sweep" `Quick test_nth_charge_sweep;
           QCheck_alcotest.to_alcotest prop_generated_programs;
+        ] );
+      ( "blocks",
+        [
+          Alcotest.test_case "errors inside a block" `Quick test_errors_inside_blocks;
+          Alcotest.test_case "step limit inside a block" `Quick test_step_limit_inside_block;
+          Alcotest.test_case "metered run" `Quick test_metered_run;
+          Alcotest.test_case "traced run" `Quick test_traced_run;
+          Alcotest.test_case "energy-mode run" `Quick test_energy_mode_run;
         ] );
     ]

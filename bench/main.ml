@@ -1,7 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§5) on the simulated platform, plus bechamel
-   microbenchmarks of the simulator itself (one per table/figure
-   workload).
+   evaluation (§5) on the simulated platform.
 
    Usage: dune exec bench/main.exe --
             [--reps N] [--jobs N] [--json PATH] [--only fig7,table4,...]
@@ -641,70 +639,12 @@ let serve_cache ~reps =
          ("cold_runs_per_s", Expkit.Json.Float (per_s cold_s));
        ])
 
-(* {1 Bechamel microbenchmarks: simulator cost of each experiment's
-   workload} *)
-
-let microbenches () =
-  let open Bechamel in
-  let quick_failure =
-    Failure.Timer { on_min_us = 5_000; on_max_us = 20_000; off_min_us = 2_000; off_max_us = 15_000 }
-  in
-  let tests =
-    [
-      Test.make ~name:"fig7-dma-app-run"
-        (Staged.stage (fun () ->
-             ignore (Uni.dma.Common.run Common.Easeio ~failure:quick_failure ~seed:1)));
-      Test.make ~name:"fig7-temp-app-run"
-        (Staged.stage (fun () ->
-             ignore (Uni.temp.Common.run Common.Easeio ~failure:quick_failure ~seed:1)));
-      Test.make ~name:"fig7-lea-app-run"
-        (Staged.stage (fun () ->
-             ignore (Uni.lea.Common.run Common.Easeio ~failure:quick_failure ~seed:1)));
-      Test.make ~name:"fig10-fir-app-run"
-        (Staged.stage (fun () ->
-             ignore (Fir.spec.Common.run Common.Easeio ~failure:quick_failure ~seed:1)));
-      Test.make ~name:"fig10-weather-app-run"
-        (Staged.stage (fun () ->
-             ignore (Weather.run_once Common.Easeio ~failure:quick_failure ~seed:1)));
-      Test.make ~name:"table6-transform-fir"
-        (Staged.stage (fun () ->
-             ignore (Lang.Transform.apply (Lang.Parser.program (Fir.source ~exclude_coefs:false)))));
-      Test.make ~name:"machine-charge-1k"
-        (Staged.stage
-           (let m = Machine.create () in
-            fun () -> Machine.cpu m 1_000));
-      Test.make ~name:"dma-copy-1k-words"
-        (Staged.stage
-           (let m = Machine.create () in
-            let src = Machine.alloc m Memory.Fram ~name:"bsrc" ~words:1_000 in
-            let dst = Machine.alloc m Memory.Fram ~name:"bdst" ~words:1_000 in
-            fun () -> Periph.Dma.copy m ~src:(Loc.fram src) ~dst:(Loc.fram dst) ~words:1_000));
-    ]
-  in
-  print_endline (Expkit.Tablefmt.heading "Simulator microbenchmarks (bechamel)");
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 10) () in
-    let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let results = Analyze.all ols instance raw in
-    Hashtbl.iter
-      (fun name ols ->
-        match Analyze.OLS.estimates ols with
-        | Some [ est ] -> Printf.printf "  %-28s %12.1f ns/run\n%!" name est
-        | _ -> Printf.printf "  %-28s (no estimate)\n%!" name)
-      results
-  in
-  List.iter benchmark tests
-
 (* {1 --trace-dir: one Chrome trace per runtime variant}
 
-   Each trace is validated before it is written: the per-task buckets
-   and I/O counts folded out of the event stream must equal the run's
-   own [Kernel.Metrics] totals, and the trace-side redundant-I/O count
-   must equal the golden-run comparison the aggregates use. Wired into
+   Each trace is validated before it is written
+   ([Expkit.Run.check_trace]): the per-task buckets folded out of the
+   event stream must equal the run's own [Kernel.Metrics] totals, and
+   the trace's per-kind I/O counts the machine's. Wired into
    @bench-smoke, so bitrot in the tracing subsystem fails the build. *)
 
 let variant_slug v =
@@ -724,28 +664,16 @@ let trace_exports dir =
           v ~failure:Expkit.Experiments.paper_failures ~seed:1
       in
       let events = Trace.Recorder.events recorder in
-      let profile = Trace.Profile.of_events events in
-      (match
-         Trace.Profile.reconcile profile ~app_us:one.Expkit.Run.app_us
-           ~ovh_us:one.Expkit.Run.ovh_us ~wasted_us:one.Expkit.Run.wasted_us
-           ~commits:one.Expkit.Run.commits ~attempts:one.Expkit.Run.attempts
-           ~io:one.Expkit.Run.io
-       with
-      | Ok () -> ()
+      (match Expkit.Run.check_trace one events with
+      | Ok _ -> ()
       | Error msg ->
           Obs.Progress.log "trace validation failed (%s): %s" (Common.variant_name v) msg;
           exit 1);
       let golden = Weather.run_once v ~failure:Failure.No_failures ~seed:0 in
-      let trace_red = Trace.Profile.redundant profile ~golden:golden.Expkit.Run.io in
-      let metrics_red = Expkit.Run.redundant_vs_golden ~golden one in
-      if trace_red <> metrics_red then begin
-        Obs.Progress.log "trace validation failed (%s): redundant io %d from trace, %d from metrics"
-          (Common.variant_name v) trace_red metrics_red;
-        exit 1
-      end;
       let path = Filename.concat dir (Printf.sprintf "weather-%s.json" (variant_slug v)) in
       Expkit.Json.to_file path (Trace.Export.chrome events);
-      Printf.printf "trace: %s (%d events, %d redundant io)\n" path (List.length events) trace_red)
+      Printf.printf "trace: %s (%d events, %d redundant io)\n" path (List.length events)
+        (Expkit.Run.redundant_vs_golden ~golden one))
     with_op
 
 (* {1 Driver} *)
@@ -888,13 +816,12 @@ let calibration ~reps =
 let () =
   let reps = ref 1000 in
   let only = ref [] in
-  let bench = ref true in
   let json_path = ref None in
   let trace_dir = ref None in
   let profile = ref false in
   let usage =
     "usage: main.exe [--reps N] [--jobs N] [--json PATH] [--trace-dir DIR] [--only a,b] \
-     [--no-micro] [--interp tree|vm] [--profile-interp] [--progress off|stderr|json]"
+     [--interp tree|vm] [--profile-interp] [--progress off|stderr|json]"
   in
   let int_arg flag n =
     match int_of_string_opt n with
@@ -923,9 +850,6 @@ let () =
         parse rest
     | "--only" :: names :: rest ->
         only := String.split_on_char ',' names;
-        parse rest
-    | "--no-micro" :: rest ->
-        bench := false;
         parse rest
     | "--interp" :: which :: rest ->
         (match which with
@@ -963,7 +887,6 @@ let () =
         timings := !timings @ [ (name, Unix.gettimeofday () -. t0) ]
       end)
     all_experiments;
-  if !bench && (!only = [] || List.mem "micro" !only) then microbenches ();
   if !profile then print_interp_profile ~reps:!reps;
   Option.iter trace_exports !trace_dir;
   Option.iter Obs.Progress.finish !reporter;

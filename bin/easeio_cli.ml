@@ -426,33 +426,43 @@ let trace_cmd =
     | spec ->
         let failure = Option.value ~default:Failure.paper_timer failure_spec in
         let recorder = Trace.Recorder.create () in
+        let sheet = Obs.Sheet.create () in
+        let machine_events = ref [] in
         let one =
-          spec.Apps.Common.run ~sink:(Trace.Recorder.sink recorder) variant ~failure ~seed
+          spec.Apps.Common.run ~sink:(Trace.Recorder.sink recorder) ~meter:sheet
+            ~probe:(fun m -> machine_events := Machine.events m)
+            variant ~failure ~seed
         in
         let events = Trace.Recorder.events recorder in
-        let profile = Trace.Profile.of_events events in
         (* the trace must agree, event by event, with the simulator's
            own accounting — refuse to emit one that doesn't *)
-        (match
-           Trace.Profile.reconcile profile ~app_us:one.Expkit.Run.app_us
-             ~ovh_us:one.Expkit.Run.ovh_us ~wasted_us:one.Expkit.Run.wasted_us
-             ~commits:one.Expkit.Run.commits ~attempts:one.Expkit.Run.attempts
-             ~io:one.Expkit.Run.io
-         with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.eprintf "easeio trace: trace disagrees with metrics: %s\n" msg;
-            exit 1);
+        let profile =
+          match Expkit.Run.check_trace one events with
+          | Ok p -> p
+          | Error msg ->
+              Printf.eprintf "easeio trace: trace disagrees with metrics: %s\n" msg;
+              exit 1
+        in
         (match format with
         | `Chrome -> Expkit.Json.to_file out (Trace.Export.chrome events)
         | `Text -> write_file_atomic out (Trace.Export.text events)
         | `Profile ->
             let golden = spec.Apps.Common.run variant ~failure:Failure.No_failures ~seed:0 in
-            let redundant = Trace.Profile.redundant profile ~golden:golden.Expkit.Run.io in
             let body =
-              match Trace.Profile.to_json profile with
+              match Obs.Attr.to_json profile with
               | Expkit.Json.Obj fields ->
-                  Expkit.Json.Obj (fields @ [ ("redundant_io", Expkit.Json.Int redundant) ])
+                  Expkit.Json.Obj
+                    (fields
+                    @ [
+                        ( "io_executions",
+                          Expkit.Json.Obj
+                            (List.map (fun (k, n) -> (k, Expkit.Json.Int n)) one.Expkit.Run.io) );
+                        ( "redundant_io",
+                          Expkit.Json.Int (Expkit.Run.redundant_vs_golden ~golden one) );
+                        ( "obs",
+                          Obs.Snapshot.to_json (Obs.Snapshot.of_sheet ~events:!machine_events sheet)
+                        );
+                      ])
               | j -> j
             in
             Expkit.Json.to_file out body);
@@ -479,7 +489,8 @@ let trace_cmd =
       & info [ "format" ]
           ~doc:
             "Export format: $(b,chrome) (trace-event JSON for ui.perfetto.dev), $(b,text) (one \
-             line per event), or $(b,profile) (per-task/per-site aggregates).")
+             line per event), or $(b,profile) (the run's per-task/per-site attribution, I/O \
+             counts, redundant I/O and metrics snapshot).")
   in
   Cmd.v
     (Cmd.info "trace"

@@ -308,14 +308,13 @@ let dma_copy ?(exclude = false) ?(force = false) ?(deps = []) ?(name = "DMA") t 
         in
         (* phase 2 always runs (the destination is volatile): the
            decision reflects whether phase 1 (the snapshot) was fresh *)
-        (if Machine.traced t.m then
-           let reason =
-             if phase1_done then "done"
-             else if force then "force"
-             else if effective t = Force then "block-force"
-             else "first"
-           in
-           trace_io t s ~site:key ~kind:"dma-priv" ~sem:Semantics.Single `Exec ~reason);
+        let reason =
+          if phase1_done then "done"
+          else if force then "force"
+          else if effective t = Force then "block-force"
+          else "first"
+        in
+        trace_io t s ~site:key ~kind:"dma-priv" ~sem:Semantics.Single `Exec ~reason;
         if not phase1_done then begin
           (* phase 1: snapshot the (non-volatile) source into the
              privatization buffer; runtime bookkeeping, hence overhead *)

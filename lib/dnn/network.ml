@@ -51,7 +51,6 @@ let create m ~buffering =
   t
 
 let image_loc t = Loc.fram t.image
-let result_loc t = Loc.fram t.result
 let result m t = Memory.read (Machine.mem m Memory.Fram) t.result
 
 (* activation buffer for a stage: single buffering reuses buf_a in

@@ -40,7 +40,6 @@ val run_layer : Machine.t -> Layers.mover -> t -> int -> unit
 (** [run_layer m mover net i] executes stage [i]; stage
     [layer_count - 1] (argmax) stores the class into the result slot. *)
 
-val result_loc : t -> Loc.t
 val result : Machine.t -> t -> int
 
 val infer_reference : int array -> int

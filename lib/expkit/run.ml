@@ -67,6 +67,35 @@ let redundant_io gtbl one =
 
 let redundant_vs_golden ~golden one = redundant_io (golden_io_table golden) one
 
+let check_trace one events =
+  let attr = Obs.Attr.create () in
+  let attr_sink = Obs.Attr.sink attr in
+  let counts = Hashtbl.create 8 in
+  List.iter
+    (fun (e : Trace.Event.t) ->
+      attr_sink e;
+      match e.payload with
+      | Trace.Event.Count { name; count } when String.starts_with ~prefix:"io:" name ->
+          Hashtbl.replace counts name count
+      | _ -> ())
+    events;
+  Obs.Attr.add_run attr;
+  let profile = Obs.Attr.profile attr in
+  let show io = String.concat "; " (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) io) in
+  match
+    Obs.Attr.reconcile profile ~app_us:one.app_us ~ovh_us:one.ovh_us ~wasted_us:one.wasted_us
+      ~commits:one.commits ~attempts:one.attempts
+  with
+  | Error _ as e -> e
+  | Ok () ->
+      let traced = List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts []) in
+      let expected = List.sort compare one.io in
+      if traced = expected then Ok profile
+      else
+        Error
+          (Printf.sprintf "io executions: metrics say [%s], trace says [%s]" (show expected)
+             (show traced))
+
 let average ?jobs ?tick ~runs ~golden f =
   if runs < 1 then invalid_arg "Run.average: runs must be positive";
   let g = golden () in

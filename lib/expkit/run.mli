@@ -60,5 +60,14 @@ val io_total : one -> int
 
 val redundant_vs_golden : golden:one -> one -> int
 (** Per-kind I/O executions beyond the golden (continuous-power) run's
-    need, summed: [Σ max 0 (n - golden_n)]. The same measure {!average}
-    aggregates, exposed for single runs (CLI, trace validation). *)
+    need, summed: [Σ max 0 (n - golden_n)]. The one definition of
+    redundant I/O: {!average} aggregates it, and single runs (CLI,
+    trace validation) report it. *)
+
+val check_trace : one -> Trace.Event.t list -> (Obs.Attr.profile, string) result
+(** [check_trace one events] folds one run's trace through an
+    {!Obs.Attr} collector and checks it against the run's own
+    accounting: the µs buckets, commits and attempts through
+    {!Obs.Attr.reconcile}, and the trace's last [Count] event per
+    ["io:"] kind against [one.io]. Returns the one-run profile, or the
+    first discrepancy. *)

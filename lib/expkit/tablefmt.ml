@@ -13,4 +13,3 @@ let heading title =
 let ms v = Printf.sprintf "%.2fms" v
 let uj v = Printf.sprintf "%.1fuJ" v
 let f1 v = Printf.sprintf "%.1f" v
-let pct v = Printf.sprintf "%.1f%%" v

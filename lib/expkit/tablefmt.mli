@@ -14,5 +14,3 @@ val ms : float -> string
 val uj : float -> string
 val f1 : float -> string
 (** One-decimal float. *)
-
-val pct : float -> string

@@ -2,14 +2,3 @@ open Platform
 
 let is_io (name, _) = String.length name > 3 && String.sub name 0 3 = "io:"
 let io_executions m = List.filter is_io (Machine.events m)
-let total_io m = List.fold_left (fun acc (_, n) -> acc + n) 0 (io_executions m)
-
-let redundant_io ~golden ~test =
-  List.fold_left
-    (fun acc (name, n) -> acc + max 0 (n - Machine.event golden name))
-    0 (io_executions test)
-
-let ranges_equal ~a ~b (loc : Loc.t) ~words =
-  let ma = Machine.mem a loc.space and mb = Machine.mem b loc.space in
-  let rec go i = i >= words || (Memory.read ma (loc.addr + i) = Memory.read mb (loc.addr + i) && go (i + 1)) in
-  go 0

@@ -1,22 +1,12 @@
-(** Reference (continuous-power) runs and comparison helpers.
+(** Per-kind I/O execution counts of a run.
 
-    Correctness experiments (Fig. 12, Table 5) compare an intermittent
-    run's outputs against a golden run under continuous power, and the
-    "redundant I/O" metric (Table 4) is the difference between the I/O
-    executions an intermittent run performed and the number a
-    continuous-power run needs. *)
+    The "redundant I/O" metric (Table 4) is the difference between the
+    I/O executions an intermittent run performed and the number a
+    continuous-power (golden) run needs; [Expkit.Run.redundant_vs_golden]
+    computes it from these counts. *)
 
 open Platform
 
 val io_executions : Machine.t -> (string * int) list
 (** Event counters whose name starts with ["io:"] — one entry per
     peripheral operation kind, value = number of executions. *)
-
-val total_io : Machine.t -> int
-
-val redundant_io : golden:Machine.t -> test:Machine.t -> int
-(** Executions performed by [test] beyond what [golden] needed, summed
-    over operation kinds (never negative per kind). *)
-
-val ranges_equal : a:Machine.t -> b:Machine.t -> Loc.t -> words:int -> bool
-(** Word-for-word comparison of the same location in two machines. *)

@@ -52,7 +52,6 @@ let assign ~src ~dst =
   dst.attempts <- src.attempts
 
 let total_us t = t.useful_app_us + t.useful_ovh_us + t.wasted_us
-let total_nj t = t.useful_app_nj +. t.useful_ovh_nj +. t.wasted_nj
 
 let to_json t =
   Trace.Json.Obj
@@ -66,7 +65,3 @@ let to_json t =
       ("commits", Trace.Json.Int t.commits);
       ("attempts", Trace.Json.Int t.attempts);
     ]
-
-let pp ppf t =
-  Format.fprintf ppf "app=%a ovh=%a wasted=%a commits=%d attempts=%d" Units.pp_time
-    t.useful_app_us Units.pp_time t.useful_ovh_us Units.pp_time t.wasted_us t.commits t.attempts

@@ -33,10 +33,6 @@ val assign : src:t -> dst:t -> unit
 val total_us : t -> int
 (** useful app + overhead + wasted (excludes off-time). *)
 
-val total_nj : t -> float
-
 val to_json : t -> Trace.Json.t
 (** All eight fields as a flat object (the [--json] payload of
     [easeio run] and the reference side of the trace reconciliation). *)
-
-val pp : Format.formatter -> t -> unit

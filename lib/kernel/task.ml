@@ -27,4 +27,3 @@ let index_of app name =
   go 0 app.tasks
 
 let task_of_index app i = List.nth app.tasks i
-let task_count app = List.length app.tasks

@@ -35,4 +35,3 @@ val find : app -> string -> t
 
 val index_of : app -> string -> int
 val task_of_index : app -> int -> t
-val task_count : app -> int

@@ -1,9 +1,8 @@
-(* Campaign-scale attribution: where a whole sweep's time, energy and
+(* Attribution: where a run's or a whole sweep's time, energy and
    redundant I/O went, per task and per I/O site. A collector is a
    fold over [Trace.Event] streams — attach [sink] to each run and the
    events are aggregated in place, so a 10^4-run campaign never holds
-   more than one run's worth of events (contrast [Trace.Profile],
-   which stores the event list of a single run).
+   more than one run's worth of events.
 
    Energy is a float, and float addition is not associative — so
    unlike [Snapshot], profiles must only ever be merged in a fixed

@@ -1,5 +1,5 @@
-(** Campaign attribution profiles: per-task and per-I/O-site
-    time/energy/redundancy aggregated over a whole sweep.
+(** Attribution profiles: per-task and per-I/O-site
+    time/energy/redundancy aggregated over one run or a whole sweep.
 
     A collector folds [Trace.Event] streams in place — attach {!sink}
     to each run of a campaign and only the aggregate is retained, so
@@ -7,10 +7,10 @@
     Freeze with {!profile}; combine shards with {!merge}.
 
     Integer µs fields merge exactly and are checked by {!reconcile}
-    against summed [Kernel.Metrics], mirroring [Trace.Profile]'s
-    single-run reconciliation. Energy fields are floats, so profiles
-    must be merged in a fixed fold order (campaigns use seed/schedule
-    order) to stay deterministic. *)
+    against summed [Kernel.Metrics]; a single traced run is checked the
+    same way by [Expkit.Run.check_trace]. Energy fields are floats, so
+    profiles must be merged in a fixed fold order (campaigns use
+    seed/schedule order) to stay deterministic. *)
 
 type task = {
   task : string;

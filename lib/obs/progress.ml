@@ -59,7 +59,6 @@ let create ?(interval_s = 0.5) ?(total = 0) mode ~label =
   { mode; sink_lock = Mutex.create (); label; interval = interval_s; start = Unix.gettimeofday ();
     total; cells = 0; runs = 0; last = 0. }
 
-let set_total t total = locked (fun () -> t.total <- total)
 let add_total t n = locked (fun () -> t.total <- t.total + n)
 
 let rates t now =

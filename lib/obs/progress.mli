@@ -32,9 +32,7 @@ type t
 
 val create : ?interval_s:float -> ?total:int -> mode -> label:string -> t
 (** [interval_s] rate-limits heartbeats (default 0.5 s). [total] is
-    the expected cell count (settable later via {!set_total}). *)
-
-val set_total : t -> int -> unit
+    the expected cell count (grown later via {!add_total}). *)
 
 val add_total : t -> int -> unit
 (** Grow the expected total as work is discovered (a campaign learns

@@ -1,7 +1,6 @@
 type plan = { drop_sends : int list; glitch_reads : int list; interrupt_dmas : int list }
 
 let none = { drop_sends = []; glitch_reads = []; interrupt_dmas = [] }
-let is_none p = p.drop_sends = [] && p.glitch_reads = [] && p.interrupt_dmas = []
 
 type t = {
   plan : plan;

@@ -16,7 +16,6 @@ type plan = {
 }
 
 val none : plan
-val is_none : plan -> bool
 
 type t
 (** Per-run mutable counters over a plan. *)

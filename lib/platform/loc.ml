@@ -4,4 +4,3 @@ let fram addr = { space = Memory.Fram; addr }
 let sram addr = { space = Memory.Sram; addr }
 let is_nv t = t.space = Memory.Fram
 let offset t n = { t with addr = t.addr + n }
-let pp ppf t = Format.fprintf ppf "%a:0x%04x" Memory.pp_space t.space t.addr

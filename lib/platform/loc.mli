@@ -10,4 +10,3 @@ val fram : int -> t
 val sram : int -> t
 val is_nv : t -> bool
 val offset : t -> int -> t
-val pp : Format.formatter -> t -> unit

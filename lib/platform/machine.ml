@@ -584,8 +584,6 @@ let snapshot_behavior_hash sn =
   !h land max_int
 
 let snapshot_charges sn = sn.sn_charges
-let snapshot_now sn = sn.sn_now
-let snapshot_failure_spec sn = sn.sn_failure_spec
 let snapshot_fram sn = sn.sn_fram
 let snapshot_sram sn = sn.sn_sram
 

@@ -291,8 +291,6 @@ val snapshot_behavior_hash : snapshot -> int
     [nv_volatile] regions. *)
 
 val snapshot_charges : snapshot -> int
-val snapshot_now : snapshot -> Units.time_us
-val snapshot_failure_spec : snapshot -> Failure.spec
 val snapshot_fram : snapshot -> Memory.image
 val snapshot_sram : snapshot -> Memory.image
 

@@ -1,7 +1,6 @@
 type space = Fram | Sram
 
 let space_to_string = function Fram -> "FRAM" | Sram -> "SRAM"
-let pp_space ppf s = Format.pp_print_string ppf (space_to_string s)
 
 (* {1 Resident prefix}
 

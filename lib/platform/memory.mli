@@ -18,7 +18,6 @@
 
 type space = Fram | Sram
 
-val pp_space : Format.formatter -> space -> unit
 val space_to_string : space -> string
 
 type t

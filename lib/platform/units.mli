@@ -15,21 +15,6 @@ type energy_pj = int
 type energy_nj = float
 (** Reported energy, in nanojoules. *)
 
-val us_of_ms : int -> time_us
-(** [us_of_ms ms] converts milliseconds to microseconds. *)
-
-val ms_of_us : time_us -> float
-(** [ms_of_us t] converts microseconds to (fractional) milliseconds. *)
-
 val nj_of_pj : energy_pj -> energy_nj
 (** [nj_of_pj e] converts picojoules to nanojoules (one correctly
     rounded division). *)
-
-val uj_of_nj : energy_nj -> float
-(** [uj_of_nj e] converts nanojoules to microjoules. *)
-
-val pp_time : Format.formatter -> time_us -> unit
-(** Pretty-print a duration as milliseconds with two decimals. *)
-
-val pp_energy : Format.formatter -> energy_nj -> unit
-(** Pretty-print an energy amount as microjoules with two decimals. *)

@@ -66,8 +66,6 @@ let privatized t v = v.war && t.strategy <> Direct
 let ink_active t v = if Machine.read t.m Memory.Fram v.index = 0 then v.primary else v.shadow
 let ink_working t v = if Machine.read t.m Memory.Fram v.index = 0 then v.shadow else v.primary
 
-let var_loc _t v = Loc.fram v.primary
-
 let raw_loc t v =
   match t.strategy with
   | Direct | Alpaca -> Loc.fram v.primary

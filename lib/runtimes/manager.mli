@@ -41,9 +41,6 @@ val declare : ?war:bool -> t -> name:string -> words:int -> var
     compile-time analysis would find); only such variables are
     privatized. Allocation is link-time (uncharged). *)
 
-val var_loc : t -> var -> Loc.t
-(** The variable's canonical FRAM location. *)
-
 val raw_loc : t -> var -> Loc.t
 (** Address DMA should use — always the unmediated backing store. *)
 

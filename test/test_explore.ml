@@ -37,19 +37,21 @@ let test_snapshot_round_trip =
          let m = Machine.create ~seed:11 () in
          let apply ws = List.iter (fun (sp, a, v) -> Memory.write (Machine.mem m sp) a v) ws in
          apply before;
-         let s1 = Snapshot.capture m in
+         let s1 = Machine.snapshot m in
          apply after;
-         Snapshot.restore m s1;
-         let s2 = Snapshot.capture m in
+         Machine.restore_snapshot m s1;
+         let s2 = Machine.snapshot m in
          List.for_all
-           (fun (sp, a, _) -> Memory.read (Machine.mem m sp) a = Memory.image_get
-                                                                    (match sp with
-                                                                    | Memory.Fram -> Snapshot.fram s1
-                                                                    | _ -> Snapshot.sram s1)
-                                                                    a)
+           (fun (sp, a, _) ->
+             let image =
+               match sp with
+               | Memory.Fram -> Machine.snapshot_fram s1
+               | _ -> Machine.snapshot_sram s1
+             in
+             Memory.read (Machine.mem m sp) a = Memory.image_get image a)
            after
-         && Snapshot.hash s1 = Snapshot.hash s2
-         && Snapshot.behavior_hash s1 = Snapshot.behavior_hash s2))
+         && Machine.snapshot_hash s1 = Machine.snapshot_hash s2
+         && Machine.snapshot_behavior_hash s1 = Machine.snapshot_behavior_hash s2))
 
 (* {1 Stepper = Engine.run}
 

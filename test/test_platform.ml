@@ -378,11 +378,11 @@ let test_machine_create_is_lazy () =
   let allocated = Gc.allocated_bytes () -. before in
   checkb (Printf.sprintf "create allocated %.0f bytes" allocated) true (allocated < 16_384.);
   let copied sn =
-    Memory.image_copied (Snapshot.fram sn) + Memory.image_copied (Snapshot.sram sn)
+    Memory.image_copied (Machine.snapshot_fram sn) + Memory.image_copied (Machine.snapshot_sram sn)
   in
-  checki "first capture counts every nominal page" (2_048 + 64) (copied (Snapshot.capture m));
+  checki "first capture counts every nominal page" (2_048 + 64) (copied (Machine.snapshot m));
   Memory.write (Machine.mem m Memory.Fram) 100_000 3;
-  checki "then only the dirty page" 1 (copied (Snapshot.capture m))
+  checki "then only the dirty page" 1 (copied (Machine.snapshot m))
 
 (* {1 Capacitor} *)
 

@@ -1,7 +1,7 @@
 (* Tests for the execution-tracing subsystem: determinism of the
    exporters, the skip-only-for-Single/Timely property, reconciliation
-   of the derived profile against the simulator's own accounting, and
-   the exporters' output shape. *)
+   of a run's attribution profile ([Expkit.Run.check_trace]) against
+   the simulator's own accounting, and the exporters' output shape. *)
 
 open Platform
 
@@ -18,14 +18,17 @@ let record_run ?(variant = Apps.Common.Easeio) ?(seed = 1) (spec : Apps.Common.s
   in
   (one, Trace.Recorder.events recorder)
 
+let profile_of (one, events) =
+  match Expkit.Run.check_trace one events with Ok p -> p | Error msg -> Alcotest.fail msg
+
 (* {1 Determinism} *)
 
 let test_same_seed_same_bytes () =
   let export spec =
-    let _, events = record_run spec in
+    let ((_, events) as run) = record_run spec in
     ( Trace.Json.to_string (Trace.Export.chrome events),
       Trace.Export.text events,
-      Trace.Json.to_string (Trace.Profile.to_json (Trace.Profile.of_events events)) )
+      Trace.Json.to_string (Obs.Attr.to_json (profile_of run)) )
   in
   let c1, t1, p1 = export Apps.Uni.temp in
   let c2, t2, p2 = export Apps.Uni.temp in
@@ -89,12 +92,7 @@ let test_weather_skip_never_always () =
         (List.length (skip_always_violations events)))
     Apps.Common.all_variants
 
-(* {1 Reconciliation with Metrics and Golden} *)
-
-let reconcile_one (one : Expkit.Run.one) events =
-  Trace.Profile.reconcile (Trace.Profile.of_events events) ~app_us:one.Expkit.Run.app_us
-    ~ovh_us:one.Expkit.Run.ovh_us ~wasted_us:one.Expkit.Run.wasted_us
-    ~commits:one.Expkit.Run.commits ~attempts:one.Expkit.Run.attempts ~io:one.Expkit.Run.io
+(* {1 Reconciliation with Metrics} *)
 
 let test_profile_reconciles () =
   List.iter
@@ -104,8 +102,8 @@ let test_profile_reconciles () =
           List.iter
             (fun seed ->
               let one, events = record_run ~variant ~seed spec in
-              match reconcile_one one events with
-              | Ok () -> ()
+              match Expkit.Run.check_trace one events with
+              | Ok _ -> ()
               | Error msg ->
                   Alcotest.failf "%s/%s seed %d: %s" spec.Apps.Common.app_name
                     (Apps.Common.variant_name variant) seed msg)
@@ -113,26 +111,29 @@ let test_profile_reconciles () =
         Apps.Common.all_variants)
     [ Apps.Uni.dma; Apps.Uni.temp; Apps.Weather.spec ]
 
-let test_redundant_io_matches_golden () =
+(* The check must refuse a run summary that is off by one in any
+   bucket it reconciles. *)
+let test_check_refuses_off_by_one () =
+  let one, events = record_run Apps.Weather.spec in
+  let bump_io = function (k, n) :: rest -> (k, n + 1) :: rest | [] -> Alcotest.fail "no io" in
   List.iter
-    (fun variant ->
-      let one, events = record_run ~variant Apps.Weather.spec in
-      let golden =
-        Apps.Weather.spec.Apps.Common.run variant ~failure:Failure.No_failures ~seed:0
-      in
-      let profile = Trace.Profile.of_events events in
-      checki
-        (Printf.sprintf "trace redundant == golden redundant (%s)"
-           (Apps.Common.variant_name variant))
-        (Expkit.Run.redundant_vs_golden ~golden one)
-        (Trace.Profile.redundant profile ~golden:golden.Expkit.Run.io))
-    Apps.Common.all_variants
+    (fun (what, (off : Expkit.Run.one)) ->
+      checkb (what ^ " off by one is refused") true
+        (Result.is_error (Expkit.Run.check_trace off events)))
+    [
+      ("app us", { one with app_us = one.app_us + 1 });
+      ("overhead us", { one with ovh_us = one.ovh_us + 1 });
+      ("wasted us", { one with wasted_us = one.wasted_us + 1 });
+      ("commits", { one with commits = one.commits + 1 });
+      ("attempts", { one with attempts = one.attempts + 1 });
+      ("one io kind", { one with io = bump_io one.io });
+    ]
 
 let test_power_failures_counted () =
-  let one, events = record_run Apps.Weather.spec in
-  let profile = Trace.Profile.of_events events in
-  checki "trace power failures == engine count" one.Expkit.Run.pf profile.Trace.Profile.power_failures;
-  checki "boots = failures + 1" (one.Expkit.Run.pf + 1) profile.Trace.Profile.boots
+  let ((one, _) as run) = record_run Apps.Weather.spec in
+  let profile = profile_of run in
+  checki "trace power failures == engine count" one.Expkit.Run.pf profile.Obs.Attr.power_failures;
+  checki "boots = failures + 1" (one.Expkit.Run.pf + 1) profile.Obs.Attr.boots
 
 (* {1 Chrome export shape} *)
 
@@ -218,8 +219,7 @@ let () =
       ( "reconciliation",
         [
           Alcotest.test_case "profile == metrics" `Quick test_profile_reconciles;
-          Alcotest.test_case "redundant io == golden probe" `Quick
-            test_redundant_io_matches_golden;
+          Alcotest.test_case "off-by-one summaries refused" `Quick test_check_refuses_off_by_one;
           Alcotest.test_case "power failures counted" `Quick test_power_failures_counted;
         ] );
       ( "exporters",

@@ -309,14 +309,13 @@ let test_step_limit_inside_block () =
     "step limit exceeded (infinite loop?)"
 
 (* Observers force the per-op path: a metered run must count every
-   per-op dispatch — as many as when a sink forces the per-op path too
-   (only the [vm/] counters are compared there: private-DMA I/O
-   verdicts are metered only when traced) — a traced run must emit the
-   same events as the tree walker, and both must leave the same
-   results. *)
+   per-op dispatch and every I/O verdict — as many as when a sink forces
+   the per-op path too — a traced run must emit the same events as the
+   tree walker, and both must leave the same results. *)
 let counters sheet = (Obs.Snapshot.of_sheet sheet).Obs.Snapshot.counters
 
 let is_vm (k, _) = String.starts_with ~prefix:"vm/" k
+let is_io (k, _) = String.starts_with ~prefix:"io/" k
 let without_vm cs = List.filter (fun c -> not (is_vm c)) cs
 
 let run_with interp f =
@@ -344,6 +343,13 @@ let test_metered_run () =
       checkb (name ^ ": metered result") true (tr = vr);
       checkb (name ^ ": shared counters") true (without_vm tc = without_vm vc);
       checkb (name ^ ": dispatch counts") true (List.filter is_vm vc = List.filter is_vm vc_traced);
+      checkb (name ^ ": io counters with and without a sink") true
+        (List.filter is_io vc = List.filter is_io vc_traced);
+      (* the sink-less counts include the verdicts of FIR's three
+         private DMAs *)
+      if name = "FIR" then
+        checkb "FIR: private-DMA verdicts counted" true
+          (List.filter is_io vc = [ ("io/exec", 4); ("io/replay", 6); ("io/skip", 2) ]);
       checkb (name ^ ": ops counted") true
         (List.exists (fun (k, n) -> k = "vm/op/stmt" && n > 0) vc);
       checkb (name ^ ": no block counter") true

@@ -42,28 +42,28 @@ let spec_breakdown ~runs (spec : Common.spec) variants =
    at exit. Collection is append-only and cheap, so it is always on. *)
 
 let breakdown_json (b : Expkit.Experiments.breakdown) =
-  Expkit.Json.Obj
+  Trace.Json.Obj
     [
-      ("runtime", Expkit.Json.String b.Expkit.Experiments.b_label);
-      ("app_ms", Expkit.Json.Float b.Expkit.Experiments.b_app_ms);
-      ("overhead_ms", Expkit.Json.Float b.Expkit.Experiments.b_ovh_ms);
-      ("wasted_ms", Expkit.Json.Float b.Expkit.Experiments.b_wasted_ms);
-      ("total_ms", Expkit.Json.Float b.Expkit.Experiments.b_total_ms);
-      ("energy_uj", Expkit.Json.Float b.Expkit.Experiments.b_energy_uj);
-      ("power_failures", Expkit.Json.Float b.Expkit.Experiments.b_pf);
-      ("io_execs", Expkit.Json.Float b.Expkit.Experiments.b_io);
-      ("redundant_io", Expkit.Json.Float b.Expkit.Experiments.b_redundant);
-      ("incorrect_runs", Expkit.Json.Int b.Expkit.Experiments.b_incorrect);
-      ("runs", Expkit.Json.Int b.Expkit.Experiments.b_runs);
+      ("runtime", Trace.Json.String b.Expkit.Experiments.b_label);
+      ("app_ms", Trace.Json.Float b.Expkit.Experiments.b_app_ms);
+      ("overhead_ms", Trace.Json.Float b.Expkit.Experiments.b_ovh_ms);
+      ("wasted_ms", Trace.Json.Float b.Expkit.Experiments.b_wasted_ms);
+      ("total_ms", Trace.Json.Float b.Expkit.Experiments.b_total_ms);
+      ("energy_uj", Trace.Json.Float b.Expkit.Experiments.b_energy_uj);
+      ("power_failures", Trace.Json.Float b.Expkit.Experiments.b_pf);
+      ("io_execs", Trace.Json.Float b.Expkit.Experiments.b_io);
+      ("redundant_io", Trace.Json.Float b.Expkit.Experiments.b_redundant);
+      ("incorrect_runs", Trace.Json.Int b.Expkit.Experiments.b_incorrect);
+      ("runs", Trace.Json.Int b.Expkit.Experiments.b_runs);
     ]
 
-let json_workloads : (string * Expkit.Json.t) list ref = ref []
+let json_workloads : (string * Trace.Json.t) list ref = ref []
 
 let record_workload key rows =
   if not (List.mem_assoc key !json_workloads) then
-    json_workloads := !json_workloads @ [ (key, Expkit.Json.List (List.map breakdown_json rows)) ]
+    json_workloads := !json_workloads @ [ (key, Trace.Json.List (List.map breakdown_json rows)) ]
 
-let json_experiments : (string * Expkit.Json.t) list ref = ref []
+let json_experiments : (string * Trace.Json.t) list ref = ref []
 
 let record_experiment key v =
   if not (List.mem_assoc key !json_experiments) then
@@ -188,14 +188,14 @@ let table5 ~reps =
           rows :=
             !rows
             @ [
-                Expkit.Json.Obj
+                Trace.Json.Obj
                   [
-                    ("runtime", Expkit.Json.String (Common.variant_name v));
-                    ("buffering", Expkit.Json.String buf_name);
-                    ("continuous_ms", Expkit.Json.Float cont_ms);
-                    ("intermittent_ms", Expkit.Json.Float avg_ms);
-                    ("incorrect_runs", Expkit.Json.Int !bad);
-                    ("runs", Expkit.Json.Int reps);
+                    ("runtime", Trace.Json.String (Common.variant_name v));
+                    ("buffering", Trace.Json.String buf_name);
+                    ("continuous_ms", Trace.Json.Float cont_ms);
+                    ("intermittent_ms", Trace.Json.Float avg_ms);
+                    ("incorrect_runs", Trace.Json.Int !bad);
+                    ("runs", Trace.Json.Int reps);
                   ];
               ];
           print_endline
@@ -210,7 +210,7 @@ let table5 ~reps =
         baselines;
       print_endline (Expkit.Tablefmt.rule w))
     [ `Double; `Single ];
-  record_experiment "table5" (Expkit.Json.List !rows)
+  record_experiment "table5" (Trace.Json.List !rows)
 
 (* {1 Table 6: memory and code size} *)
 
@@ -341,14 +341,14 @@ let fig13 ~reps =
           rows :=
             !rows
             @ [
-                Expkit.Json.Obj
+                Trace.Json.Obj
                   [
-                    ("distance_inch", Expkit.Json.Float distance);
-                    ("runtime", Expkit.Json.String (Common.variant_name v));
-                    ("total_ms", Expkit.Json.Float total);
-                    ("delta_vs_easeio_op_ms", Expkit.Json.Float (total -. base));
-                    ("power_failures", Expkit.Json.Float pf);
-                    ("runs", Expkit.Json.Int reps);
+                    ("distance_inch", Trace.Json.Float distance);
+                    ("runtime", Trace.Json.String (Common.variant_name v));
+                    ("total_ms", Trace.Json.Float total);
+                    ("delta_vs_easeio_op_ms", Trace.Json.Float (total -. base));
+                    ("power_failures", Trace.Json.Float pf);
+                    ("runs", Trace.Json.Int reps);
                   ];
               ];
           print_endline
@@ -363,7 +363,7 @@ let fig13 ~reps =
         with_op;
       print_endline (Expkit.Tablefmt.rule w))
     fig13_distances;
-  record_experiment "fig13" (Expkit.Json.List !rows)
+  record_experiment "fig13" (Trace.Json.List !rows)
 
 (* {1 Ablations (DESIGN.md §6): which EaseIO mechanism buys what}
 
@@ -399,18 +399,18 @@ task t {
 
 let fig6_kernel_run ~ablate_regions ~seed =
   let setup t =
-    let m = Common.Exec.machine t in
-    Common.flash m (Common.Exec.global_loc t "a") (Array.init 64 (fun i -> 10 + i));
-    Common.flash m (Common.Exec.global_loc t "b") (Array.init 64 (fun i -> 50 + i))
+    let m = Lang.Interp.machine t in
+    Common.flash m (Lang.Interp.global_loc t "a") (Array.init 64 (fun i -> 10 + i));
+    Common.flash m (Lang.Interp.global_loc t "b") (Array.init 64 (fun i -> 50 + i))
   in
   let check t =
     (* golden: b = old a; a unchanged except a[0] = old b[0] *)
-    let ok = ref (Common.Exec.read_global t "a" 0 = 50) in
+    let ok = ref (Lang.Interp.read_global t "a" 0 = 50) in
     for i = 1 to 63 do
-      if Common.Exec.read_global t "a" i <> 10 + i then ok := false
+      if Lang.Interp.read_global t "a" i <> 10 + i then ok := false
     done;
     for i = 0 to 63 do
-      if Common.Exec.read_global t "b" i <> 10 + i then ok := false
+      if Lang.Interp.read_global t "b" i <> 10 + i then ok := false
     done;
     !ok
   in
@@ -471,18 +471,18 @@ let ablations ~reps =
       rows :=
         !rows
         @ [
-            Expkit.Json.Obj
+            Trace.Json.Obj
               [
-                ("configuration", Expkit.Json.String label);
-                ("total_ms", Expkit.Json.Float total);
-                ("wasted_ms", Expkit.Json.Float wasted);
-                ("incorrect_runs", Expkit.Json.Int bad);
-                ("runs", Expkit.Json.Int reps);
+                ("configuration", Trace.Json.String label);
+                ("total_ms", Trace.Json.Float total);
+                ("wasted_ms", Trace.Json.Float wasted);
+                ("incorrect_runs", Trace.Json.Int bad);
+                ("runs", Trace.Json.Int reps);
               ];
           ];
       line label total wasted bad)
     cases;
-  record_experiment "ablations" (Expkit.Json.List !rows)
+  record_experiment "ablations" (Trace.Json.List !rows)
 
 (* {1 Prefix-resume: checkpointed vs from-power-on boundary sweep}
 
@@ -537,21 +537,21 @@ let sweep_resume ~reps =
          Printf.sprintf "%.1fx" (if resumed_s > 0. then replay_s /. resumed_s else 1.);
        ]);
   record_experiment "sweep_resume"
-    (Expkit.Json.Obj
+    (Trace.Json.Obj
        [
-         ("app", Expkit.Json.String Weather.spec.Common.app_name);
-         ("runtime", Expkit.Json.String "EaseIO");
-         ("stride", Expkit.Json.Int stride);
-         ("cases", Expkit.Json.Int run);
-         ("reports_identical", Expkit.Json.Bool true);
-         ("resumed_wall_s", Expkit.Json.Float resumed_s);
-         ("replay_wall_s", Expkit.Json.Float replay_s);
-         ("resumed_runs_per_s", Expkit.Json.Float (per_s resumed_s));
-         ("replay_runs_per_s", Expkit.Json.Float (per_s replay_s));
-         ("resumed_jobs", Expkit.Json.Int par_jobs);
-         ("recommended_domains", Expkit.Json.Int (Domain.recommended_domain_count ()));
-         ("resumed_parallel_wall_s", Expkit.Json.Float parallel_s);
-         ("resumed_parallel_runs_per_s", Expkit.Json.Float (per_s parallel_s));
+         ("app", Trace.Json.String Weather.spec.Common.app_name);
+         ("runtime", Trace.Json.String "EaseIO");
+         ("stride", Trace.Json.Int stride);
+         ("cases", Trace.Json.Int run);
+         ("reports_identical", Trace.Json.Bool true);
+         ("resumed_wall_s", Trace.Json.Float resumed_s);
+         ("replay_wall_s", Trace.Json.Float replay_s);
+         ("resumed_runs_per_s", Trace.Json.Float (per_s resumed_s));
+         ("replay_runs_per_s", Trace.Json.Float (per_s replay_s));
+         ("resumed_jobs", Trace.Json.Int par_jobs);
+         ("recommended_domains", Trace.Json.Int (Domain.recommended_domain_count ()));
+         ("resumed_parallel_wall_s", Trace.Json.Float parallel_s);
+         ("resumed_parallel_runs_per_s", Trace.Json.Float (per_s parallel_s));
        ])
 
 (* {1 Campaign service: cold compute vs warm cache replay}
@@ -592,7 +592,7 @@ let serve_cache ~reps =
   let report =
     Faultkit.Campaign.run ~jobs:1 ~resume:true ~sweep ~variants:[ Common.Easeio ] Weather.spec
   in
-  let oneshot = Expkit.Json.to_string (Faultkit.Campaign.to_json report) in
+  let oneshot = Trace.Json.to_string (Faultkit.Campaign.to_json report) in
   if cold.Serve.Client.doc <> oneshot || warm.Serve.Client.doc <> oneshot then begin
     Obs.Progress.log "serve-cache: server document differs from the one-shot campaign";
     exit 1
@@ -622,21 +622,21 @@ let serve_cache ~reps =
          Printf.sprintf "%.0fx" speedup;
        ]);
   record_experiment "serve_cache"
-    (Expkit.Json.Obj
+    (Trace.Json.Obj
        [
-         ("app", Expkit.Json.String Weather.spec.Common.app_name);
-         ("runtime", Expkit.Json.String "EaseIO");
-         ("stride", Expkit.Json.Int stride);
-         ("cases", Expkit.Json.Int cases);
-         ("matches_oneshot", Expkit.Json.Bool true);
-         ("warm_cached", Expkit.Json.Bool warm.Serve.Client.result_cached);
-         ("cache_hits", Expkit.Json.Int stats.Serve.Cache.hits);
-         ("cache_misses", Expkit.Json.Int stats.Serve.Cache.misses);
-         ("cache_computes", Expkit.Json.Int stats.Serve.Cache.computes);
-         ("cold_wall_s", Expkit.Json.Float cold_s);
-         ("warm_wall_s", Expkit.Json.Float warm_s);
-         ("warm_speedup_wall_s", Expkit.Json.Float speedup);
-         ("cold_runs_per_s", Expkit.Json.Float (per_s cold_s));
+         ("app", Trace.Json.String Weather.spec.Common.app_name);
+         ("runtime", Trace.Json.String "EaseIO");
+         ("stride", Trace.Json.Int stride);
+         ("cases", Trace.Json.Int cases);
+         ("matches_oneshot", Trace.Json.Bool true);
+         ("warm_cached", Trace.Json.Bool warm.Serve.Client.result_cached);
+         ("cache_hits", Trace.Json.Int stats.Serve.Cache.hits);
+         ("cache_misses", Trace.Json.Int stats.Serve.Cache.misses);
+         ("cache_computes", Trace.Json.Int stats.Serve.Cache.computes);
+         ("cold_wall_s", Trace.Json.Float cold_s);
+         ("warm_wall_s", Trace.Json.Float warm_s);
+         ("warm_speedup_wall_s", Trace.Json.Float speedup);
+         ("cold_runs_per_s", Trace.Json.Float (per_s cold_s));
        ])
 
 (* {1 --trace-dir: one Chrome trace per runtime variant}
@@ -671,7 +671,7 @@ let trace_exports dir =
           exit 1);
       let golden = Weather.run_once v ~failure:Failure.No_failures ~seed:0 in
       let path = Filename.concat dir (Printf.sprintf "weather-%s.json" (variant_slug v)) in
-      Expkit.Json.to_file path (Trace.Export.chrome events);
+      Trace.Json.to_file path (Trace.Export.chrome events);
       Printf.printf "trace: %s (%d events, %d redundant io)\n" path (List.length events)
         (Expkit.Run.redundant_vs_golden ~golden one))
     with_op
@@ -759,10 +759,10 @@ let print_interp_profile ~reps =
 let interp_meta ~reps =
   let rows = interp_profile ~reps in
   let per_s t runs = if t > 0. then float_of_int runs /. t else 0. in
-  ( Expkit.Json.Obj
-      (List.map (fun (n, runs, tree_s, _) -> (n, Expkit.Json.Float (per_s tree_s runs))) rows),
-    Expkit.Json.Obj
-      (List.map (fun (n, runs, _, vm_s) -> (n, Expkit.Json.Float (per_s vm_s runs))) rows) )
+  ( Trace.Json.Obj
+      (List.map (fun (n, runs, tree_s, _) -> (n, Trace.Json.Float (per_s tree_s runs))) rows),
+    Trace.Json.Obj
+      (List.map (fun (n, runs, _, vm_s) -> (n, Trace.Json.Float (per_s vm_s runs))) rows) )
 
 (* {1 Provenance}
 
@@ -804,13 +804,13 @@ let calibration ~reps =
   in
   let seq_s = sweep 1 in
   let par_s = if !jobs = 1 then seq_s else sweep !jobs in
-  Expkit.Json.Obj
+  Trace.Json.Obj
     [
-      ("workload", Expkit.Json.String "Temp.");
-      ("runs", Expkit.Json.Int runs);
-      ("sequential_s", Expkit.Json.Float seq_s);
-      ("parallel_s", Expkit.Json.Float par_s);
-      ("speedup", Expkit.Json.Float (if par_s > 0. then seq_s /. par_s else 1.));
+      ("workload", Trace.Json.String "Temp.");
+      ("runs", Trace.Json.Int runs);
+      ("sequential_s", Trace.Json.Float seq_s);
+      ("parallel_s", Trace.Json.Float par_s);
+      ("speedup", Trace.Json.Float (if par_s > 0. then seq_s /. par_s else 1.));
     ]
 
 let () =
@@ -895,31 +895,31 @@ let () =
   | None -> ()
   | Some path ->
       let doc =
-        Expkit.Json.Obj
+        Trace.Json.Obj
           [
             ( "meta",
-              Expkit.Json.Obj
+              Trace.Json.Obj
                 [
-                  ("harness", Expkit.Json.String "easeio-bench");
-                  ("schema_version", Expkit.Json.Int 2);
-                  ("git_sha", Expkit.Json.String (git_sha ()));
-                  ("dune_profile", Expkit.Json.String (dune_profile ()));
-                  ("ocaml_version", Expkit.Json.String Sys.ocaml_version);
-                  ("reps", Expkit.Json.Int !reps);
-                  ("jobs", Expkit.Json.Int !jobs);
+                  ("harness", Trace.Json.String "easeio-bench");
+                  ("schema_version", Trace.Json.Int 2);
+                  ("git_sha", Trace.Json.String (git_sha ()));
+                  ("dune_profile", Trace.Json.String (dune_profile ()));
+                  ("ocaml_version", Trace.Json.String Sys.ocaml_version);
+                  ("reps", Trace.Json.Int !reps);
+                  ("jobs", Trace.Json.Int !jobs);
                   ( "recommended_domains",
-                    Expkit.Json.Int (Domain.recommended_domain_count ()) );
-                  ("total_wall_s", Expkit.Json.Float total_wall_s);
-                  ("interp", Expkit.Json.String (Common.interp_name !Common.default_interp));
+                    Trace.Json.Int (Domain.recommended_domain_count ()) );
+                  ("total_wall_s", Trace.Json.Float total_wall_s);
+                  ("interp", Trace.Json.String (Common.interp_name !Common.default_interp));
                   ("calibration", calibration ~reps:!reps);
                   ("interp_runs_per_s", fst (interp_meta ~reps:!reps));
                   ("vm_runs_per_s", snd (interp_meta ~reps:!reps));
                 ] );
             ( "experiment_wall_s",
-              Expkit.Json.Obj (List.map (fun (n, s) -> (n, Expkit.Json.Float s)) !timings) );
-            ("workloads", Expkit.Json.Obj !json_workloads);
-            ("experiments", Expkit.Json.Obj !json_experiments);
+              Trace.Json.Obj (List.map (fun (n, s) -> (n, Trace.Json.Float s)) !timings) );
+            ("workloads", Trace.Json.Obj !json_workloads);
+            ("experiments", Trace.Json.Obj !json_experiments);
           ]
       in
-      Expkit.Json.to_file path doc;
+      Trace.Json.to_file path doc;
       Obs.Progress.log "bench results written to %s" path

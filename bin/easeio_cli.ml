@@ -23,6 +23,14 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* An out-of-range numeric option is a usage error: [easeio CMD: --OPT
+   must be >= MIN] on stderr, exit 1. *)
+let at_least ~cmd opt min v =
+  if v < min then begin
+    Printf.eprintf "easeio %s: --%s must be >= %d\n" cmd opt min;
+    exit 1
+  end
+
 let runtime_conv =
   let parse = function
     | "plain" -> Ok Lang.Interp.Plain
@@ -108,7 +116,7 @@ let failure_opt_arg =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"PROG.eio" ~doc:"Task-language source file.")
 
-(* Same write-then-rename discipline as [Expkit.Json.to_file], for the
+(* Same write-then-rename discipline as [Trace.Json.to_file], for the
    plain-text exports. *)
 let write_file_atomic path s =
   let tmp = path ^ ".tmp" in
@@ -133,7 +141,7 @@ let parse_or_e0001 src =
 
 let print_diags ~json ~file ~src ds =
   if json then
-    print_endline (Expkit.Json.to_string (Lang.Diagnostics.report_to_json ~file ds))
+    print_endline (Trace.Json.to_string (Lang.Diagnostics.report_to_json ~file ds))
   else if ds <> [] then print_endline (Lang.Diagnostics.render_all ~src ds)
 
 let check_cmd =
@@ -270,7 +278,7 @@ let run_cmd =
        CLI and server bytes can never drift apart *)
     if json && interp = Apps.Common.Bytecode then
       print_string
-        (Expkit.Json.to_string (Serve.Oneshot.run_doc ~policy ~failure ~seed (read_file file)))
+        (Trace.Json.to_string (Serve.Oneshot.run_doc ~policy ~failure ~seed (read_file file)))
     else begin
     let m = Machine.create ~seed ~failure () in
     let sheet = Obs.Sheet.create () in
@@ -289,27 +297,27 @@ let run_cmd =
     let io = Kernel.Golden.io_executions m in
     if json then
       print_string
-        (Expkit.Json.to_string
-           (Expkit.Json.Obj
+        (Trace.Json.to_string
+           (Trace.Json.Obj
               [
-                ("runtime", Expkit.Json.String (Lang.Interp.policy_name policy));
-                ("failure", Expkit.Json.String (Failure.to_string failure));
-                ("seed", Expkit.Json.Int seed);
-                ("completed", Expkit.Json.Bool o.Kernel.Engine.completed);
-                ("gave_up", Expkit.Json.Bool o.Kernel.Engine.gave_up);
+                ("runtime", Trace.Json.String (Lang.Interp.policy_name policy));
+                ("failure", Trace.Json.String (Failure.to_string failure));
+                ("seed", Trace.Json.Int seed);
+                ("completed", Trace.Json.Bool o.Kernel.Engine.completed);
+                ("gave_up", Trace.Json.Bool o.Kernel.Engine.gave_up);
                 ( "stuck_task",
                   match o.Kernel.Engine.stuck_task with
-                  | Some t -> Expkit.Json.String t
-                  | None -> Expkit.Json.Null );
-                ("power_failures", Expkit.Json.Int o.Kernel.Engine.power_failures);
-                ("total_time_us", Expkit.Json.Int o.Kernel.Engine.total_time_us);
-                ("energy_nj", Expkit.Json.Float o.Kernel.Engine.energy_nj);
+                  | Some t -> Trace.Json.String t
+                  | None -> Trace.Json.Null );
+                ("power_failures", Trace.Json.Int o.Kernel.Engine.power_failures);
+                ("total_time_us", Trace.Json.Int o.Kernel.Engine.total_time_us);
+                ("energy_nj", Trace.Json.Float o.Kernel.Engine.energy_nj);
                 ("metrics", Kernel.Metrics.to_json o.Kernel.Engine.metrics);
                 ( "obs",
                   Obs.Snapshot.to_json
                     (Obs.Snapshot.of_sheet ~events:(Machine.events m) sheet) );
                 ( "io_executions",
-                  Expkit.Json.Obj (List.map (fun (k, n) -> (k, Expkit.Json.Int n)) io) );
+                  Trace.Json.Obj (List.map (fun (k, n) -> (k, Trace.Json.Int n)) io) );
               ]))
     else begin
       Printf.printf "runtime:        %s\n" (Lang.Interp.policy_name policy);
@@ -377,9 +385,8 @@ let app_cmd =
     Apps.Common.default_interp := interp;
     match find_app name with
     | spec ->
-        if jobs < 1 then (
-          Printf.eprintf "easeio: --jobs must be >= 1\n";
-          exit 1);
+        at_least ~cmd:"app" "runs" 1 runs;
+        at_least ~cmd:"app" "jobs" 1 jobs;
         let jobs = min jobs Expkit.Pool.max_jobs in
         let agg =
           Expkit.Run.average ~jobs ~runs
@@ -444,28 +451,28 @@ let trace_cmd =
               exit 1
         in
         (match format with
-        | `Chrome -> Expkit.Json.to_file out (Trace.Export.chrome events)
+        | `Chrome -> Trace.Json.to_file out (Trace.Export.chrome events)
         | `Text -> write_file_atomic out (Trace.Export.text events)
         | `Profile ->
             let golden = spec.Apps.Common.run variant ~failure:Failure.No_failures ~seed:0 in
             let body =
               match Obs.Attr.to_json profile with
-              | Expkit.Json.Obj fields ->
-                  Expkit.Json.Obj
+              | Trace.Json.Obj fields ->
+                  Trace.Json.Obj
                     (fields
                     @ [
                         ( "io_executions",
-                          Expkit.Json.Obj
-                            (List.map (fun (k, n) -> (k, Expkit.Json.Int n)) one.Expkit.Run.io) );
+                          Trace.Json.Obj
+                            (List.map (fun (k, n) -> (k, Trace.Json.Int n)) one.Expkit.Run.io) );
                         ( "redundant_io",
-                          Expkit.Json.Int (Expkit.Run.redundant_vs_golden ~golden one) );
+                          Trace.Json.Int (Expkit.Run.redundant_vs_golden ~golden one) );
                         ( "obs",
                           Obs.Snapshot.to_json (Obs.Snapshot.of_sheet ~events:!machine_events sheet)
                         );
                       ])
               | j -> j
             in
-            Expkit.Json.to_file out body);
+            Trace.Json.to_file out body);
         Printf.printf "%s under %s, seed %d: %d events -> %s\n" name
           (Apps.Common.variant_name variant) seed (List.length events) out
   in
@@ -507,10 +514,7 @@ let faults_cmd =
     Apps.Common.default_interp := interp;
     match find_app name with
     | spec ->
-        if jobs < 1 then begin
-          Printf.eprintf "easeio: --jobs must be >= 1\n";
-          exit 1
-        end;
+        at_least ~cmd:"faults" "jobs" 1 jobs;
         let jobs = min jobs Expkit.Pool.max_jobs in
         (* sessions run on the bytecode VM only, so a tree-walker sweep
            runs every case from power on *)
@@ -554,23 +558,14 @@ let faults_cmd =
                 if i < 5 then
                   List.iter
                     (fun v ->
-                      let detail =
-                        match (v : Faultkit.Campaign.violation) with
-                        | Faultkit.Campaign.Livelock task -> "livelock in task " ^ task
-                        | Faultkit.Campaign.App_incorrect -> "app check failed"
-                        | Faultkit.Campaign.Nv_mismatch (m :: _) ->
-                            Format.asprintf "NV state diverged: %a" Faultkit.Oracle.pp_mismatch m
-                        | Faultkit.Campaign.Nv_mismatch [] -> "NV state diverged"
-                        | Faultkit.Campaign.Always_skipped sites ->
-                            "Always I/O skipped at " ^ String.concat ", " sites
-                      in
-                      Printf.printf "      %s: %s\n" (Failure.to_string case.schedule) detail)
+                      Printf.printf "      %s: %s\n" (Failure.to_string case.schedule)
+                        (Faultkit.Campaign.violation_text v))
                     case.violations)
               c.failed)
           report.Faultkit.Campaign.cells;
         Option.iter
           (fun path ->
-            Expkit.Json.to_file path (Faultkit.Campaign.to_json report);
+            Trace.Json.to_file path (Faultkit.Campaign.to_json report);
             Printf.printf "report -> %s\n" path)
           json_out;
         Option.iter
@@ -580,7 +575,7 @@ let faults_cmd =
           flame_out;
         Option.iter
           (fun path ->
-            Expkit.Json.to_file path (Faultkit.Campaign.perfetto report);
+            Trace.Json.to_file path (Faultkit.Campaign.perfetto report);
             Printf.printf "perfetto counters -> %s\n" path)
           perfetto_out;
         if not (Faultkit.Campaign.passed report) then exit 1
@@ -669,6 +664,8 @@ let faults_cmd =
 let explore_cmd =
   let run name runtime depth max_states no_prune ablate_regions ablate_semantics seed json_out
       flame_out progress_mode =
+    at_least ~cmd:"explore" "depth" 0 depth;
+    Option.iter (at_least ~cmd:"explore" "max-states" 1) max_states;
     match find_app name with
     | spec ->
         let report =
@@ -688,26 +685,16 @@ let explore_cmd =
             if i < 5 then
               List.iter
                 (fun v ->
-                  let detail =
-                    match (v : Explore.violation) with
-                    | Explore.Livelock task -> "livelock in task " ^ task
-                    | Explore.App_incorrect -> "app check failed"
-                    | Explore.Nv_mismatch (m :: _) ->
-                        Format.asprintf "NV state diverged: %a" Faultkit.Oracle.pp_mismatch m
-                    | Explore.Nv_mismatch [] -> "NV state diverged"
-                    | Explore.Always_skipped sites ->
-                        "Always I/O skipped at " ^ String.concat ", " sites
-                  in
                   Printf.printf "  reboots at charge %s: %s\n"
                     (String.concat ", " (List.map string_of_int f.Explore.reboots))
-                    detail)
+                    (Faultkit.Campaign.violation_text v))
                 f.Explore.violations)
           report.Explore.findings;
         (if List.length report.Explore.findings > 5 then
            Printf.printf "  ... and %d more finding(s)\n" (List.length report.Explore.findings - 5));
         Option.iter
           (fun path ->
-            Expkit.Json.to_file path (Explore.to_json report);
+            Trace.Json.to_file path (Explore.to_json report);
             Printf.printf "report -> %s\n" path)
           json_out;
         Option.iter
@@ -797,10 +784,8 @@ let explore_cmd =
 let fuzz_cmd =
   let run count seed jobs budget max_shrink json_out save_dir ablate_regions ablate_semantics
       interp replay progress_mode =
-    if jobs < 1 then begin
-      Printf.eprintf "easeio: --jobs must be >= 1\n";
-      exit 1
-    end;
+    at_least ~cmd:"fuzz" "count" 1 count;
+    at_least ~cmd:"fuzz" "jobs" 1 jobs;
     let jobs = min jobs Expkit.Pool.max_jobs in
     let options =
       {
@@ -875,7 +860,7 @@ let fuzz_cmd =
           report.Conformance.Fuzz.counterexamples;
         Option.iter
           (fun path ->
-            Expkit.Json.to_file path (Conformance.Fuzz.to_json report);
+            Trace.Json.to_file path (Conformance.Fuzz.to_json report);
             Printf.printf "report -> %s\n" path)
           json_out;
         Option.iter
@@ -989,15 +974,9 @@ let addr_of ~cmd socket port =
 let serve_cmd =
   let run socket port jobs cache =
     let addr = addr_of ~cmd:"serve" socket port in
-    if jobs < 1 then begin
-      Printf.eprintf "easeio: --jobs must be >= 1\n";
-      exit 1
-    end;
+    at_least ~cmd:"serve" "jobs" 1 jobs;
     let jobs = min jobs Expkit.Pool.max_jobs in
-    if cache < 1 then begin
-      Printf.eprintf "easeio serve: --cache must be >= 1\n";
-      exit 1
-    end;
+    at_least ~cmd:"serve" "cache" 1 cache;
     let config = { (Serve.Server.default_config addr) with Serve.Server.jobs; cache_cap = cache } in
     let t =
       match Serve.Server.start config with
@@ -1053,7 +1032,7 @@ let client_cmd =
     in
     let fields =
       match Trace.Json.of_string payload with
-      | Ok (Expkit.Json.Obj fields) -> fields
+      | Ok (Trace.Json.Obj fields) -> fields
       | Ok _ ->
           Printf.eprintf "easeio client: the spec must be a JSON object\n";
           exit 2
@@ -1062,7 +1041,7 @@ let client_cmd =
           exit 2
     in
     let cmd =
-      match List.assoc_opt "cmd" fields with Some (Expkit.Json.String s) -> s | _ -> ""
+      match List.assoc_opt "cmd" fields with Some (Trace.Json.String s) -> s | _ -> ""
     in
     let c =
       match Serve.Client.connect_retry ~attempts:40 addr with
@@ -1079,11 +1058,11 @@ let client_cmd =
                print the verbatim result document *)
             let id, payload =
               match List.assoc_opt "id" fields with
-              | Some (Expkit.Json.Int n) -> (n, payload)
+              | Some (Trace.Json.Int n) -> (n, payload)
               | _ ->
                   ( 1,
-                    Expkit.Json.to_string
-                      (Expkit.Json.Obj (("id", Expkit.Json.Int 1) :: fields)) )
+                    Trace.Json.to_string
+                      (Trace.Json.Obj (("id", Trace.Json.Int 1) :: fields)) )
             in
             match Serve.Client.rpc c ~id payload with
             | Ok o -> (
@@ -1140,10 +1119,7 @@ let bench_serve_cmd =
       Printf.eprintf "easeio bench-serve: --requests and --seeds must be >= 1\n";
       exit 1
     end;
-    if jobs < 1 then begin
-      Printf.eprintf "easeio: --jobs must be >= 1\n";
-      exit 1
-    end;
+    at_least ~cmd:"bench-serve" "jobs" 1 jobs;
     let jobs = min jobs Expkit.Pool.max_jobs in
     (* no --socket/--port: measure a self-hosted in-process server on a
        fresh loopback port, so the load generator is one command *)
@@ -1196,41 +1172,41 @@ let bench_serve_cmd =
           (fun path ->
             let row (r : Serve.Load.result) =
               ( Printf.sprintf "c%d" r.Serve.Load.concurrency,
-                Expkit.Json.Obj
+                Trace.Json.Obj
                   [
-                    ("requests", Expkit.Json.Int r.Serve.Load.requests);
-                    ("errors", Expkit.Json.Int r.Serve.Load.errors);
-                    ("cached_results", Expkit.Json.Int r.Serve.Load.cached_results);
-                    ("campaigns_per_s", Expkit.Json.Float (Serve.Load.campaigns_per_s r));
-                    ("wall_s", Expkit.Json.Float r.Serve.Load.wall_s);
-                    ("p50_wall_s", Expkit.Json.Float (Serve.Load.p50 r));
-                    ("p99_wall_s", Expkit.Json.Float (Serve.Load.p99 r));
+                    ("requests", Trace.Json.Int r.Serve.Load.requests);
+                    ("errors", Trace.Json.Int r.Serve.Load.errors);
+                    ("cached_results", Trace.Json.Int r.Serve.Load.cached_results);
+                    ("campaigns_per_s", Trace.Json.Float (Serve.Load.campaigns_per_s r));
+                    ("wall_s", Trace.Json.Float r.Serve.Load.wall_s);
+                    ("p50_wall_s", Trace.Json.Float (Serve.Load.p50 r));
+                    ("p99_wall_s", Trace.Json.Float (Serve.Load.p99 r));
                   ] )
             in
             (* same shape as the bench harness JSON, so `easeio report`
                renders and diffs it with the @report-gate tolerances *)
             let doc =
-              Expkit.Json.Obj
+              Trace.Json.Obj
                 [
                   ( "meta",
-                    Expkit.Json.Obj
+                    Trace.Json.Obj
                       [
-                        ("harness", Expkit.Json.String "easeio-bench-serve");
-                        ("app", Expkit.Json.String app);
-                        ("sweep", Expkit.Json.String sweep_s);
-                        ("requests", Expkit.Json.Int requests);
-                        ("seeds", Expkit.Json.Int seeds);
+                        ("harness", Trace.Json.String "easeio-bench-serve");
+                        ("app", Trace.Json.String app);
+                        ("sweep", Trace.Json.String sweep_s);
+                        ("requests", Trace.Json.Int requests);
+                        ("seeds", Trace.Json.Int seeds);
                         ( "mode",
-                          Expkit.Json.String
+                          Trace.Json.String
                             (match mode with `Closed -> "closed" | `Open -> "open") );
-                        ("jobs", Expkit.Json.Int jobs);
+                        ("jobs", Trace.Json.Int jobs);
                       ] );
                   ( "experiments",
-                    Expkit.Json.Obj
-                      [ ("serve_load", Expkit.Json.Obj (List.map row results)) ] );
+                    Trace.Json.Obj
+                      [ ("serve_load", Trace.Json.Obj (List.map row results)) ] );
                 ]
             in
-            Expkit.Json.to_file path doc;
+            Trace.Json.to_file path doc;
             Printf.printf "report -> %s\n" path)
           json_out;
         if any_errors then exit 1)
@@ -1328,7 +1304,7 @@ let report_cmd =
         | Error _ ->
             List.iter (fun (p, v) -> Printf.printf "%s %s\n" p v) (Obs.Report.rows base_j);
             (match base_j with
-            | Expkit.Json.Obj fields -> (
+            | Trace.Json.Obj fields -> (
                 match List.assoc_opt "metrics" fields with
                 | Some m -> (
                     match Obs.Snapshot.of_json m with

@@ -44,24 +44,6 @@ let lea_fir_seg : string * Lang.Interp.io_impl =
           0
       | _ -> Lang.Ast.error "Lea_fir_seg(input, in_off, coeffs, taps, output, out_off, samples)" )
 
-module Exec = struct
-  type t = Tree of Lang.Interp.t | Vm of Vm.t
-
-  let machine = function Tree t -> Lang.Interp.machine t | Vm v -> Vm.machine v
-
-  let read_global = function
-    | Tree t -> Lang.Interp.read_global t
-    | Vm v -> Vm.read_global v
-
-  let global_equals = function
-    | Tree t -> Lang.Interp.global_equals t
-    | Vm v -> Vm.global_equals v
-
-  let global_loc = function
-    | Tree t -> Lang.Interp.global_loc t
-    | Vm v -> Vm.global_loc v
-end
-
 type interp = Tree_walk | Bytecode
 
 let interp_name = function Tree_walk -> "tree" | Bytecode -> "vm"
@@ -74,57 +56,47 @@ let vm_arenas :
     (string * variant * bool option * bool option, Vm.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-let run_ir ~src ?interp ?(setup = fun _ -> ()) ?check ?(extra_io = []) ?ablate_regions
-    ?ablate_semantics ?sink ?meter ?faults ?probe variant ~failure ~seed =
-  let interp = match interp with Some i -> i | None -> !default_interp in
-  match interp with
-  | Tree_walk ->
-      let m = Machine.create ~seed ~failure ?faults () in
-      Option.iter (Machine.set_sink m) sink;
-      Option.iter (Machine.set_meter m) meter;
-      let prog = Lang.Parser.program src in
-      let t =
-        Lang.Interp.build ~policy:(policy_of variant) ~extra_io:(lea_fir_seg :: extra_io)
-          ?check:(Option.map (fun f t -> f (Exec.Tree t)) check)
-          ?ablate_regions ?ablate_semantics m prog
-      in
-      setup (Exec.Tree t);
-      let o = Lang.Interp.run t in
-      Option.iter (fun f -> f m) probe;
-      Expkit.Run.of_outcome m o
-  | Bytecode ->
+(* This domain's arena for the key, compiled on first use and reset for
+   a fresh run after that. *)
+let arena ~src ?ablate_regions ?ablate_semantics variant ~failure ~seed =
+  let arenas = Domain.DLS.get vm_arenas in
+  let key = (src, variant, ablate_regions, ablate_semantics) in
+  match Hashtbl.find_opt arenas key with
+  | Some vm ->
+      Vm.reset ~seed ~failure vm;
+      vm
+  | None ->
       let vm =
-        if extra_io <> [] then
-          (* custom peripherals are closures we can't key a cache on;
-             compile a one-shot arena *)
-          Vm.compile ~policy:(policy_of variant) ~extra_io:(lea_fir_seg :: extra_io)
-            ?ablate_regions ?ablate_semantics
-            (Machine.create ~seed ~failure ?faults ())
-            (Lang.Parser.program src)
-        else
-          let arenas = Domain.DLS.get vm_arenas in
-          let key = (src, variant, ablate_regions, ablate_semantics) in
-          match Hashtbl.find_opt arenas key with
-          | Some vm ->
-              Vm.reset ~seed ~failure ?faults vm;
-              vm
-          | None ->
-              let vm =
-                Vm.compile ~policy:(policy_of variant) ~extra_io:[ lea_fir_seg ]
-                  ?ablate_regions ?ablate_semantics
-                  (Machine.create ~seed ~failure ?faults ())
-                  (Lang.Parser.program src)
-              in
-              Hashtbl.add arenas key vm;
-              vm
+        Vm.compile ~policy:(policy_of variant) ~extra_io:[ lea_fir_seg ] ?ablate_regions
+          ?ablate_semantics
+          (Machine.create ~seed ~failure ())
+          (Lang.Parser.program src)
       in
-      let m = Vm.machine vm in
-      Option.iter (Machine.set_sink m) sink;
-      Option.iter (Machine.set_meter m) meter;
-      setup (Exec.Vm vm);
-      let o = Vm.run ?check:(Option.map (fun f v -> f (Exec.Vm v)) check) vm in
-      Option.iter (fun f -> f m) probe;
-      Expkit.Run.of_outcome m o
+      Hashtbl.add arenas key vm;
+      vm
+
+let run_ir ~src ?(setup = fun _ -> ()) ?check ?ablate_regions ?ablate_semantics ?sink ?meter
+    ?probe variant ~failure ~seed =
+  (* linking charges nothing and emits nothing, so observers attach after it *)
+  let m, linked, run =
+    match !default_interp with
+    | Tree_walk ->
+        let m = Machine.create ~seed ~failure () in
+        let t =
+          Lang.Interp.build ~policy:(policy_of variant) ~extra_io:[ lea_fir_seg ] ?check
+            ?ablate_regions ?ablate_semantics m (Lang.Parser.program src)
+        in
+        (m, t, fun () -> Lang.Interp.run t)
+    | Bytecode ->
+        let vm = arena ~src ?ablate_regions ?ablate_semantics variant ~failure ~seed in
+        (Vm.machine vm, Vm.linked vm, fun () -> Vm.run ?check vm)
+  in
+  Option.iter (Machine.set_sink m) sink;
+  Option.iter (Machine.set_meter m) meter;
+  setup linked;
+  let o = run () in
+  Option.iter (fun f -> f m) probe;
+  Expkit.Run.of_outcome m o
 
 let flash m (loc : Loc.t) values = Memory.load (Machine.mem m loc.Loc.space) loc.Loc.addr values
 
@@ -158,27 +130,11 @@ type session = {
    snapshot drivers hold exactly one live session per arena key). *)
 let session_ir ~src ?(setup = fun _ -> ()) ?check () ?ablate_regions ?ablate_semantics
     variant ~seed =
-  let arenas = Domain.DLS.get vm_arenas in
-  let key = (src, variant, ablate_regions, ablate_semantics) in
   let vm =
-    match Hashtbl.find_opt arenas key with
-    | Some vm ->
-        Vm.reset ~seed vm;
-        vm
-    | None ->
-        let vm =
-          Vm.compile ~policy:(policy_of variant) ~extra_io:[ lea_fir_seg ] ?ablate_regions
-            ?ablate_semantics
-            (Machine.create ~seed ())
-            (Lang.Parser.program src)
-        in
-        Hashtbl.add arenas key vm;
-        vm
+    arena ~src ?ablate_regions ?ablate_semantics variant ~failure:Failure.No_failures ~seed
   in
-  setup (Exec.Vm vm);
-  let app, hooks, cur_slot =
-    Vm.prepare ?check:(Option.map (fun f v -> f (Exec.Vm v)) check) vm
-  in
+  setup (Vm.linked vm);
+  let app, hooks, cur_slot = Vm.prepare ?check vm in
   let m = Vm.machine vm in
   {
     ses_machine = m;
@@ -204,7 +160,6 @@ type spec = {
   run :
     ?sink:Trace.Event.sink ->
     ?meter:Obs.Sheet.t ->
-    ?faults:Faults.plan ->
     ?probe:(Machine.t -> unit) ->
     variant ->
     failure:Failure.spec ->

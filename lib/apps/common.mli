@@ -17,61 +17,42 @@ val lea_fir_seg : string * Lang.Interp.io_impl
     — a windowed FIR block, so the paper's "four LEA calls in a loop"
     can address segments of the staged signal. *)
 
-(** Executor-neutral handle: application setup/check code works the
-    same against the tree-walking interpreter and the bytecode VM. *)
-module Exec : sig
-  type t = Tree of Lang.Interp.t | Vm of Vm.t
-
-  val machine : t -> Machine.t
-  val read_global : t -> string -> int -> int
-
-  val global_equals : t -> string -> int array -> bool
-  (** Whether a global's first [Array.length expected] elements equal
-      [expected], compared in place (see
-      {!Lang.Interp.global_equals}); use in checks that scan whole
-      arrays. *)
-
-  val global_loc : t -> string -> Loc.t
-end
-
 type interp = Tree_walk | Bytecode
 
 val interp_name : interp -> string
 
 val default_interp : interp ref
-(** Executor used by {!run_ir} when no explicit [?interp] is given.
-    Defaults to [Bytecode]; the CLI's [--interp tree] flips it back to
-    the tree-walking oracle. *)
+(** Executor used by {!run_ir}. Defaults to [Bytecode]; the CLI's
+    [--interp tree] flips it back to the tree-walking oracle. *)
 
 val run_ir :
   src:string ->
-  ?interp:interp ->
-  ?setup:(Exec.t -> unit) ->
-  ?check:(Exec.t -> bool) ->
-  ?extra_io:(string * Lang.Interp.io_impl) list ->
+  ?setup:(Lang.Interp.t -> unit) ->
+  ?check:(Lang.Interp.t -> bool) ->
   ?ablate_regions:bool ->
   ?ablate_semantics:bool ->
   ?sink:Trace.Event.sink ->
   ?meter:Obs.Sheet.t ->
-  ?faults:Faults.plan ->
   ?probe:(Machine.t -> unit) ->
   variant ->
   failure:Failure.spec ->
   seed:int ->
   Expkit.Run.one
-(** Parse, build under the variant's policy, execute, and summarize one
-    run of a task-language application. Under [Bytecode] (the default)
-    the program is compiled once per (source, variant, ablations) per
-    domain and the arena is recycled across seeds with {!Vm.reset};
-    under [Tree_walk] every run builds a fresh interpreter. Results are
-    observationally identical either way. [sink] attaches a trace sink
-    to the machine before execution (pure observation: the summary is
-    identical with or without one). [faults] installs a peripheral
-    fault-injection plan; [probe] runs against the machine after the
-    engine returns (uncharged post-run inspection — faultkit oracles
-    snapshot final NV state here). [meter] attaches a campaign metrics
-    sheet (also pure observation); unlike a sink it usually outlives
-    the run — campaigns pass one sheet to every run of a shard. *)
+(** Parse, link under the variant's policy, execute, and summarize one
+    run of a task-language application. [setup] (flashing input images)
+    and [check] (the end-of-run result check) see the linked program
+    ({!Lang.Interp.build}) on either executor. Under [Bytecode] (the
+    default) the program is compiled once per (source, variant,
+    ablations) per domain and the arena is recycled across seeds with
+    {!Vm.reset}; under [Tree_walk] every run links a fresh program.
+    Results are observationally identical either way. [sink] attaches a
+    trace sink to the machine before execution (pure observation: the
+    summary is identical with or without one). [probe] runs against the
+    machine after the engine returns (uncharged post-run inspection —
+    faultkit oracles snapshot final NV state here). [meter] attaches a
+    campaign metrics sheet (also pure observation); unlike a sink it
+    usually outlives the run — campaigns pass one sheet to every run of
+    a shard. *)
 
 val flash : Machine.t -> Loc.t -> int array -> unit
 (** Uncharged (link-time) initialization of a memory range. *)
@@ -107,8 +88,8 @@ type session = {
 
 val session_ir :
   src:string ->
-  ?setup:(Exec.t -> unit) ->
-  ?check:(Exec.t -> bool) ->
+  ?setup:(Lang.Interp.t -> unit) ->
+  ?check:(Lang.Interp.t -> bool) ->
   unit ->
   ?ablate_regions:bool ->
   ?ablate_semantics:bool ->
@@ -135,7 +116,6 @@ type spec = {
   run :
     ?sink:Trace.Event.sink ->
     ?meter:Obs.Sheet.t ->
-    ?faults:Faults.plan ->
     ?probe:(Machine.t -> unit) ->
     variant ->
     failure:Failure.spec ->

@@ -75,10 +75,10 @@ let reference_output =
          !acc))
 
 let setup t =
-  let m = Common.Exec.machine t in
-  Common.flash m (Common.Exec.global_loc t "signal") (Lazy.force signal_image);
-  Common.flash m (Common.Exec.global_loc t "coefs") (Lazy.force coefs_image);
-  Common.flash m (Common.Exec.global_loc t "wtab") (Lazy.force table_image)
+  let m = Lang.Interp.machine t in
+  Common.flash m (Lang.Interp.global_loc t "signal") (Lazy.force signal_image);
+  Common.flash m (Lang.Interp.global_loc t "coefs") (Lazy.force coefs_image);
+  Common.flash m (Lang.Interp.global_loc t "wtab") (Lazy.force table_image)
 
 (* The whole signal buffer after a correct run: the filtered samples,
    then the unfiltered tail, which must keep the input; and the checksum
@@ -98,12 +98,12 @@ let expected_chksum =
      !chk)
 
 let check t =
-  Common.Exec.global_equals t "signal" (Lazy.force expected_signal)
-  && Common.Exec.read_global t "chksum" 0 = Lazy.force expected_chksum
+  Lang.Interp.global_equals t "signal" (Lazy.force expected_signal)
+  && Lang.Interp.read_global t "chksum" 0 = Lazy.force expected_chksum
 
 (* DESIGN.md §6 ablations, run by the bench harness *)
-let run_ablated ?sink ?meter ?faults ?probe ~ablate_regions ~ablate_semantics ~failure ~seed () =
-  Common.run_ir ~src:(source ~exclude_coefs:false) ~setup ~check ?sink ?meter ?faults ?probe
+let run_ablated ?sink ?meter ?probe ~ablate_regions ~ablate_semantics ~failure ~seed () =
+  Common.run_ir ~src:(source ~exclude_coefs:false) ~setup ~check ?sink ?meter ?probe
     ~ablate_regions ~ablate_semantics Common.Easeio ~failure ~seed
 
 let spec =
@@ -114,9 +114,9 @@ let spec =
     (* the signal is flashed, not sensed: fully schedule-invariant *)
     nv_volatile = [];
     run =
-      (fun ?sink ?meter ?faults ?probe variant ~failure ~seed ->
+      (fun ?sink ?meter ?probe variant ~failure ~seed ->
         let exclude_coefs = variant = Common.Easeio_op in
-        Common.run_ir ~src:(source ~exclude_coefs) ~setup ~check ?sink ?meter ?faults ?probe variant
+        Common.run_ir ~src:(source ~exclude_coefs) ~setup ~check ?sink ?meter ?probe variant
           ~failure ~seed);
     session =
       Some

@@ -18,7 +18,6 @@ val source : exclude_coefs:bool -> string
 val run_ablated :
   ?sink:Trace.Event.sink ->
   ?meter:Obs.Sheet.t ->
-  ?faults:Platform.Faults.plan ->
   ?probe:(Platform.Machine.t -> unit) ->
   ablate_regions:bool ->
   ablate_semantics:bool ->

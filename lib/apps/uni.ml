@@ -48,9 +48,9 @@ let dma_pattern k i = ((i * 7) + (k * 13)) land 0x3FFF
 let dma_images = lazy (Array.init 3 (fun k -> Array.init block (dma_pattern (k + 1))))
 
 let dma_setup t =
-  let m = Common.Exec.machine t in
+  let m = Lang.Interp.machine t in
   List.iteri
-    (fun k name -> Common.flash m (Common.Exec.global_loc t name) (Lazy.force dma_images).(k))
+    (fun k name -> Common.flash m (Lang.Interp.global_loc t name) (Lazy.force dma_images).(k))
     [ "src1"; "src2"; "src3" ]
 
 let dma_compute_reference k =
@@ -65,11 +65,11 @@ let dma_references = lazy (Array.init 3 (fun k -> dma_compute_reference (k + 1))
 let dma_check t =
   let ok = ref true in
   List.iteri
-    (fun k name -> if not (Common.Exec.global_equals t name (Lazy.force dma_images).(k)) then ok := false)
+    (fun k name -> if not (Lang.Interp.global_equals t name (Lazy.force dma_images).(k)) then ok := false)
     [ "dst1"; "dst2"; "dst3" ];
   List.iteri
     (fun k name ->
-      if Common.Exec.read_global t name 0 <> (Lazy.force dma_references).(k) then ok := false)
+      if Lang.Interp.read_global t name 0 <> (Lazy.force dma_references).(k) then ok := false)
     [ "out1"; "out2"; "out3" ];
   !ok
 
@@ -86,8 +86,8 @@ let dma =
     (* no sensor inputs: the whole committed image is schedule-invariant *)
     nv_volatile = [];
     run =
-      (fun ?sink ?meter ?faults ?probe variant ~failure ~seed ->
-        Common.run_ir ~src:dma_source ~setup:dma_setup ~check:dma_check ?sink ?meter ?faults ?probe
+      (fun ?sink ?meter ?probe variant ~failure ~seed ->
+        Common.run_ir ~src:dma_source ~setup:dma_setup ~check:dma_check ?sink ?meter ?probe
           variant ~failure ~seed);
     session = Some (Common.session_ir ~src:dma_source ~setup:dma_setup ~check:dma_check ());
   }
@@ -132,9 +132,9 @@ let temp_check t =
   (* sensed values vary across runs, so the check is an invariant: the
      loop ran exactly [temp_samples] times and the average is a
      plausible (accumulated) temperature *)
-  let cnt = Common.Exec.read_global t "tcnt" 0 in
-  let sum = Common.Exec.read_global t "tsum" 0 in
-  let avg = Common.Exec.read_global t "out1" 0 in
+  let cnt = Lang.Interp.read_global t "tcnt" 0 in
+  let sum = Lang.Interp.read_global t "tsum" 0 in
+  let avg = Lang.Interp.read_global t "out1" 0 in
   cnt = temp_samples && avg = sum / cnt && avg > 0 && avg < 400
 
 let temp =
@@ -146,8 +146,8 @@ let temp =
        schedules shift; tcnt (always 8) stays comparable *)
     nv_volatile = [ "tsum"; "tlast"; "out1" ];
     run =
-      (fun ?sink ?meter ?faults ?probe variant ~failure ~seed ->
-        Common.run_ir ~src:temp_source ~check:temp_check ?sink ?meter ?faults ?probe variant ~failure
+      (fun ?sink ?meter ?probe variant ~failure ~seed ->
+        Common.run_ir ~src:temp_source ~check:temp_check ?sink ?meter ?probe variant ~failure
           ~seed);
     session = Some (Common.session_ir ~src:temp_source ~check:temp_check ());
   }
@@ -210,9 +210,9 @@ let lea_references = lazy (lea_reference 3, lea_reference 5, lea_reference 7)
 
 let lea_check t =
   let r1, r2, r3 = Lazy.force lea_references in
-  Common.Exec.read_global t "acc1" 0 = r1
-  && Common.Exec.read_global t "acc2" 0 = r1 + r2
-  && Common.Exec.read_global t "acc3" 0 = r1 + r2 + r3
+  Lang.Interp.read_global t "acc1" 0 = r1
+  && Lang.Interp.read_global t "acc2" 0 = r1 + r2
+  && Lang.Interp.read_global t "acc3" 0 = r1 + r2 + r3
 
 let lea =
   {
@@ -221,8 +221,8 @@ let lea =
     io_functions = 1;
     nv_volatile = [];
     run =
-      (fun ?sink ?meter ?faults ?probe variant ~failure ~seed ->
-        Common.run_ir ~src:lea_source ~check:lea_check ?sink ?meter ?faults ?probe variant ~failure
+      (fun ?sink ?meter ?probe variant ~failure ~seed ->
+        Common.run_ir ~src:lea_source ~check:lea_check ?sink ?meter ?probe variant ~failure
           ~seed);
     session = Some (Common.session_ir ~src:lea_source ~check:lea_check ());
   }

@@ -285,8 +285,8 @@ let session ?buffering variant ~seed =
     ses_finish = (fun () -> ());
   }
 
-let run_once ?buffering ?sink ?meter ?faults ?probe variant ~failure ~seed =
-  let m = Machine.create ~seed ~failure ?faults () in
+let run_once ?buffering ?sink ?meter ?probe variant ~failure ~seed =
+  let m = Machine.create ~seed ~failure () in
   Option.iter (Machine.set_sink m) sink;
   Option.iter (Machine.set_meter m) meter;
   let app, hooks, _radio = build ?buffering variant m in
@@ -313,8 +313,8 @@ let spec =
         "dnn.";
       ];
     run =
-      (fun ?sink ?meter ?faults ?probe variant ~failure ~seed ->
-        run_once ?sink ?meter ?faults ?probe variant ~failure ~seed);
+      (fun ?sink ?meter ?probe variant ~failure ~seed ->
+        run_once ?sink ?meter ?probe variant ~failure ~seed);
     session =
       Some
         (fun ?(ablate_regions = false) ?(ablate_semantics = false) variant ~seed ->

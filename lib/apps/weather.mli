@@ -24,7 +24,6 @@ val run_once :
   ?buffering:[ `Single | `Double ] ->
   ?sink:Trace.Event.sink ->
   ?meter:Obs.Sheet.t ->
-  ?faults:Faults.plan ->
   ?probe:(Machine.t -> unit) ->
   Common.variant ->
   failure:Failure.spec ->

@@ -1,5 +1,5 @@
 module Rng = Platform.Rng
-module Json = Expkit.Json
+module Json = Trace.Json
 
 type options = {
   count : int;

@@ -63,7 +63,7 @@ val run : ?progress:Obs.Progress.t -> options -> report
     {!Obs.Progress.finish}). *)
 
 val passed : report -> bool
-val to_json : report -> Expkit.Json.t
+val to_json : report -> Trace.Json.t
 
 val reproducer : options -> counterexample -> string
 (** The committed-artifact form of a counterexample: header comments

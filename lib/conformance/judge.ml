@@ -32,12 +32,12 @@ let describe v =
   Printf.sprintf "%s%s: %s" v.vkind where v.detail
 
 let violation_to_json v =
-  Expkit.Json.Obj
+  Trace.Json.Obj
     [
-      ("kind", Expkit.Json.String v.vkind);
-      ("variant", Expkit.Json.String v.variant);
-      ("schedule", Expkit.Json.String v.schedule);
-      ("detail", Expkit.Json.String v.detail);
+      ("kind", Trace.Json.String v.vkind);
+      ("variant", Trace.Json.String v.variant);
+      ("schedule", Trace.Json.String v.schedule);
+      ("detail", Trace.Json.String v.detail);
     ]
 
 type outcome = {
@@ -330,7 +330,8 @@ let judge ?(stop_early = false) ?(config = default_config) (case : Gen.case) =
                     (Machine.charges vm_m));
              if Machine.events m <> Machine.events vm_m then diverge "event counters differ";
              (match
-                first_diff (all_globals (Interp.read_global t)) (all_globals (Vm.read_global vm))
+                first_diff (all_globals (Interp.read_global t))
+                  (all_globals (Interp.read_global (Vm.linked vm)))
               with
              | Some (n, i, exp, got) ->
                  diverge (Printf.sprintf "%s[%d] = %d under tree, %d under vm" n i exp got)

@@ -71,7 +71,7 @@ val key : violation -> string
 (** [vkind ^ "/" ^ variant] — what the shrinker preserves. *)
 
 val describe : violation -> string
-val violation_to_json : violation -> Expkit.Json.t
+val violation_to_json : violation -> Trace.Json.t
 
 type outcome = {
   diag_codes : string list;  (** sorted distinct codes, warnings included *)

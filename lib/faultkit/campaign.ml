@@ -364,6 +364,13 @@ let perfetto r =
 
 let max_failed_in_json = 20
 
+let violation_text = function
+  | Livelock task -> "livelock in task " ^ task
+  | App_incorrect -> "app check failed"
+  | Nv_mismatch (m :: _) -> Format.asprintf "NV state diverged: %a" Oracle.pp_mismatch m
+  | Nv_mismatch [] -> "NV state diverged"
+  | Always_skipped sites -> "Always I/O skipped at " ^ String.concat ", " sites
+
 let violation_json = function
   | Livelock task ->
       Trace.Json.Obj

@@ -47,6 +47,10 @@ val verdict :
     livelock is its only violation; otherwise the app check, the NV
     diff ({!Oracle.nv_diff}) and the skipped Always sites, in order. *)
 
+val violation_text : violation -> string
+(** One line, as the [faults] and [explore] commands print it: the
+    first NV mismatch only. *)
+
 val violation_json : violation -> Trace.Json.t
 (** As in campaign and explorer reports. *)
 

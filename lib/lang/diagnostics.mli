@@ -4,8 +4,8 @@
     code ([E01xx] resolution, [E02xx] structural support and resource
     limits, [E03xx] namespace safety, [W04xx] lints), a {!Span.t}, a
     message and an optional hint. Renderers produce either compiler-style
-    text with a caret/underline source excerpt or JSON (via the
-    [Trace.Json] value type that [Expkit.Json] re-exports).
+    text with a caret/underline source excerpt or JSON (the
+    [Trace.Json] value type).
 
     Diagnostic codes in use:
 

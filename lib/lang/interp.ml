@@ -14,23 +14,24 @@ type io_impl = Machine.t -> io_arg_v list -> int
 
 (* How a global is stored: managed by the baseline runtime's variable
    manager, or a raw location. *)
-type ginfo = Managed of Runtimes.Manager.var * int | Raw of Loc.t * int
+type global = Managed of Runtimes.Manager.var * int | Raw of Loc.t * int
 
 type t = {
   m : Machine.t;
-  policy : policy;
   prog : program;
   radio : Periph.Radio.t;
   io : (string, io_impl) Hashtbl.t;
-  globals : (string, ginfo) Hashtbl.t;
+  globals : (string, global) Hashtbl.t;
   mgr : Runtimes.Manager.t option;
   rt : Easeio.Runtime.t option;
-  clear : (string, (int * int) list) Hashtbl.t;
-      (** task -> easeio flag (addr, words) cleared at commit; loop-
-          indexed sites have whole lock-flag arrays *)
+  hooks : Kernel.Engine.hooks;
+      (** the runtime's hooks plus commit-time clearing of each task's
+          transform-inserted lock flags *)
+  flash : (Memory.space * int * int) array;
+      (** flash-time initialization, word by word (see [reflash]) *)
   locals : (string, int) Hashtbl.t;
   transformed : Transform.result option;
-  mutable check : (t -> bool) option;
+  check : (t -> bool) option;
   mutable steps : int;
 }
 
@@ -42,19 +43,22 @@ let machine t = t.m
 let radio t = t.radio
 let program t = t.prog
 let transformed t = t.transformed
+let manager t = t.mgr
+let runtime t = t.rt
+let hooks t = t.hooks
+let io t name = Hashtbl.find_opt t.io name
+let global t name = Hashtbl.find_opt t.globals name
+
+let reflash t =
+  Array.iter (fun (space, addr, v) -> Memory.write (Machine.mem t.m space) addr v) t.flash
 
 (* Work on transform-inserted state counts as runtime overhead. *)
 let is_runtime_name name = String.length name >= 2 && name.[0] = '_' && name.[1] = '_'
 
 let ovh_if cond m f = if cond then Machine.with_tag m Machine.Overhead f else f ()
 
-let ginfo t name =
-  match Hashtbl.find_opt t.globals name with
-  | Some g -> Some g
-  | None -> None
-
 let global_loc t name =
-  match Hashtbl.find_opt t.globals name with
+  match global t name with
   | Some (Raw (loc, _)) -> loc
   | Some (Managed (v, _)) -> (
       match t.mgr with
@@ -63,7 +67,7 @@ let global_loc t name =
   | None -> raise Not_found
 
 let read_global t name i =
-  match Hashtbl.find_opt t.globals name with
+  match global t name with
   | Some (Managed (v, _)) -> Runtimes.Manager.committed (Option.get t.mgr) v i
   | Some (Raw (loc, _)) -> Memory.read (Machine.mem t.m loc.Loc.space) (loc.Loc.addr + i)
   | None -> raise Not_found
@@ -74,7 +78,7 @@ let read_global t name i =
    them. *)
 let global_equals t name expected =
   let ok = ref true in
-  (match Hashtbl.find_opt t.globals name with
+  (match global t name with
   | Some (Managed (v, _)) ->
       let mgr = Option.get t.mgr in
       Array.iteri (fun i x -> if Runtimes.Manager.committed mgr v i <> x then ok := false) expected
@@ -87,7 +91,7 @@ let global_equals t name expected =
 (* {1 Charged variable access} *)
 
 let read_scalar t name =
-  match ginfo t name with
+  match global t name with
   | Some (Managed (v, _)) -> Runtimes.Manager.read (Option.get t.mgr) v 0
   | Some (Raw (loc, _)) ->
       ovh_if (is_runtime_name name) t.m (fun () -> Machine.read t.m loc.Loc.space loc.Loc.addr)
@@ -97,7 +101,7 @@ let read_scalar t name =
       Option.value ~default:0 (Hashtbl.find_opt t.locals name)
 
 let write_scalar t name v =
-  match ginfo t name with
+  match global t name with
   | Some (Managed (var, _)) -> Runtimes.Manager.write (Option.get t.mgr) var 0 v
   | Some (Raw (loc, _)) ->
       ovh_if (is_runtime_name name) t.m (fun () -> Machine.write t.m loc.Loc.space loc.Loc.addr v)
@@ -106,7 +110,7 @@ let write_scalar t name v =
       Hashtbl.replace t.locals name v
 
 let read_elem t name i =
-  match ginfo t name with
+  match global t name with
   | Some (Managed (v, words)) ->
       if i < 0 || i >= words then error "index %d out of bounds for %s[%d]" i name words;
       Runtimes.Manager.read (Option.get t.mgr) v i
@@ -117,7 +121,7 @@ let read_elem t name i =
   | None -> error "unknown array %s" name
 
 let write_elem t name i v =
-  match ginfo t name with
+  match global t name with
   | Some (Managed (var, words)) ->
       if i < 0 || i >= words then error "index %d out of bounds for %s[%d]" i name words;
       Runtimes.Manager.write (Option.get t.mgr) var i v
@@ -129,7 +133,7 @@ let write_elem t name i v =
 
 (* Raw location for peripherals (DMA, LEA): bypasses any mediation. *)
 let loc_words t name =
-  match ginfo t name with
+  match global t name with
   | Some (Raw (loc, words)) -> (loc, words)
   | Some (Managed (v, words)) -> (Runtimes.Manager.raw_loc (Option.get t.mgr) v, words)
   | None -> error "unknown array %s (peripherals need declared globals)" name
@@ -233,7 +237,7 @@ and exec_stmt t stmt =
 
 and exec_call t c =
   let impl =
-    match Hashtbl.find_opt t.io c.io with
+    match io t c.io with
     | Some impl -> impl
     | None -> error "unknown I/O function %s" c.io
   in
@@ -324,41 +328,91 @@ let default_io radio : (string * io_impl) list =
         | _ -> error "Lea_fir(input, coeffs, taps, output, samples)" );
   ]
 
-(* {1 Setup} *)
+(* {1 Linking} *)
 
-let alloc_globals t prog =
+(* Place each global: a manager variable under Alpaca/InK (declared WAR
+   when any task reads it before writing it), a raw FRAM/SRAM location
+   otherwise. Initializers are written at flash time (uncharged), and
+   recorded word by word for [reflash]. *)
+let link_globals m mgr prog =
+  let globals = Hashtbl.create 32 and flash = ref [] in
   List.iter
     (fun d ->
-      let space = match d.v_space with Nv -> Memory.Fram | Vol -> Memory.Sram in
-      let info =
-        match (t.mgr, d.v_space) with
+      let g =
+        match (mgr, d.v_space) with
         | Some mgr, Nv ->
-            (* WAR in any task -> privatized by the baseline runtime *)
             let war =
               List.exists (fun task -> List.mem d.v_name (Analysis.war_vars prog task))
                 prog.p_tasks
             in
             Managed (Runtimes.Manager.declare ~war mgr ~name:d.v_name ~words:d.v_words, d.v_words)
         | _ ->
-            let addr = Machine.alloc t.m space ~name:d.v_name ~words:d.v_words in
+            let space = match d.v_space with Nv -> Memory.Fram | Vol -> Memory.Sram in
+            let addr = Machine.alloc m space ~name:d.v_name ~words:d.v_words in
             Raw ({ Loc.space; addr }, d.v_words)
       in
-      Hashtbl.replace t.globals d.v_name info;
-      (* flash-time initialization (uncharged) *)
-      match d.v_init with
-      | None -> ()
-      | Some init ->
+      Hashtbl.replace globals d.v_name g;
+      Option.iter
+        (fun init ->
           let loc =
-            match info with
+            match g with
             | Raw (loc, _) -> loc
-            | Managed (v, _) -> Runtimes.Manager.flash_loc (Option.get t.mgr) v
+            | Managed (v, _) -> Runtimes.Manager.flash_loc (Option.get mgr) v
           in
           Array.iteri
             (fun i v ->
-              if i < d.v_words then
-                Memory.write (Machine.mem t.m loc.Loc.space) (loc.Loc.addr + i) v)
+              if i < d.v_words then begin
+                Memory.write (Machine.mem m loc.Loc.space) (loc.Loc.addr + i) v;
+                flash := (loc.Loc.space, loc.Loc.addr + i, v) :: !flash
+              end)
             init)
-    prog.p_globals
+        d.v_init)
+    prog.p_globals;
+  (globals, Array.of_list (List.rev !flash))
+
+(* The runtime's hooks, composed with clearing each task's commit-
+   cleared lock flags (loop-indexed sites clear whole flag arrays). The
+   flags exist only under EaseIO, which has no manager, so each is a raw
+   FRAM global. *)
+let link_hooks globals mgr rt transformed =
+  let base =
+    match (mgr, rt) with
+    | Some mgr, _ -> Runtimes.Manager.hooks mgr
+    | _, Some rt -> Easeio.Runtime.hooks rt
+    | None, None -> Kernel.Engine.no_hooks
+  in
+  let clear = Hashtbl.create 8 in
+  Option.iter
+    (fun { Transform.clear_flags; _ } ->
+      List.iter
+        (fun (task, flags) ->
+          Hashtbl.replace clear task
+            (List.map
+               (fun f ->
+                 match Hashtbl.find globals f with
+                 | Raw (loc, words) -> (loc.Loc.addr, words)
+                 | Managed _ -> assert false)
+               flags))
+        clear_flags)
+    transformed;
+  let clear_hook =
+    {
+      Kernel.Engine.on_task_start = (fun _ _ -> ());
+      on_commit =
+        (fun m task ->
+          match Hashtbl.find_opt clear task with
+          | None -> ()
+          | Some ranges ->
+              List.iter
+                (fun (addr, words) ->
+                  for i = 0 to words - 1 do
+                    Machine.write m Memory.Fram (addr + i) 0
+                  done)
+                ranges);
+      on_reboot = (fun _ -> ());
+    }
+  in
+  Kernel.Engine.compose_hooks base clear_hook
 
 let build ?(policy = Easeio) ?(extra_io = []) ?check ?priv_buffer_words ?ablate_regions
     ?ablate_semantics m prog =
@@ -381,7 +435,7 @@ let build ?(policy = Easeio) ?(extra_io = []) ?check ?priv_buffer_words ?ablate_
     | None, Some r -> Some r.Transform.priv_demand_words
     | None, None -> None
   in
-  let exec_prog = match transformed with Some r -> r.Transform.prog | None -> prog in
+  let prog = match transformed with Some r -> r.Transform.prog | None -> prog in
   let mgr =
     match policy with
     | Alpaca -> Some (Runtimes.Manager.create m Runtimes.Manager.Alpaca)
@@ -390,44 +444,24 @@ let build ?(policy = Easeio) ?(extra_io = []) ?check ?priv_buffer_words ?ablate_
   in
   let rt = match policy with Easeio -> Some (Easeio.Runtime.create ?priv_buffer_words m) | _ -> None in
   let radio = Periph.Radio.create m in
-  let t =
-    {
-      m;
-      policy;
-      prog = exec_prog;
-      radio;
-      io = Hashtbl.create 16;
-      globals = Hashtbl.create 32;
-      mgr;
-      rt;
-      clear = Hashtbl.create 8;
-      locals = Hashtbl.create 16;
-      transformed;
-      check = None;
-      steps = 0;
-    }
-  in
-  t.check <- check;
-  List.iter (fun (name, impl) -> Hashtbl.replace t.io name impl) (default_io radio);
-  List.iter (fun (name, impl) -> Hashtbl.replace t.io name impl) extra_io;
-  alloc_globals t exec_prog;
-  (* resolve the transform's per-task commit-cleared flags to addresses *)
-  (match transformed with
-  | Some { Transform.clear_flags; _ } ->
-      List.iter
-        (fun (task, flags) ->
-          let ranges =
-            List.map
-              (fun f ->
-                match Hashtbl.find_opt t.globals f with
-                | Some (Raw (loc, words)) -> (loc.Loc.addr, words)
-                | Some (Managed _) | None -> ((global_loc t f).Loc.addr, 1))
-              flags
-          in
-          Hashtbl.replace t.clear task ranges)
-        clear_flags
-  | None -> ());
-  t
+  let io = Hashtbl.create 16 in
+  List.iter (fun (name, impl) -> Hashtbl.replace io name impl) (default_io radio @ extra_io);
+  let globals, flash = link_globals m mgr prog in
+  {
+    m;
+    prog;
+    radio;
+    io;
+    globals;
+    mgr;
+    rt;
+    hooks = link_hooks globals mgr rt transformed;
+    flash;
+    locals = Hashtbl.create 16;
+    transformed;
+    check;
+    steps = 0;
+  }
 
 let to_app t =
   let body_of task m =
@@ -442,31 +476,5 @@ let to_app t =
   Kernel.Task.make_app ?check ~name:t.prog.p_name ~entry:t.prog.p_entry
     (List.map (fun task -> { Kernel.Task.name = task.t_name; body = body_of task }) t.prog.p_tasks)
 
-let hooks t =
-  let base =
-    match (t.mgr, t.rt) with
-    | Some mgr, _ -> Runtimes.Manager.hooks mgr
-    | _, Some rt -> Easeio.Runtime.hooks rt
-    | None, None -> Kernel.Engine.no_hooks
-  in
-  let clear_hook =
-    {
-      Kernel.Engine.on_task_start = (fun _ _ -> ());
-      on_commit =
-        (fun m task ->
-          match Hashtbl.find_opt t.clear task with
-          | None -> ()
-          | Some ranges ->
-              List.iter
-                (fun (addr, words) ->
-                  for i = 0 to words - 1 do
-                    Machine.write m Memory.Fram (addr + i) 0
-                  done)
-                ranges);
-      on_reboot = (fun _ -> ());
-    }
-  in
-  Kernel.Engine.compose_hooks base clear_hook
-
 let run ?max_failures t =
-  Kernel.Engine.run ~hooks:(hooks t) ?max_failures t.m (to_app t)
+  Kernel.Engine.run ~hooks:t.hooks ?max_failures t.m (to_app t)

@@ -33,13 +33,8 @@ type io_impl = Machine.t -> io_arg_v list -> int
     result (0 for void operations). They charge their own costs and
     bump their ["io:…"] event counters. *)
 
-val default_io : Periph.Radio.t -> (string * io_impl) list
-(** The standard peripheral set (Temp, Humd, Pres, Light, Send, Capture,
-    Delay, Lea_mac, Lea_fir) closed over the given radio. Exposed so the
-    bytecode VM ({!Vm}) registers the exact same implementations. *)
-
 type t
-(** A prepared execution: machine + program + runtime plumbing. *)
+(** A linked program: machine + program + runtime plumbing. *)
 
 val build :
   ?policy:policy ->
@@ -51,13 +46,20 @@ val build :
   Machine.t ->
   Ast.program ->
   t
-(** Allocate globals, set up the runtime for [policy] (default
-    [Easeio]), register default peripherals (Temp, Humd, Pres, Light,
-    Send, Capture, Delay, Lea_mac, Lea_fir) plus [extra_io]. The ablate
-    flags are forwarded to {!Transform.apply} (Easeio policy only). *)
+(** Link [prog] onto [m] under [policy] (default [Easeio]): validate it,
+    transform it ({!Transform.apply}, Easeio only; the ablate flags are
+    forwarded) and size the privatization buffer, create the runtime
+    (the baseline manager, or the EaseIO runtime) and the radio,
+    register the default peripherals (Temp, Humd, Pres, Light, Send,
+    Capture, Delay, Lea_mac, Lea_fir) plus [extra_io], place every
+    global (WAR variables declared to the manager under Alpaca/InK) and
+    write its initializer at flash time, and resolve each task's
+    commit-cleared lock flags into the engine hooks. This is the only
+    linker: the bytecode VM ([Vm.compile]) lowers the [t] it returns,
+    so both executors run on the same layout. *)
 
 val run : ?max_failures:int -> t -> Kernel.Engine.outcome
-(** Execute to completion through the kernel engine. *)
+(** Execute to completion through the kernel engine (the tree walker). *)
 
 val machine : t -> Machine.t
 val radio : t -> Periph.Radio.t
@@ -65,6 +67,42 @@ val program : t -> Ast.program
 (** The program actually executed (transformed under [Easeio]). *)
 
 val transformed : t -> Transform.result option
+
+(** {2 Lowering access}
+
+    What a lowering of the linked program needs, resolved once. *)
+
+type global =
+  | Managed of Runtimes.Manager.var * int
+      (** a baseline-runtime variable and its declared words *)
+  | Raw of Loc.t * int  (** a raw FRAM/SRAM location and its declared words *)
+
+val global : t -> string -> global option
+(** Where a declared global lives; [None] for task locals. *)
+
+val io : t -> string -> io_impl option
+(** A registered peripheral by I/O function name. *)
+
+val manager : t -> Runtimes.Manager.t option
+(** The baseline variable manager (Alpaca/InK). *)
+
+val runtime : t -> Easeio.Runtime.t option
+(** The EaseIO runtime (Easeio). *)
+
+val hooks : t -> Kernel.Engine.hooks
+(** The runtime's engine hooks composed with commit-time lock-flag
+    clearing. *)
+
+val reflash : t -> unit
+(** Rewrite every flash-time initializer (uncharged), as [build] did,
+    from the words it recorded: no name is resolved. For arenas
+    recycled with {!Platform.Machine.reset}. *)
+
+val is_runtime_name : string -> bool
+(** Whether a global is transform-inserted state (a ["__"] prefix),
+    whose raw accesses are charged to the overhead bucket. *)
+
+(** {2 Post-run reads} *)
 
 val read_global : t -> string -> int -> int
 (** Uncharged post-run read of a global (committed view under

@@ -3,8 +3,8 @@
     The container has no JSON dependency, and the harness only needs
     serialization, so this is a small value type plus a printer
     (RFC 8259-compliant escaping; non-finite floats become [null]). It
-    lives at the bottom of the library stack so both the trace exporters
-    and [Expkit.Json] (which re-exports it) can build on it. *)
+    lives at the bottom of the library stack so the trace exporters and
+    every layer above them (bench, CLI, campaign reports) share it. *)
 
 type t =
   | Null

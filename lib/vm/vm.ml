@@ -1,5 +1,6 @@
-(* Bytecode VM for the task language: a lowering of checked/transformed
-   programs into a flat [int array] instruction stream plus operand
+(* Bytecode VM for the task language: a lowering of the programs
+   [Interp.build] links (checked, transformed under EaseIO, placed in
+   memory) into a flat [int array] instruction stream plus operand
    tables, executed by a threaded dispatch loop.
 
    The contract is strict observational equivalence with the tree-walker
@@ -19,10 +20,10 @@
    - every global access is resolved at compile time to a concrete word
      address (raw globals) or a manager var (Alpaca/InK), every local to
      an int-array slot — no Hashtbl lookup, no name resolution, no
-     [ginfo] dispatch per access;
-   - the whole front-end (parse, validate, transform, allocation) runs
-     once per (program, policy) pair instead of once per run; [reset]
-     rewinds the machine arena between runs (see [Machine.reset]). *)
+     [Interp.global] dispatch per access;
+   - linking (validate, transform, allocation) runs once per (program,
+     policy) pair instead of once per run; [reset] rewinds the machine
+     arena between runs (see [Machine.reset]). *)
 
 open Platform
 open Lang
@@ -32,9 +33,9 @@ let step_limit = 20_000_000
 
 (* {1 Operand tables} *)
 
-(* How a global is stored, resolved once at compile time. [ovh] marks
-   transform-inserted ["__"] state whose raw accesses are charged to the
-   overhead bucket (mirrors [Interp.is_runtime_name]). *)
+(* How a global is stored: its [Interp.global] placement, resolved once
+   at compile time. [ovh] marks transform-inserted ["__"] state whose raw
+   accesses are charged to the overhead bucket ([Interp.is_runtime_name]). *)
 type backing =
   | Braw of { space : Memory.space; addr : int; ovh : bool }
   | Bman of Runtimes.Manager.var
@@ -55,14 +56,10 @@ type callsite = {
 type dmasite = { d_exclude : bool; d_deps : int array  (** local slots *) }
 
 type t = {
-  m : Machine.t;
-  policy : Interp.policy;
-  prog : program;  (* the executed (transformed under Easeio) program *)
-  radio : Periph.Radio.t;
+  linked : Interp.t;  (* the program, its layout and runtime, as [Interp.build] linked them *)
+  m : Machine.t;  (* the linked machine, manager and runtime, for the dispatch loop *)
   mgr : Runtimes.Manager.t option;
   rt : Easeio.Runtime.t option;
-  transformed : Transform.result option;
-  globals : (string, access) Hashtbl.t;  (* cold paths: read_global / global_loc *)
   code : int array;
   task_pcs : int array;  (* entry pc per task, in p_tasks order *)
   accs : access array;
@@ -70,10 +67,8 @@ type t = {
   dmas : dmasite array;
   strs : string array;
   backs : int array;  (* block take-back records, [back_width] ints each (see [blockify]) *)
-  hooks : Kernel.Engine.hooks;
   mutable app : Kernel.Task.app option;
   cur_slot : int;  (* pre-allocated engine task pointer (arena reuse) *)
-  flash : (Memory.space * int * int) array;  (* replayed by [reset] *)
   (* the reusable machine arena: per-run state, reinitialized by the
      per-attempt prologue / [reset], never reallocated *)
   stack : int array;
@@ -95,35 +90,8 @@ type t = {
 }
 
 let machine t = t.m
-let radio t = t.radio
-let program t = t.prog
-let policy t = t.policy
-let transformed t = t.transformed
-
-let read_global t name i =
-  match Hashtbl.find_opt t.globals name with
-  | Some { back = Bman v; _ } -> Runtimes.Manager.committed (Option.get t.mgr) v i
-  | Some { back = Braw { space; addr; _ }; _ } -> Memory.read (Machine.mem t.m space) (addr + i)
-  | None -> raise Not_found
-
-(* see Interp.global_equals, which this mirrors *)
-let global_equals t name expected =
-  let ok = ref true in
-  (match Hashtbl.find_opt t.globals name with
-  | Some { back = Bman v; _ } ->
-      let mgr = Option.get t.mgr in
-      Array.iteri (fun i x -> if Runtimes.Manager.committed mgr v i <> x then ok := false) expected
-  | Some { back = Braw { space; addr; _ }; _ } ->
-      let mem = Machine.mem t.m space in
-      Array.iteri (fun i x -> if Memory.read mem (addr + i) <> x then ok := false) expected
-  | None -> raise Not_found);
-  !ok
-
-let global_loc t name =
-  match Hashtbl.find_opt t.globals name with
-  | Some { back = Braw { space; addr; _ }; _ } -> { Loc.space; addr }
-  | Some { back = Bman v; _ } -> Runtimes.Manager.raw_loc (Option.get t.mgr) v
-  | None -> raise Not_found
+let radio t = Interp.radio t.linked
+let linked t = t.linked
 
 (* {1 Opcodes}
 
@@ -625,8 +593,6 @@ let exec t pc0 =
 
 (* {1 Compiler} *)
 
-let is_runtime_name name = String.length name >= 2 && name.[0] = '_' && name.[1] = '_'
-
 (* growable code buffer *)
 type buf = { mutable b : int array; mutable len : int }
 
@@ -664,8 +630,7 @@ type ctx = {
   local_ids : (string, int) Hashtbl.t;
   mutable n_locals : int;
   mutable n_regs : int;
-  cglobals : (string, access) Hashtbl.t;
-  cio : (string, Interp.io_impl) Hashtbl.t;
+  linked : Interp.t;
 }
 
 let op1 ctx o = emit ctx.cb o
@@ -696,9 +661,16 @@ let acc_id ctx name =
   match Hashtbl.find_opt ctx.acc_ids name with
   | Some ia -> Some ia
   | None -> (
-      match Hashtbl.find_opt ctx.cglobals name with
+      match Interp.global ctx.linked name with
       | None -> None
-      | Some a ->
+      | Some g ->
+          let back, words =
+            match g with
+            | Interp.Raw ({ Loc.space; addr }, words) ->
+                (Braw { space; addr; ovh = Interp.is_runtime_name name }, words)
+            | Interp.Managed (v, words) -> (Bman v, words)
+          in
+          let a = { back; words; aname = name } in
           let i = tbl_add ctx.xaccs a in
           Hashtbl.add ctx.acc_ids name (i, a);
           Some (i, a))
@@ -804,7 +776,7 @@ let cmemref ctx { ref_arr; ref_off } ~static_op ~dyn_op =
       true
 
 let ccall ctx (c : call_io) =
-  match Hashtbl.find_opt ctx.cio c.io with
+  match Interp.io ctx.linked c.io with
   | None -> op2 ctx o_fail (str_id ctx (Printf.sprintf "unknown I/O function %s" c.io))
   | Some impl ->
       let specs = ref [] and npop = ref 0 and aborted = ref false in
@@ -1131,103 +1103,11 @@ let blockify c accs code task_pcs =
     Array.map dest task_pcs,
     Array.sub backs.b 0 backs.len )
 
-let compile ?(policy = Interp.Easeio) ?(extra_io = []) ?priv_buffer_words ?ablate_regions
-    ?ablate_semantics m prog =
-  validate prog;
-  (* front-end, runtime and allocation: step-for-step the same sequence
-     as [Interp.build], so layouts and flash state are identical *)
-  let transformed =
-    match policy with
-    | Interp.Easeio ->
-        Some
-          (Transform.apply ?ablate_regions ?ablate_semantics
-             ~priv_buffer_words:(Option.value ~default:max_int priv_buffer_words)
-             prog)
-    | Interp.Plain | Interp.Alpaca | Interp.Ink -> None
+let compile ?policy ?extra_io ?priv_buffer_words ?ablate_regions ?ablate_semantics m prog =
+  let linked =
+    Interp.build ?policy ?extra_io ?priv_buffer_words ?ablate_regions ?ablate_semantics m prog
   in
-  let priv_buffer_words =
-    match (priv_buffer_words, transformed) with
-    | Some w, _ -> Some w
-    | None, Some r -> Some r.Transform.priv_demand_words
-    | None, None -> None
-  in
-  let exec_prog = match transformed with Some r -> r.Transform.prog | None -> prog in
-  let mgr =
-    match policy with
-    | Interp.Alpaca -> Some (Runtimes.Manager.create m Runtimes.Manager.Alpaca)
-    | Interp.Ink -> Some (Runtimes.Manager.create m Runtimes.Manager.Ink)
-    | Interp.Plain | Interp.Easeio -> None
-  in
-  let rt =
-    match policy with
-    | Interp.Easeio -> Some (Easeio.Runtime.create ?priv_buffer_words m)
-    | _ -> None
-  in
-  let radio = Periph.Radio.create m in
-  let io = Hashtbl.create 16 in
-  List.iter (fun (name, impl) -> Hashtbl.replace io name impl) (Interp.default_io radio);
-  List.iter (fun (name, impl) -> Hashtbl.replace io name impl) extra_io;
-  let globals = Hashtbl.create 32 in
-  let flash = ref [] in
-  List.iter
-    (fun d ->
-      let space = match d.v_space with Nv -> Memory.Fram | Vol -> Memory.Sram in
-      let info =
-        match (mgr, d.v_space) with
-        | Some mgr, Nv ->
-            let war =
-              List.exists
-                (fun task -> List.mem d.v_name (Analysis.war_vars exec_prog task))
-                exec_prog.p_tasks
-            in
-            {
-              back = Bman (Runtimes.Manager.declare ~war mgr ~name:d.v_name ~words:d.v_words);
-              words = d.v_words;
-              aname = d.v_name;
-            }
-        | _ ->
-            let addr = Machine.alloc m space ~name:d.v_name ~words:d.v_words in
-            {
-              back = Braw { space; addr; ovh = is_runtime_name d.v_name };
-              words = d.v_words;
-              aname = d.v_name;
-            }
-      in
-      Hashtbl.replace globals d.v_name info;
-      match d.v_init with
-      | None -> ()
-      | Some init ->
-          let loc =
-            match info.back with
-            | Braw { space; addr; _ } -> { Loc.space; addr }
-            | Bman v -> Runtimes.Manager.flash_loc (Option.get mgr) v
-          in
-          Array.iteri
-            (fun i v ->
-              if i < d.v_words then begin
-                Memory.write (Machine.mem m loc.Loc.space) (loc.Loc.addr + i) v;
-                flash := (loc.Loc.space, loc.Loc.addr + i, v) :: !flash
-              end)
-            init)
-    exec_prog.p_globals;
-  let clear = Hashtbl.create 8 in
-  (match transformed with
-  | Some { Transform.clear_flags; _ } ->
-      List.iter
-        (fun (task, flags) ->
-          let ranges =
-            List.map
-              (fun f ->
-                match Hashtbl.find_opt globals f with
-                | Some { back = Braw { addr; _ }; words; _ } -> (addr, words)
-                | Some { back = Bman v; _ } ->
-                    ((Runtimes.Manager.raw_loc (Option.get mgr) v).Loc.addr, 1)
-                | None -> raise Not_found)
-              flags
-          in
-          Hashtbl.replace clear task ranges)
-        clear_flags
-  | None -> ());
+  let exec_prog = Interp.program linked in
   (* lower every task into one shared code buffer *)
   let ctx =
     {
@@ -1241,8 +1121,7 @@ let compile ?(policy = Interp.Easeio) ?(extra_io = []) ?priv_buffer_words ?ablat
       local_ids = Hashtbl.create 16;
       n_locals = 0;
       n_regs = 0;
-      cglobals = globals;
-      cio = io;
+      linked;
     }
   in
   let task_pcs =
@@ -1257,6 +1136,8 @@ let compile ?(policy = Interp.Easeio) ?(extra_io = []) ?priv_buffer_words ?ablat
            pc)
          exec_prog.p_tasks)
   in
+  (* the engine's task pointer, placed after the linker's layout exactly
+     where [Engine.start] places it for a tree-walker run *)
   let cur_slot = Machine.alloc m Memory.Fram ~name:"kernel.cur_task" ~words:1 in
   let calls = tbl_to_array ctx.xcalls in
   let accs = tbl_to_array ctx.xaccs in
@@ -1265,14 +1146,10 @@ let compile ?(policy = Interp.Easeio) ?(extra_io = []) ?priv_buffer_words ?ablat
   in
   let t =
     {
+      linked;
       m;
-      policy;
-      prog = exec_prog;
-      radio;
-      mgr;
-      rt;
-      transformed;
-      globals;
+      mgr = Interp.manager linked;
+      rt = Interp.runtime linked;
       code;
       task_pcs;
       accs;
@@ -1280,10 +1157,8 @@ let compile ?(policy = Interp.Easeio) ?(extra_io = []) ?priv_buffer_words ?ablat
       dmas = tbl_to_array ctx.xdmas;
       strs = tbl_to_array ctx.xstrs;
       backs;
-      hooks = Kernel.Engine.no_hooks;
       app = None;
       cur_slot;
-      flash = Array.of_list (List.rev !flash);
       stack = Array.make (max_stack exec_prog) 0;
       locals = Array.make (max 1 ctx.n_locals) 0;
       regs = Array.make (max 1 ctx.n_regs) 0;
@@ -1299,32 +1174,6 @@ let compile ?(policy = Interp.Easeio) ?(extra_io = []) ?priv_buffer_words ?ablat
       sc_dst_room = 0;
     }
   in
-  (* hooks: runtime base + the transform's commit-time flag clearing,
-     composed exactly as [Interp.hooks] *)
-  let base =
-    match (mgr, rt) with
-    | Some mgr, _ -> Runtimes.Manager.hooks mgr
-    | _, Some rt -> Easeio.Runtime.hooks rt
-    | None, None -> Kernel.Engine.no_hooks
-  in
-  let clear_hook =
-    {
-      Kernel.Engine.on_task_start = (fun _ _ -> ());
-      on_commit =
-        (fun m task ->
-          match Hashtbl.find_opt clear task with
-          | None -> ()
-          | Some ranges ->
-              List.iter
-                (fun (addr, words) ->
-                  for i = 0 to words - 1 do
-                    Machine.write m Memory.Fram (addr + i) 0
-                  done)
-                ranges);
-      on_reboot = (fun _ -> ());
-    }
-  in
-  let t = { t with hooks = Kernel.Engine.compose_hooks base clear_hook } in
   let body_of idx _m =
     (* per-attempt prologue, as [Interp.to_app]: fresh locals, fresh step
        budget *)
@@ -1341,11 +1190,10 @@ let compile ?(policy = Interp.Easeio) ?(extra_io = []) ?priv_buffer_words ?ablat
     Some (Kernel.Task.make_app ~name:exec_prog.p_name ~entry:exec_prog.p_entry tasks);
   t
 
-let reset ?(seed = 1) ?(failure = Failure.No_failures) ?faults t =
-  Machine.reset ~seed ~failure ?faults t.m;
-  Periph.Radio.reset t.radio;
-  (* replay flash-time initialization (uncharged, as at build) *)
-  Array.iter (fun (space, addr, v) -> Memory.write (Machine.mem t.m space) addr v) t.flash
+let reset ?(seed = 1) ?(failure = Failure.No_failures) t =
+  Machine.reset ~seed ~failure t.m;
+  Periph.Radio.reset (Interp.radio t.linked);
+  Interp.reflash t.linked
 
 (* {1 Session access}
 
@@ -1365,9 +1213,9 @@ let prepare ?check t =
   let app =
     match check with
     | None -> app
-    | Some f -> { app with Kernel.Task.check = Some (fun _m -> f t) }
+    | Some f -> { app with Kernel.Task.check = Some (fun _m -> f t.linked) }
   in
-  (app, t.hooks, t.cur_slot)
+  (app, Interp.hooks t.linked, t.cur_slot)
 
 let begin_metered t =
   t.metered <- Machine.metered t.m;

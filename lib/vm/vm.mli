@@ -3,12 +3,13 @@
     The tree-walking interpreter ({!Lang.Interp}) resolves every
     variable name through hashtables and dispatches on runtime policy at
     each access — fine for an oracle, wasteful for million-run sweeps.
-    This module lowers a checked (and, under [Easeio], transformed)
-    program once into a flat [int array] instruction stream whose
+    This module takes the program {!Lang.Interp.build} linked and
+    lowers it once into a flat [int array] instruction stream whose
     operands are preresolved: raw globals carry their absolute
-    FRAM/SRAM addresses, managed globals carry their {!Runtimes.Manager}
-    handles, locals are dense array slots, and the runtime policy's
-    charging behavior is baked into the opcode choice at compile time.
+    FRAM/SRAM addresses, managed globals carry their
+    {!Runtimes.Manager} handles, locals are dense array slots, and the
+    runtime policy's charging behavior is baked into the opcode choice
+    at compile time.
 
     The contract is {e exact observational equivalence} with the tree
     walker, which charges one op at a time: the same charge count,
@@ -43,25 +44,27 @@ val compile :
   Machine.t ->
   Lang.Ast.program ->
   t
-(** Validate, transform (Easeio), allocate globals and runtime state on
-    [m], and lower every task to bytecode. Mirrors {!Lang.Interp.build}
-    step for step so memory layouts and flash-time initialization are
-    identical. The machine is captured as the arena; use [reset] to
-    recycle it between runs. *)
+(** Link the program with {!Lang.Interp.build} (same arguments), lower
+    every task of the linked program to bytecode, then allocate the
+    engine's task pointer. Layout, runtime state, hooks and flash-time
+    initialization are the linker's, so the tree walker and the VM run
+    on identical memory. The machine is captured as the arena; use
+    [reset] to recycle it between runs. *)
 
-val reset : ?seed:int -> ?failure:Failure.spec -> ?faults:Faults.plan -> t -> unit
+val reset : ?seed:int -> ?failure:Failure.spec -> t -> unit
 (** Reinitialize the arena for a fresh run: clear both memories, reset
     counters/clock/energy/events, reseed the RNG, install the given
-    failure schedule and fault plan, and replay the program's flash-time
-    global initialization. Compile-time memory layouts are kept, so a
+    failure schedule (and no peripheral faults), and replay the
+    program's flash-time global initialization
+    ({!Lang.Interp.reflash}). Compile-time memory layouts are kept, so a
     [reset] arena is observationally identical to a freshly [compile]d
     one. *)
 
-val run : ?check:(t -> bool) -> ?max_failures:int -> t -> Kernel.Engine.outcome
+val run : ?check:(Lang.Interp.t -> bool) -> ?max_failures:int -> t -> Kernel.Engine.outcome
 (** Execute to completion through the kernel engine. [check] is the
     end-of-run application check (same role as [Interp.build]'s
-    [?check]), supplied per run so one compiled arena serves many
-    seeds. *)
+    [?check]) on the {!linked} program, supplied per run so one compiled
+    arena serves many seeds. *)
 
 (** {2 Session access}
 
@@ -74,10 +77,10 @@ val run : ?check:(t -> bool) -> ?max_failures:int -> t -> Kernel.Engine.outcome
     checkpoint needs only {!save_counts} (when metered) and the
     radio's snapshot beyond the machine's own. *)
 
-val prepare : ?check:(t -> bool) -> t -> Kernel.Task.app * Kernel.Engine.hooks * int
+val prepare : ?check:(Lang.Interp.t -> bool) -> t -> Kernel.Task.app * Kernel.Engine.hooks * int
 (** The engine inputs for this arena: the compiled app (with [check]
-    wired in, same role as {!run}'s), the runtime hooks, and the
-    pre-allocated task-pointer slot. *)
+    wired in, same role as {!run}'s), the linker's runtime hooks, and
+    the pre-allocated task-pointer slot. *)
 
 val begin_metered : t -> unit
 (** Latch whether the machine carries a metrics sheet and zero the
@@ -95,19 +98,7 @@ val restore_counts : t -> int array * int array -> unit
 val machine : t -> Machine.t
 val radio : t -> Periph.Radio.t
 
-val program : t -> Lang.Ast.program
-(** The program actually executed (transformed under [Easeio]). *)
-
-val policy : t -> Lang.Interp.policy
-val transformed : t -> Lang.Transform.result option
-
-val read_global : t -> string -> int -> int
-(** Uncharged post-run read of a global (committed view under
-    Alpaca/InK). Raises [Not_found] for unknown names. *)
-
-val global_equals : t -> string -> int array -> bool
-(** In-place comparison of a global's prefix with an expected image;
-    see {!Lang.Interp.global_equals}. *)
-
-val global_loc : t -> string -> Loc.t
-(** Raw backing location of a global (for golden-state comparison). *)
+val linked : t -> Lang.Interp.t
+(** The linked program this arena runs: the executed program, its
+    globals ({!Lang.Interp.read_global}, {!Lang.Interp.global_loc}) and
+    its runtime, on this arena's machine. *)

@@ -82,5 +82,18 @@ let () =
     ~args:
       [ "fuzz"; "--replay"; fixture "fuzz-corpus/fuzz_2127312984094606724.eio"; "--ablate-regions" ]
     ~code:1 ~stderr_prefix:"easeio fuzz: " ();
+  (* out-of-range numeric options are usage errors, never an uncaught
+     exception or a silent run *)
+  check ~name:"app: --runs 0 exits 1" ~args:[ "app"; "lea"; "--runs"; "0" ] ~code:1
+    ~stderr_prefix:"easeio app: --runs must be >= 1" ();
+  check ~name:"fuzz: --count=-1 exits 1" ~args:[ "fuzz"; "--count=-1" ] ~code:1
+    ~stderr_prefix:"easeio fuzz: --count must be >= 1" ();
+  check ~name:"fuzz: --count 0 exits 1" ~args:[ "fuzz"; "--count"; "0" ] ~code:1
+    ~stderr_prefix:"easeio fuzz: --count must be >= 1" ();
+  check ~name:"explore: --depth=-1 exits 1" ~args:[ "explore"; "lea"; "--depth=-1" ] ~code:1
+    ~stderr_prefix:"easeio explore: --depth must be >= 0" ();
+  check ~name:"explore: --max-states 0 exits 1"
+    ~args:[ "explore"; "lea"; "--max-states"; "0" ]
+    ~code:1 ~stderr_prefix:"easeio explore: --max-states must be >= 1" ();
   Printf.printf "%d/%d ok\n" (!ran - !failures) !ran;
   if !failures > 0 then exit 1

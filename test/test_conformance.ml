@@ -182,8 +182,8 @@ let test_fuzz_report_deterministic_across_jobs () =
   let a = Fuzz.run { small_options with jobs = 1 } in
   let b = Fuzz.run { small_options with jobs = 2 } in
   checks "byte-identical JSON for jobs 1 vs 2"
-    (Expkit.Json.to_string (Fuzz.to_json a))
-    (Expkit.Json.to_string (Fuzz.to_json b))
+    (Trace.Json.to_string (Fuzz.to_json a))
+    (Trace.Json.to_string (Fuzz.to_json b))
 
 let test_fuzz_clean_campaign_passes () =
   let r = Fuzz.run { small_options with jobs = 2 } in

@@ -823,14 +823,14 @@ let test_diagnostic_json_shape () =
   let src = "program p;\nnv int a;\nnv int a;\ntask t { stop; }\n" in
   let ds = Analysis.resolve (Parser.parse src) in
   match Diagnostics.report_to_json ~file:"x.eio" ds with
-  | Expkit.Json.Obj fields ->
+  | Trace.Json.Obj fields ->
       checkb "file field" true (List.mem_assoc "file" fields);
-      checkb "errors field" true (List.assoc "errors" fields = Expkit.Json.Int 1);
-      checkb "warnings field" true (List.assoc "warnings" fields = Expkit.Json.Int 0);
+      checkb "errors field" true (List.assoc "errors" fields = Trace.Json.Int 1);
+      checkb "warnings field" true (List.assoc "warnings" fields = Trace.Json.Int 0);
       (match List.assoc "diagnostics" fields with
-      | Expkit.Json.List [ Expkit.Json.Obj d ] ->
-          checkb "code" true (List.assoc "code" d = Expkit.Json.String "E0103");
-          checkb "severity" true (List.assoc "severity" d = Expkit.Json.String "error");
+      | Trace.Json.List [ Trace.Json.Obj d ] ->
+          checkb "code" true (List.assoc "code" d = Trace.Json.String "E0103");
+          checkb "severity" true (List.assoc "severity" d = Trace.Json.String "error");
           checkb "span present" true (List.mem_assoc "span" d)
       | _ -> Alcotest.fail "diagnostics not a one-element list")
   | _ -> Alcotest.fail "report not an object"

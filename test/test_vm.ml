@@ -69,7 +69,7 @@ let observe_vm vm ~failure ~seed =
     | o -> Ok (Expkit.Run.of_outcome m o)
     | exception Lang.Ast.Error msg -> Error msg
   in
-  let prog = Vm.program vm in
+  let linked = Vm.linked vm in
   {
     result;
     charges = Machine.charges m;
@@ -79,8 +79,9 @@ let observe_vm vm ~failure ~seed =
     globals =
       List.map
         (fun d ->
-          (d.Lang.Ast.v_name, Array.init d.Lang.Ast.v_words (Vm.read_global vm d.Lang.Ast.v_name)))
-        prog.Lang.Ast.p_globals;
+          ( d.Lang.Ast.v_name,
+            Array.init d.Lang.Ast.v_words (Lang.Interp.read_global linked d.Lang.Ast.v_name) ))
+        (Lang.Interp.program linked).Lang.Ast.p_globals;
   }
 
 let policies = [ Lang.Interp.Plain; Lang.Interp.Alpaca; Lang.Interp.Ink; Lang.Interp.Easeio ]

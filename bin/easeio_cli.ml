@@ -144,17 +144,20 @@ let print_diags ~json ~file ~src ds =
     print_endline (Trace.Json.to_string (Lang.Diagnostics.report_to_json ~file ds))
   else if ds <> [] then print_endline (Lang.Diagnostics.render_all ~src ds)
 
+(* Every diagnostic of the analysis and lint passes, or the E0001 of a
+   syntax error. *)
+let check_diags ?recharge_us src =
+  match parse_or_e0001 src with
+  | Error ds -> ds
+  | Ok p ->
+      let opts = { Lang.Pass.default_options with recharge_us } in
+      let _, ctx = Lang.Pass.run_pipeline ~opts Lang.Pass.analysis_passes p in
+      Lang.Diagnostics.contents ctx.Lang.Pass.bag
+
 let check_cmd =
   let run file json expect recharge_us =
     let src = read_file file in
-    let ds =
-      match parse_or_e0001 src with
-      | Error ds -> ds
-      | Ok p ->
-          let opts = { Lang.Pass.default_options with recharge_us } in
-          let _, ctx = Lang.Pass.run_pipeline ~opts Lang.Pass.analysis_passes p in
-          Lang.Diagnostics.contents ctx.Lang.Pass.bag
-    in
+    let ds = check_diags ?recharge_us src in
     print_diags ~json ~file ~src ds;
     match expect with
     | Some code ->
@@ -266,6 +269,18 @@ let transform_cmd =
 
 (* {1 run} *)
 
+(* A program that fails to parse or validate gets [check]'s diagnostics
+   on stderr; one that fails while linking or running gets its message.
+   Either way, exit 1. *)
+let run_or_exit ~file src f =
+  match f () with
+  | () -> ()
+  | exception (Lang.Parser.Error (_, msg) | Lang.Ast.Error msg) ->
+      let ds = check_diags src in
+      if Lang.Diagnostics.has_errors ds then prerr_endline (Lang.Diagnostics.render_all ~src ds)
+      else Printf.eprintf "easeio run: %s: %s\n" file msg;
+      exit 1
+
 let run_cmd =
   let run file policy interp failures failure_spec seed json =
     let failure =
@@ -273,17 +288,18 @@ let run_cmd =
       | Some f -> f
       | None -> if failures then Failure.paper_timer else Failure.No_failures
     in
+    let src = read_file file in
+    run_or_exit ~file src @@ fun () ->
     (* the VM JSON document is built by [Serve.Oneshot.run_doc] — the
        same function the campaign service memoizes and streams, so the
        CLI and server bytes can never drift apart *)
     if json && interp = Apps.Common.Bytecode then
-      print_string
-        (Trace.Json.to_string (Serve.Oneshot.run_doc ~policy ~failure ~seed (read_file file)))
+      print_string (Trace.Json.to_string (Serve.Oneshot.run_doc ~policy ~failure ~seed src))
     else begin
     let m = Machine.create ~seed ~failure () in
     let sheet = Obs.Sheet.create () in
     Machine.set_meter m sheet;
-    let prog = Lang.Parser.program (read_file file) in
+    let prog = Lang.Parser.program src in
     let o =
       match interp with
       | Apps.Common.Tree_walk ->

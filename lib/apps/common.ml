@@ -19,27 +19,8 @@ let lea_fir_seg : string * Lang.Interp.io_impl =
   ( "Lea_fir_seg",
     fun m args ->
       match args with
-      | [
-       Lang.Interp.Arr (input, in_words);
-       Val in_off;
-       Arr (coeffs, _);
-       Val taps;
-       Arr (output, out_words);
-       Val out_off;
-       Val samples;
-      ] ->
-          if in_off + samples + taps - 1 > in_words || out_off + samples > out_words then
-            Lang.Ast.error "Lea_fir_seg: segment out of bounds";
-          let sram_addr (loc : Loc.t) what =
-            match loc.Loc.space with
-            | Memory.Sram -> loc.Loc.addr
-            | Memory.Fram -> Lang.Ast.error "Lea_fir_seg: %s must be in LEA-RAM" what
-          in
-          Periph.Lea.fir m
-            ~input:(sram_addr input "input" + in_off)
-            ~coeffs:(sram_addr coeffs "coeffs")
-            ~taps
-            ~output:(sram_addr output "output" + out_off)
+      | [ input; Val in_off; coeffs; Val taps; output; Val out_off; Val samples ] ->
+          Lang.Interp.lea_fir "Lea_fir_seg" m ~input ~in_off ~coeffs ~taps ~output ~out_off
             ~samples;
           0
       | _ -> Lang.Ast.error "Lea_fir_seg(input, in_off, coeffs, taps, output, out_off, samples)" )

@@ -57,49 +57,43 @@ let signal_pattern i = ((i * 5) + 3) mod 16
 let coef_pattern i = (i * 3 mod 7) + 1
 let table_pattern i = (i * 7 mod 5) + 1
 
-(* pure input images and the expected filter output, computed once —
-   setup/check run on every benchmark repetition *)
-let signal_image = lazy (Array.init signal_words signal_pattern)
-let coefs_image = lazy (Array.init taps coef_pattern)
-let table_image = lazy (Array.init table_words table_pattern)
+(* pure input images and the expected filter output, computed once at
+   start-up: setup and check run on every benchmark repetition, and
+   worker domains run them concurrently *)
+let signal_image = Array.init signal_words signal_pattern
+let coefs_image = Array.init taps coef_pattern
+let table_image = Array.init table_words table_pattern
 
 let reference_output =
-  lazy
-    (let input = Lazy.force signal_image in
-     let coefs = Lazy.force coefs_image in
-     Array.init samples (fun i ->
-         let acc = ref 0 in
-         for j = 0 to taps - 1 do
-           acc := !acc + (input.(i + j) * coefs.(j))
-         done;
-         !acc))
+  Array.init samples (fun i ->
+      let acc = ref 0 in
+      for j = 0 to taps - 1 do
+        acc := !acc + (signal_image.(i + j) * coefs_image.(j))
+      done;
+      !acc)
 
 let setup t =
   let m = Lang.Interp.machine t in
-  Common.flash m (Lang.Interp.global_loc t "signal") (Lazy.force signal_image);
-  Common.flash m (Lang.Interp.global_loc t "coefs") (Lazy.force coefs_image);
-  Common.flash m (Lang.Interp.global_loc t "wtab") (Lazy.force table_image)
+  Common.flash m (Lang.Interp.global_loc t "signal") signal_image;
+  Common.flash m (Lang.Interp.global_loc t "coefs") coefs_image;
+  Common.flash m (Lang.Interp.global_loc t "wtab") table_image
 
 (* The whole signal buffer after a correct run: the filtered samples,
    then the unfiltered tail, which must keep the input; and the checksum
    the [fir] task computes over them. *)
 let expected_signal =
-  lazy
-    (let out = Lazy.force reference_output in
-     Array.init signal_words (fun i -> if i < samples then out.(i) else signal_pattern i))
+  Array.init signal_words (fun i -> if i < samples then reference_output.(i) else signal_pattern i)
 
 let expected_chksum =
-  lazy
-    (let out = Lazy.force reference_output in
-     let chk = ref 0 in
-     for i = 0 to (samples / 2) - 1 do
-       chk := !chk + (out.(i * 2) * table_pattern (i * 2 mod table_words))
-     done;
-     !chk)
+  let chk = ref 0 in
+  for i = 0 to (samples / 2) - 1 do
+    chk := !chk + (reference_output.(i * 2) * table_pattern (i * 2 mod table_words))
+  done;
+  !chk
 
 let check t =
-  Lang.Interp.global_equals t "signal" (Lazy.force expected_signal)
-  && Lang.Interp.read_global t "chksum" 0 = Lazy.force expected_chksum
+  Lang.Interp.global_equals t "signal" expected_signal
+  && Lang.Interp.read_global t "chksum" 0 = expected_chksum
 
 (* DESIGN.md §6 ablations, run by the bench harness *)
 let run_ablated ?sink ?meter ?probe ~ablate_regions ~ablate_semantics ~failure ~seed () =

@@ -43,14 +43,15 @@ nv int out3;
 
 let dma_pattern k i = ((i * 7) + (k * 13)) land 0x3FFF
 
-(* pure patterns, computed once — setup/check run on every benchmark
-   repetition *)
-let dma_images = lazy (Array.init 3 (fun k -> Array.init block (dma_pattern (k + 1))))
+(* pure patterns, computed once at start-up: setup and check run on
+   every benchmark repetition, and worker domains run them
+   concurrently *)
+let dma_images = Array.init 3 (fun k -> Array.init block (dma_pattern (k + 1)))
 
 let dma_setup t =
   let m = Lang.Interp.machine t in
   List.iteri
-    (fun k name -> Common.flash m (Lang.Interp.global_loc t name) (Lazy.force dma_images).(k))
+    (fun k name -> Common.flash m (Lang.Interp.global_loc t name) dma_images.(k))
     [ "src1"; "src2"; "src3" ]
 
 let dma_compute_reference k =
@@ -60,16 +61,16 @@ let dma_compute_reference k =
   done;
   !acc
 
-let dma_references = lazy (Array.init 3 (fun k -> dma_compute_reference (k + 1)))
+let dma_references = Array.init 3 (fun k -> dma_compute_reference (k + 1))
 
 let dma_check t =
   let ok = ref true in
   List.iteri
-    (fun k name -> if not (Lang.Interp.global_equals t name (Lazy.force dma_images).(k)) then ok := false)
+    (fun k name -> if not (Lang.Interp.global_equals t name dma_images.(k)) then ok := false)
     [ "dst1"; "dst2"; "dst3" ];
   List.iteri
     (fun k name ->
-      if Lang.Interp.read_global t name 0 <> (Lazy.force dma_references).(k) then ok := false)
+      if Lang.Interp.read_global t name 0 <> dma_references.(k) then ok := false)
     [ "out1"; "out2"; "out3" ];
   !ok
 
@@ -206,10 +207,10 @@ let lea_reference mult =
   done;
   r + (!post mod 5)
 
-let lea_references = lazy (lea_reference 3, lea_reference 5, lea_reference 7)
+let lea_references = (lea_reference 3, lea_reference 5, lea_reference 7)
 
 let lea_check t =
-  let r1, r2, r3 = Lazy.force lea_references in
+  let r1, r2, r3 = lea_references in
   Lang.Interp.read_global t "acc1" 0 = r1
   && Lang.Interp.read_global t "acc2" 0 = r1 + r2
   && Lang.Interp.read_global t "acc3" 0 = r1 + r2 + r3

@@ -244,8 +244,7 @@ let build ?(buffering = `Double) variant m =
   let check _m =
     let stored_class = Dnn.Network.result m net in
     let image = Dnn.Network.stored_image m net in
-    let reference = Dnn.Network.infer_reference image in
-    let expected_stats = Dnn.Network.reference_stats image in
+    let reference, expected_stats = Dnn.Network.reference image in
     let stats_ok = ref true in
     for i = 0 to Dnn.Network.layer_count - 1 do
       if Memory.read fram (st.act_stats + i) <> expected_stats.(i) then stats_ok := false

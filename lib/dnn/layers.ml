@@ -33,16 +33,15 @@ let alloc_scratch m ~max_act ~max_weights =
 
 (* gather a k x k window into a contiguous run so one LEA MAC computes
    the whole dot product; the movement is DMA-assisted (im2col), so it
-   charges transfer costs rather than CPU loads *)
+   charges transfer costs rather than CPU loads. Each window row is one
+   blit, which counts its reads and writes as the per-word copy would. *)
 let gather_window m s ~base ~in_dim ~x ~y ~k =
   let c = Machine.cost m in
   Machine.charge_op m c.Cost.dma_word (k * k);
   let sram = Machine.mem m Memory.Sram in
   for r = 0 to k - 1 do
-    for col = 0 to k - 1 do
-      let v = Memory.read sram (base + ((y + r) * in_dim) + x + col) in
-      Memory.write sram (s.win + (r * k) + col) v
-    done
+    Memory.blit ~src:sram ~src_addr:(base + ((y + r) * in_dim) + x) ~dst:sram
+      ~dst_addr:(s.win + (r * k)) ~words:k
   done
 
 let conv2d m mover s ~input ~weights ~output ~in_dim ~k ~relu =

@@ -11,6 +11,12 @@ let dim2 = dim1 - conv_k + 1 (* 10 *)
 let fc_in = dim2 * dim2
 let layer_count = 4
 
+(* The weights are constants of the network: generated once, flashed
+   into every machine and read by every reference pass. *)
+let conv1_weights = Weights.gen ~seed:weight_seed (conv_k * conv_k)
+let conv2_weights = Weights.gen ~seed:(weight_seed + 1) (conv_k * conv_k)
+let fc_weights = Weights.gen ~seed:(weight_seed + 2) (fc_in * classes)
+
 type t = {
   buffering : [ `Single | `Double ];
   image : int;  (** FRAM: the input frame *)
@@ -45,9 +51,9 @@ let create m ~buffering =
         Layers.alloc_scratch m ~max_act:act_words ~max_weights:(fc_in * classes);
     }
   in
-  flash m t.w_conv1 (Weights.gen ~seed:weight_seed (conv_k * conv_k));
-  flash m t.w_conv2 (Weights.gen ~seed:(weight_seed + 1) (conv_k * conv_k));
-  flash m t.w_fc (Weights.gen ~seed:(weight_seed + 2) (fc_in * classes));
+  flash m t.w_conv1 conv1_weights;
+  flash m t.w_conv2 conv2_weights;
+  flash m t.w_fc fc_weights;
   t
 
 let image_loc t = Loc.fram t.image
@@ -94,37 +100,20 @@ let run_layer m mover t i =
       Machine.write m Memory.Fram t.result cls
   | _ -> invalid_arg "Network.run_layer: stage out of range"
 
-let reference_activations image =
-  if Array.length image <> input_dim * input_dim then
-    invalid_arg "Network.reference_activations: image size mismatch";
-  let a1 =
-    Layers.ref_conv2d ~input:image
-      ~weights:(Weights.gen ~seed:weight_seed (conv_k * conv_k))
-      ~in_dim:input_dim ~k:conv_k ~relu:true
-  in
-  let a2 =
-    Layers.ref_conv2d ~input:a1
-      ~weights:(Weights.gen ~seed:(weight_seed + 1) (conv_k * conv_k))
-      ~in_dim:dim1 ~k:conv_k ~relu:true
-  in
-  let logits =
-    Layers.ref_fully_connected ~input:a2
-      ~weights:(Weights.gen ~seed:(weight_seed + 2) (fc_in * classes))
-      ~out_len:classes
-  in
-  (a1, a2, logits)
-
-let infer_reference image =
-  let _, _, logits = reference_activations image in
-  Layers.ref_argmax logits
-
 let checksum a = Array.fold_left ( + ) 0 a land 0xFFFF
 
-(* per-stage activation checksums, matching the weather app's post-store
-   statistics pass *)
-let reference_stats image =
-  let a1, a2, logits = reference_activations image in
-  [| checksum a1; checksum a2; checksum logits; Layers.ref_argmax logits land 0xFFFF |]
+(* One bit-exact pass: the class, and the per-stage checksums the
+   weather app's post-store statistics pass folds *)
+let reference image =
+  if Array.length image <> input_dim * input_dim then
+    invalid_arg "Network.reference: image size mismatch";
+  let a1 =
+    Layers.ref_conv2d ~input:image ~weights:conv1_weights ~in_dim:input_dim ~k:conv_k ~relu:true
+  in
+  let a2 = Layers.ref_conv2d ~input:a1 ~weights:conv2_weights ~in_dim:dim1 ~k:conv_k ~relu:true in
+  let logits = Layers.ref_fully_connected ~input:a2 ~weights:fc_weights ~out_len:classes in
+  let cls = Layers.ref_argmax logits in
+  (cls, [| checksum a1; checksum a2; checksum logits; cls land 0xFFFF |])
 
 (* location and size of the activations stage [i] left in FRAM *)
 let stage_output t i =

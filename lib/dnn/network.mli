@@ -4,7 +4,10 @@
     convolution, ReLU (fused), another 4×4 convolution, a fully
     connected layer, and an inference (argmax) stage. Activations live
     in FRAM between layers; each layer stages through LEA-RAM (see
-    {!Layers}).
+    {!Layers}). A layer touches memory a range at a time — the im2col
+    gather copies each window row with one {!Platform.Memory.blit} and
+    every MAC is one {!Platform.Memory.dot} — and the memory counters
+    advance exactly as per-word access would.
 
     Two buffering disciplines are provided for the Table 5 experiment:
     [`Double] keeps separate input/output activation buffers per layer
@@ -42,13 +45,12 @@ val run_layer : Machine.t -> Layers.mover -> t -> int -> unit
 
 val result : Machine.t -> t -> int
 
-val infer_reference : int array -> int
-(** Bit-exact OCaml inference on a raw image (length [input_dim]²). *)
-
-val reference_stats : int array -> int array
-(** Per-stage activation checksums ([conv1; conv2; logits; class]) the
+val reference : int array -> int * int array
+(** [reference image] runs the bit-exact OCaml network once on a raw
+    image (length [input_dim]²) and returns its class together with the
+    per-stage activation checksums ([conv1; conv2; logits; class]) the
     weather app's statistics pass should observe on an uncorrupted
-    run. *)
+    run. The weights are the network's constants, generated once. *)
 
 val stage_output : t -> int -> Loc.t * int
 (** FRAM location and word count of stage [i]'s stored output (used by

@@ -11,10 +11,40 @@ let no_tick () = ()
 (* The calling domain is always one of the [jobs] workers, so
    [jobs = 1] spawns nothing and runs every index in order on it. Each
    worker builds its state with [init] only once it holds a chunk, and
-   takes chunks in ascending index order off the shared cursor. *)
-let fill results n jobs chunk tick init f =
+   takes chunks in ascending index order off the shared cursor.
+
+   A finished result waits in its slot until every earlier index has
+   finished, and is then folded and dropped, so only the results ahead
+   of the oldest unfinished index are held. Whoever finds the head of
+   the schedule ready becomes the folder and folds outside the lock;
+   a worker finishing meanwhile only fills its slot, and the folder
+   looks again under the lock before it stops. *)
+let run n jobs chunk tick init f g acc =
   let cursor = Atomic.make 0 in
   let error = Atomic.make None in
+  let slots = Array.make n None in
+  let mu = Mutex.create () in
+  let acc = ref acc and next = ref 0 and folding = ref false in
+  let rec fold_ready () =
+    match if !next < n then slots.(!next) else None with
+    | Some v ->
+        slots.(!next) <- None;
+        incr next;
+        Mutex.unlock mu;
+        acc := g !acc v;
+        Mutex.lock mu;
+        fold_ready ()
+    | None -> folding := false
+  in
+  let deposit i v =
+    Mutex.lock mu;
+    slots.(i) <- Some v;
+    if not !folding then begin
+      folding := true;
+      fold_ready ()
+    end;
+    Mutex.unlock mu
+  in
   let worker () =
     let state = lazy (init ()) in
     let rec loop () =
@@ -24,7 +54,7 @@ let fill results n jobs chunk tick init f =
         (try
            let s = Lazy.force state in
            for i = lo to hi - 1 do
-             results.(i) <- Some (f s i);
+             deposit i (f s i);
              tick ()
            done
          with e ->
@@ -40,14 +70,14 @@ let fill results n jobs chunk tick init f =
   Array.iter Domain.join domains;
   match Atomic.get error with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
+  | None -> !acc
 
-let map_init ?jobs ?chunk ?(tick = no_tick) ~init n f =
-  if n < 0 then invalid_arg "Pool.map: negative size";
+let fold ?jobs ?chunk ?(tick = no_tick) ~init n f g acc =
+  if n < 0 then invalid_arg "Pool.fold: negative size";
   let jobs =
     match jobs with
     | None -> default_jobs ()
-    | Some j -> if j < 1 then invalid_arg "Pool.map: jobs must be positive" else j
+    | Some j -> if j < 1 then invalid_arg "Pool.fold: jobs must be positive" else j
   in
   let jobs = min jobs (max 1 n) in
   (* On a single-core host extra domains only time-slice against each
@@ -58,11 +88,12 @@ let map_init ?jobs ?chunk ?(tick = no_tick) ~init n f =
   let chunk =
     match chunk with
     | None -> chunk_size n jobs
-    | Some c -> if c < 1 then invalid_arg "Pool.map: chunk must be positive" else c
+    | Some c -> if c < 1 then invalid_arg "Pool.fold: chunk must be positive" else c
   in
-  let results = Array.make n None in
-  fill results n jobs chunk tick init f;
-  Array.map (function Some v -> v | None -> assert false) results
+  run n jobs chunk tick init f g acc
 
-let map ?jobs ?chunk ?tick n f = map_init ?jobs ?chunk ?tick ~init:ignore n (fun () i -> f i)
+let map ?jobs ?chunk ?tick n f =
+  let rev = fold ?jobs ?chunk ?tick ~init:ignore n (fun () i -> f i) (fun l v -> v :: l) [] in
+  Array.of_list (List.rev rev)
+
 let map_seeds ?jobs ?tick ~runs f = map ?jobs ?tick runs (fun i -> f ~seed:(i + 1))

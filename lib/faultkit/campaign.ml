@@ -171,38 +171,40 @@ let run_case (spec : Apps.Common.spec) variant ~golden ~seed schedule =
       attempts = one.Expkit.Run.attempts;
     } )
 
-(* Fold an array of per-case results (in schedule order) into a cell.
-   Shared by the from-power-on and prefix-resume paths — the folds
-   happen in the same order either way, so the two paths produce
-   bit-identical cells. *)
-let cell_of_results ~sweep ~golden variant results =
-  let failed =
-    List.filter_map
-      (fun (c, _, _, _) -> if c.violations <> [] then Some c else None)
-      (Array.to_list results)
-  in
-  let snap =
-    Array.fold_left (fun acc (_, s, _, _) -> Obs.Snapshot.merge acc s) Obs.Snapshot.zero results
-  in
-  let cell_profile =
-    Array.fold_left (fun acc (_, _, p, _) -> Obs.Attr.merge acc p) Obs.Attr.empty results
-  in
-  let cell_totals =
-    Array.fold_left (fun acc (_, _, _, t) -> add_totals acc t) zero_totals results
-  in
-  let cases = Array.length results in
-  let boundaries_run, strided = coverage ~sweep ~cases in
+(* A cell is built by folding each case's verdict, snapshot, profile
+   and totals into it in schedule order, as {!Expkit.Pool.fold} hands
+   them over; the from-power-on and prefix-resume paths fold the same
+   results in the same order, so the two produce bit-identical cells. *)
+let add_case cell (c, snap, profile, totals) =
   {
-    variant;
-    boundaries = golden.Oracle.charges;
-    cases;
-    boundaries_run;
-    strided;
-    failed;
-    snap;
-    cell_profile;
-    cell_totals;
+    cell with
+    cases = cell.cases + 1;
+    failed = (if c.violations <> [] then c :: cell.failed else cell.failed);
+    snap = Obs.Snapshot.merge cell.snap snap;
+    cell_profile = Obs.Attr.merge cell.cell_profile profile;
+    cell_totals = add_totals cell.cell_totals totals;
   }
+
+(* Fan [n] cases out over the domain pool and fold them into a cell. *)
+let fold_cases ?jobs ?progress ~init ~sweep ~golden variant n case =
+  Option.iter (fun p -> Obs.Progress.add_total p n) progress;
+  let tick = Option.map (fun p () -> Obs.Progress.tick p) progress in
+  let empty =
+    {
+      variant;
+      boundaries = golden.Oracle.charges;
+      cases = 0;
+      boundaries_run = 0;
+      strided = false;
+      failed = [];
+      snap = Obs.Snapshot.zero;
+      cell_profile = Obs.Attr.empty;
+      cell_totals = zero_totals;
+    }
+  in
+  let cell = Expkit.Pool.fold ?jobs ?tick ~init n case add_case empty in
+  let boundaries_run, strided = coverage ~sweep ~cases:cell.cases in
+  { cell with failed = List.rev cell.failed; boundaries_run; strided }
 
 (* Prefix-sharing boundary sweep. Apps with a [session] runner expose
    raw engine inputs, so an exhaustive [Nth_charge] sweep need not
@@ -217,14 +219,14 @@ let cell_of_results ~sweep ~golden variant results =
    charges nothing before its first attempt top, so every boundary has
    a checkpoint before it.
 
-   The resumable cases fan out over [Expkit.Pool.map_init]. All cases
+   The resumable cases fan out over [Expkit.Pool.fold]. All cases
    resumed from one pacer share its arena, so each domain that takes a
    chunk runs its own pacer (a deterministic rerun of the same
    no-failure run, so its checkpoints are the same), except the calling
    domain, which reuses the one that captured the golden image — at
    [jobs = 1] that is the only pacer. Pool hands each domain its chunks
-   in ascending order, which is the order a walker seeks in, and
-   returns results by index, so the fold is in schedule order for any
+   in ascending order, which is the order a walker seeks in, and folds
+   results by index, so the fold is in schedule order for any
    [jobs]. *)
 let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_session variant =
   (* one pacer run: its outcome and machine, and the case runner
@@ -281,9 +283,6 @@ let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_s
   let golden = Oracle.capture m in
   check_golden spec variant ~gave_up:o0.Kernel.Engine.gave_up ~correct:o0.Kernel.Engine.correct;
   let scheds = Array.of_list (schedules ~sweep ~seed ~golden) in
-  let n = Array.length scheds in
-  Option.iter (fun p -> Obs.Progress.add_total p n) progress;
-  let tick = Option.map (fun p () -> Obs.Progress.tick p) progress in
   let home = Domain.self () in
   let init () =
     if Domain.self () = home then home_case
@@ -291,13 +290,10 @@ let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_s
       let _, _, case = pacer () in
       case
   in
-  let results =
-    Expkit.Pool.map_init ?jobs ?tick ~init n (fun case i ->
-        match scheds.(i) with
-        | Failure.Nth_charge k -> case ~golden k
-        | _ -> invalid_arg "Campaign: resumed sweep")
-  in
-  cell_of_results ~sweep ~golden variant results
+  fold_cases ?jobs ?progress ~init ~sweep ~golden variant (Array.length scheds) (fun case i ->
+      match scheds.(i) with
+      | Failure.Nth_charge k -> case ~golden k
+      | _ -> invalid_arg "Campaign: resumed sweep")
 
 let run_cell ?jobs ?progress ~resume ~sweep ~seed (spec : Apps.Common.spec) variant =
   match (sweep, spec.Apps.Common.session) with
@@ -306,16 +302,11 @@ let run_cell ?jobs ?progress ~resume ~sweep ~seed (spec : Apps.Common.spec) vari
   | _ ->
       let golden = golden_of spec variant ~seed in
       let scheds = Array.of_list (schedules ~sweep ~seed ~golden) in
-      Option.iter (fun p -> Obs.Progress.add_total p (Array.length scheds)) progress;
-      let tick = Option.map (fun p () -> Obs.Progress.tick p) progress in
-      (* one case per schedule, fanned over the domain pool; results come
-         back in schedule order, so the folds below (and hence the report,
-         its metrics and its JSON) are bit-identical for any [jobs] *)
-      let results =
-        Expkit.Pool.map ?jobs ?tick (Array.length scheds) (fun i ->
-            run_case spec variant ~golden ~seed scheds.(i))
-      in
-      cell_of_results ~sweep ~golden variant results
+      (* one case per schedule, fanned over the domain pool and folded
+         in schedule order, so the cell (and hence the report, its
+         metrics and its JSON) is bit-identical for any [jobs] *)
+      fold_cases ?jobs ?progress ~init:ignore ~sweep ~golden variant (Array.length scheds)
+        (fun () i -> run_case spec variant ~golden ~seed scheds.(i))
 
 let run ?jobs ?progress ?(resume = true) ?(seed = 1) ~sweep ~variants (spec : Apps.Common.spec) =
   {

@@ -115,7 +115,13 @@ val run :
     cases fan out over the same domain pool, each domain that takes a
     chunk pacing its own walk (the calling domain reuses the golden
     pacer, so [jobs = 1] paces once). The report is byte-identical to
-    [~resume:false] and for any [jobs]; only the wall-clock changes. *)
+    [~resume:false] and for any [jobs]; only the wall-clock changes.
+
+    Either way, each case's verdict, snapshot, profile and totals are
+    folded into its cell in schedule order as soon as every earlier
+    case has finished ({!Expkit.Pool.fold}), so a cell holds only the
+    cases that finished ahead of the oldest running one, never the
+    whole sweep's. *)
 
 val cell_passed : cell -> bool
 val passed : report -> bool

@@ -257,6 +257,7 @@ and exec_dma t d =
   let words = eval t d.dma_words in
   let src, src_room = mem_loc t d.dma_src in
   let dst, dst_room = mem_loc t d.dma_dst in
+  if words < 0 then error "dma_copy: negative length %d" words;
   if words > src_room || words > dst_room then error "dma_copy out of bounds";
   match t.rt with
   | None ->
@@ -271,11 +272,25 @@ and exec_dma t d =
 
 (* {1 Default peripherals} *)
 
-let arr_sram name = function
-  | Arr ({ Loc.space = Memory.Sram; addr }, words) -> (addr, words)
+(* The SRAM address of word [off] of an LEA operand array, which must
+   hold [words >= 0] words from there. *)
+let lea_operand name what arg ~off ~words =
+  match arg with
+  | Arr ({ Loc.space = Memory.Sram; addr }, size) ->
+      if off < 0 || off + words > size then
+        error "%s: %s range [%d, %d) outside its %d-word array" name what off (off + words) size;
+      addr + off
   | Arr ({ Loc.space = Memory.Fram; _ }, _) ->
       error "%s: LEA operands must live in SRAM (LEA-RAM)" name
   | Val _ -> error "%s: expected an array argument" name
+
+let lea_fir name m ~input ~in_off ~coeffs ~taps ~output ~out_off ~samples =
+  if taps < 0 then error "%s: negative taps %d" name taps;
+  if samples < 0 then error "%s: negative samples %d" name samples;
+  let input = lea_operand name "input" input ~off:in_off ~words:(max 0 (samples + taps - 1)) in
+  let coeffs = lea_operand name "coeffs" coeffs ~off:0 ~words:taps in
+  let output = lea_operand name "output" output ~off:out_off ~words:samples in
+  Periph.Lea.fir m ~input ~coeffs ~taps ~output ~samples
 
 let default_io radio : (string * io_impl) list =
   [
@@ -313,17 +328,16 @@ let default_io radio : (string * io_impl) list =
       fun m args ->
         match args with
         | [ a; b; Val len ] ->
-            let a, _ = arr_sram "Lea_mac" a and b, _ = arr_sram "Lea_mac" b in
+            if len < 0 then error "Lea_mac: negative length %d" len;
+            let a = lea_operand "Lea_mac" "a" a ~off:0 ~words:len in
+            let b = lea_operand "Lea_mac" "b" b ~off:0 ~words:len in
             Periph.Lea.vector_mac m ~a ~b ~len
         | _ -> error "Lea_mac(a, b, len)" );
     ( "Lea_fir",
       fun m args ->
         match args with
         | [ input; coeffs; Val taps; output; Val samples ] ->
-            let input, _ = arr_sram "Lea_fir" input in
-            let coeffs, _ = arr_sram "Lea_fir" coeffs in
-            let output, _ = arr_sram "Lea_fir" output in
-            Periph.Lea.fir m ~input ~coeffs ~taps ~output ~samples;
+            lea_fir "Lea_fir" m ~input ~in_off:0 ~coeffs ~taps ~output ~out_off:0 ~samples;
             0
         | _ -> error "Lea_fir(input, coeffs, taps, output, samples)" );
   ]

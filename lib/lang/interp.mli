@@ -33,6 +33,23 @@ type io_impl = Machine.t -> io_arg_v list -> int
     result (0 for void operations). They charge their own costs and
     bump their ["io:…"] event counters. *)
 
+val lea_fir :
+  string ->
+  Machine.t ->
+  input:io_arg_v ->
+  in_off:int ->
+  coeffs:io_arg_v ->
+  taps:int ->
+  output:io_arg_v ->
+  out_off:int ->
+  samples:int ->
+  unit
+(** {!Periph.Lea.fir} from word [in_off] of [input] into word [out_off]
+    of [output], the body of the [Lea_fir] peripheral and its variants.
+    Raises {!Ast.Error} naming the peripheral when an operand is not an
+    SRAM array, [taps] or [samples] is negative, or an operand range
+    starts before or runs past its array. *)
+
 type t
 (** A linked program: machine + program + runtime plumbing. *)
 

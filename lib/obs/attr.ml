@@ -189,8 +189,8 @@ let profile t =
 (* {1 Profiles} *)
 
 (* Merge preserves name-sorted order. NOT order-insensitive for the nj
-   floats — callers must fold shards in a fixed order (Pool.map
-   returns results in seed order precisely so this is easy). *)
+   floats — callers must fold shards in a fixed order (Pool.fold hands
+   results to its fold in index order precisely so this is easy). *)
 let merge a b =
   let rec tasks xs ys =
     match (xs, ys) with

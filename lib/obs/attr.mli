@@ -9,8 +9,9 @@
     Integer µs fields merge exactly and are checked by {!reconcile}
     against summed [Kernel.Metrics]; a single traced run is checked the
     same way by [Expkit.Run.check_trace]. Energy fields are floats, so
-    profiles must be merged in a fixed fold order (campaigns use
-    seed/schedule order) to stay deterministic. *)
+    profiles must be merged in a fixed fold order to stay
+    deterministic (campaigns fold in schedule order, which
+    [Expkit.Pool.fold] keeps for any [jobs]). *)
 
 type task = {
   task : string;
@@ -63,7 +64,9 @@ val profile : t -> profile
 
 val merge : profile -> profile -> profile
 (** Sum two profiles. Exact for the int fields; the float energy sums
-    depend on fold order, so always merge shards in a fixed order. *)
+    depend on fold order, so always merge shards in a fixed order —
+    campaigns get theirs from [Expkit.Pool.fold], which folds results
+    in index order however the pool schedules them. *)
 
 val total_app_us : profile -> int
 val total_ovh_us : profile -> int

@@ -26,12 +26,7 @@ let vector_mac ?(shift = 0) m ~a ~b ~len =
   check_sram m a len "vector_mac";
   check_sram m b len "vector_mac";
   start m ~op:"vector_mac" len;
-  let sram = Machine.mem m Memory.Sram in
-  let acc = ref 0 in
-  for i = 0 to len - 1 do
-    acc := !acc + (Memory.read sram (a + i) * Memory.read sram (b + i))
-  done;
-  !acc asr shift
+  Memory.dot (Machine.mem m Memory.Sram) a b len asr shift
 
 let fir ?(shift = 0) m ~input ~coeffs ~taps ~output ~samples =
   check_sram m input (samples + taps - 1) "fir";
@@ -40,11 +35,7 @@ let fir ?(shift = 0) m ~input ~coeffs ~taps ~output ~samples =
   start m ~op:"fir" (samples * taps);
   let sram = Machine.mem m Memory.Sram in
   for i = 0 to samples - 1 do
-    let acc = ref 0 in
-    for j = 0 to taps - 1 do
-      acc := !acc + (Memory.read sram (input + i + j) * Memory.read sram (coeffs + j))
-    done;
-    Memory.write sram (output + i) (!acc asr shift)
+    Memory.write sram (output + i) (Memory.dot sram (input + i) coeffs taps asr shift)
   done
 
 let vector_add m ~a ~b ~dst ~len =

@@ -7,7 +7,12 @@
     results back — the pattern that creates Private-DMA cases.
 
     All operands are Q15-style integers; products are scaled by
-    [>> shift] to stay in range. *)
+    [>> shift] to stay in range.
+
+    {!vector_mac} and {!fir} compute each sum of products with
+    {!Platform.Memory.dot}, which checks each operand range once; the
+    memory's read and write counters advance exactly as per-word
+    accesses would, and the charges are those of one command. *)
 
 open Platform
 

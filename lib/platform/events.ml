@@ -6,14 +6,16 @@
    intern theirs at module-init time) and each machine keeps a plain
    int-array of counters indexed by id.
 
-   The registry is global and append-only. All mutation happens under a
-   mutex; lookups also take the mutex — they only occur on cold paths
-   (string-API shims, trace emission, per-run report folding), never in
-   the per-operation fast path, which carries a pre-interned id. *)
+   The registry is global and append-only. Interning, [find] and
+   [registered] take a mutex. [name] does not: a traced run looks up
+   the name of every counter it bumps, so it reads the name table
+   through an [Atomic.t]. A slot is written before the table is
+   published, and an id reaches a caller only after its slot was
+   written, so every id a caller holds names a filled slot. *)
 
 let mu = Mutex.create ()
 let ids : (string, int) Hashtbl.t = Hashtbl.create 64
-let names : string array ref = ref (Array.make 16 "")
+let names : string array Atomic.t = Atomic.make (Array.make 16 "")
 let count = ref 0
 
 let locked f =
@@ -27,15 +29,20 @@ let id name =
       | None ->
           let i = !count in
           Hashtbl.add ids name i;
-          if i >= Array.length !names then begin
-            let bigger = Array.make (2 * Array.length !names) "" in
-            Array.blit !names 0 bigger 0 (Array.length !names);
-            names := bigger
-          end;
-          !names.(i) <- name;
+          let table = Atomic.get names in
+          let table =
+            if i < Array.length table then table
+            else begin
+              let bigger = Array.make (2 * Array.length table) "" in
+              Array.blit table 0 bigger 0 (Array.length table);
+              bigger
+            end
+          in
+          table.(i) <- name;
+          Atomic.set names table;
           incr count;
           i)
 
 let find name = locked (fun () -> Hashtbl.find_opt ids name)
-let name i = locked (fun () -> !names.(i))
+let name i = (Atomic.get names).(i)
 let registered () = locked (fun () -> !count)

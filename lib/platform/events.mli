@@ -3,11 +3,13 @@
     Peripheral modules intern their event names once ("io:Temp",
     "io:DMA", ...) and bump per-machine int-array counters by id — the
     hot-loop replacement for the old per-machine string-keyed Hashtbl.
-    The registry is global, append-only and mutex-protected; ids are
-    small and dense, so a machine's counter array is indexed directly.
+    The registry is global and append-only; ids are small and dense,
+    so a machine's counter array is indexed directly.
 
-    Hot paths must carry a pre-interned id (see {!Machine.bump_id});
-    every function here takes the registry lock. *)
+    Hot paths must carry a pre-interned id (see {!Machine.bump_id}).
+    {!id}, {!find} and {!registered} take the registry lock; {!name}
+    reads the append-only name table without it, so a traced run can
+    name every counter it bumps. *)
 
 val id : string -> int
 (** Intern a name, returning its dense id (stable for the process

@@ -185,6 +185,28 @@ let blit ~src ~src_addr ~dst ~dst_addr ~words =
     if dst.track then mark_range dst dst_addr words
   end
 
+(* Each range is checked once and [reads] advances by both lengths, as
+   the per-word [read] loop would. A word past the resident prefix reads
+   as 0 and zeroes its product, so only the terms where both ranges are
+   resident are summed; int sums wrap, so skipping zero terms leaves the
+   total unchanged. *)
+let dot t a b len =
+  if len <= 0 then 0
+  else begin
+    check t a "dot";
+    check t (a + len - 1) "dot";
+    check t b "dot";
+    check t (b + len - 1) "dot";
+    t.reads <- t.reads + (2 * len);
+    let w = t.words in
+    let resident = Int.max 0 (Int.min len (Array.length w - Int.max a b)) in
+    let acc = ref 0 in
+    for i = 0 to resident - 1 do
+      acc := !acc + (Array.unsafe_get w (a + i) * Array.unsafe_get w (b + i))
+    done;
+    !acc
+  end
+
 (* Bulk image store: counters advance exactly as [write] per word would,
    so metrics are unchanged — only the per-word call overhead goes. *)
 let load t addr values =

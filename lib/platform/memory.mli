@@ -42,6 +42,13 @@ val blit : src:t -> src_addr:int -> dst:t -> dst_addr:int -> words:int -> unit
 (** Raw block copy; used by the DMA engine. Handles overlapping ranges
     within the same memory like [Array.blit]. *)
 
+val dot : t -> int -> int -> int -> int
+(** [dot t a b len] is the sum of [read t (a + i) * read t (b + i)] for
+    [i < len] (0 when [len <= 0]), with each range bounds-checked once.
+    The read counter advances by [2 * len], exactly as the per-word loop
+    would, and words past the resident prefix read as 0. Raises
+    [Invalid_argument] when either range leaves the memory. *)
+
 val load : t -> int -> int array -> unit
 (** [load t addr values] stores the whole image at [addr] in one blit.
     The write counter advances by [Array.length values], exactly as the

@@ -2,7 +2,9 @@ type t = { mutable state : int64 }
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+(* Inlined so that callers keep the int64s unboxed: [hash2] allocates
+   nothing. *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

@@ -491,6 +491,7 @@ let exec t pc0 =
         go (pc + 2) (sp - 2)
     | 47 (* DMAGO *) ->
         let words = stack.(sp - 1) in
+        if words < 0 then error "dma_copy: negative length %d" words;
         if words > t.sc_src_room || words > t.sc_dst_room then error "dma_copy out of bounds";
         let src = { Loc.space = t.sc_src_space; addr = t.sc_src_addr } in
         let dst = { Loc.space = t.sc_dst_space; addr = t.sc_dst_addr } in

@@ -95,5 +95,32 @@ let () =
   check ~name:"explore: --max-states 0 exits 1"
     ~args:[ "explore"; "lea"; "--max-states"; "0" ]
     ~code:1 ~stderr_prefix:"easeio explore: --max-states must be >= 1" ();
+  (* run: a program that fails to parse gets check's diagnostic, one that
+     fails while running gets its message; neither is an uncaught
+     exception *)
+  let source text =
+    let path = Filename.temp_file "easeio_cli_test" ".eio" in
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc;
+    path
+  in
+  let syntax = source "program p;\nnv int x@;\n" in
+  let dma_oob =
+    source
+      "program p;\nnv int a[4];\nvol int b[2];\ntask t {\n  dma_copy(a[0], b[0], 4);\n  stop;\n}\n"
+  in
+  check ~name:"run: syntax error exits 1" ~args:[ "run"; syntax ] ~code:1
+    ~stderr_prefix:"error[E0001]" ();
+  List.iter
+    (fun opts ->
+      check
+        ~name:(Printf.sprintf "run %s: runtime error exits 1" (String.concat " " opts))
+        ~args:(("run" :: opts) @ [ dma_oob ])
+        ~code:1
+        ~stderr_prefix:(Printf.sprintf "easeio run: %s: dma_copy out of bounds" dma_oob)
+        ())
+    [ [ "--interp"; "vm" ]; [ "--interp"; "tree" ]; [ "--json" ] ];
+  List.iter Sys.remove [ syntax; dma_oob ];
   Printf.printf "%d/%d ok\n" (!ran - !failures) !ran;
   if !failures > 0 then exit 1

@@ -75,10 +75,34 @@ let run_network ~buffering image =
 let test_image () =
   Array.init (Dnn.Network.input_dim * Dnn.Network.input_dim) (fun i -> (i * 29 mod 251) + 1)
 
+(* The network's reference pass, rebuilt from the layer references on
+   freshly generated weights: 4x4 kernels, 16 -> 13 -> 10, then 100 x 4
+   fully connected. *)
+let layer_reference image =
+  let k = 4 and seed = Dnn.Network.weight_seed in
+  let dim1 = Dnn.Network.input_dim - k + 1 in
+  let dim2 = dim1 - k + 1 in
+  let a1 =
+    Dnn.Layers.ref_conv2d ~input:image ~weights:(Dnn.Weights.gen ~seed (k * k))
+      ~in_dim:Dnn.Network.input_dim ~k ~relu:true
+  in
+  let a2 =
+    Dnn.Layers.ref_conv2d ~input:a1 ~weights:(Dnn.Weights.gen ~seed:(seed + 1) (k * k))
+      ~in_dim:dim1 ~k ~relu:true
+  in
+  let logits =
+    Dnn.Layers.ref_fully_connected ~input:a2
+      ~weights:(Dnn.Weights.gen ~seed:(seed + 2) (dim2 * dim2 * Dnn.Network.classes))
+      ~out_len:Dnn.Network.classes
+  in
+  let sum a = Array.fold_left ( + ) 0 a land 0xFFFF in
+  let cls = Dnn.Layers.ref_argmax logits in
+  (cls, [| sum a1; sum a2; sum logits; cls |])
+
 let test_network_matches_reference () =
   let image = test_image () in
   checki "machine inference = reference"
-    (Dnn.Network.infer_reference image)
+    (fst (Dnn.Network.reference image))
     (run_network ~buffering:`Double image)
 
 let test_single_double_agree_continuous () =
@@ -94,9 +118,21 @@ let test_result_in_range () =
 
 let test_reference_stats_shape () =
   let image = test_image () in
-  let stats = Dnn.Network.reference_stats image in
+  let cls, stats = Dnn.Network.reference image in
   checki "one per stage" Dnn.Network.layer_count (Array.length stats);
-  Array.iter (fun s -> checkb "16-bit" true (s >= 0 && s <= 0xFFFF)) stats
+  Array.iter (fun s -> checkb "16-bit" true (s >= 0 && s <= 0xFFFF)) stats;
+  checki "last stage is the class" cls stats.(Dnn.Network.layer_count - 1);
+  Alcotest.(check (pair int (array int))) "= layer references" (layer_reference image) (cls, stats)
+
+let prop_reference_matches_layers =
+  QCheck.Test.make ~name:"Network.reference = layer references on Weights.gen" ~count:30
+    QCheck.small_int
+    (fun seed ->
+      let image =
+        Array.init (Dnn.Network.input_dim * Dnn.Network.input_dim) (fun i ->
+            Platform.Rng.hash2 seed i mod 512)
+      in
+      Dnn.Network.reference image = layer_reference image)
 
 let test_easeio_mover_equivalent () =
   (* the EaseIO mover must deliver the same data as raw DMA (continuous
@@ -112,7 +148,7 @@ let test_easeio_mover_equivalent () =
   for i = 0 to Dnn.Network.layer_count - 1 do
     Dnn.Network.run_layer m (Dnn.Layers.easeio_mover rt) net i
   done;
-  checki "same class" (Dnn.Network.infer_reference image) (Dnn.Network.result m net)
+  checki "same class" (fst (Dnn.Network.reference image)) (Dnn.Network.result m net)
 
 let prop_conv_reference_linear_in_input =
   QCheck.Test.make ~name:"conv reference: zero kernel gives zero output" ~count:50
@@ -143,6 +179,7 @@ let () =
           tc "single/double agree (continuous)" `Quick test_single_double_agree_continuous;
           tc "result in range" `Quick test_result_in_range;
           tc "reference stats shape" `Quick test_reference_stats_shape;
+          QCheck_alcotest.to_alcotest prop_reference_matches_layers;
           tc "easeio mover equivalent" `Quick test_easeio_mover_equivalent;
         ] );
     ]

@@ -107,6 +107,96 @@ let test_lea_shift_scaling () =
   Memory.write sram (b + 1) 2048;
   checki "q15-style shift" ((1024 * 2048 * 2) asr 15) (Lea.vector_mac ~shift:15 m ~a ~b ~len:2)
 
+(* {2 Per-word oracle}
+
+   The reference the LEA's range kernels must match: the same command
+   accounting (one ["io:LEA"] bump, setup and per-element charges) and
+   one bounds-checked [Memory.read] per operand word. *)
+module Per_word = struct
+  let start m elements =
+    let c = Machine.cost m in
+    Machine.bump m "io:LEA";
+    Machine.charge_op m c.Cost.lea_setup 1;
+    Machine.charge_op m c.Cost.lea_element elements
+
+  let vector_mac ~shift m ~a ~b ~len =
+    start m len;
+    let sram = Machine.mem m Memory.Sram in
+    let acc = ref 0 in
+    for i = 0 to len - 1 do
+      acc := !acc + (Memory.read sram (a + i) * Memory.read sram (b + i))
+    done;
+    !acc asr shift
+
+  let fir ~shift m ~input ~coeffs ~taps ~output ~samples =
+    start m (samples * taps);
+    let sram = Machine.mem m Memory.Sram in
+    for i = 0 to samples - 1 do
+      let acc = ref 0 in
+      for j = 0 to taps - 1 do
+        acc := !acc + (Memory.read sram (input + i + j) * Memory.read sram (coeffs + j))
+      done;
+      Memory.write sram (output + i) (!acc asr shift)
+    done
+end
+
+type lea_case = {
+  fills : (int * int) list;  (** (offset, value) stores into the buffer *)
+  mac : bool;  (** vector_mac, else fir *)
+  a : int;  (** mac [a] / fir input *)
+  b : int;  (** mac [b] / fir coeffs *)
+  out : int;  (** fir output; may overlap the input *)
+  len : int;  (** mac length / fir taps *)
+  samples : int;
+  shift : int;
+}
+
+(* Operands inside a 256-word LEA-RAM buffer, its words stored only
+   below offset 96, so ranges often run past the SRAM's resident
+   prefix. *)
+let lea_case_gen =
+  let open QCheck.Gen in
+  let* fills = list_size (int_range 0 40) (pair (int_bound 95) (int_range (-40_000) 40_000)) in
+  let* mac = bool in
+  let* a = int_bound 200 in
+  let* b = int_bound 200 in
+  let* out = int_bound 200 in
+  let* len = int_range 0 24 in
+  let* samples = int_range 0 30 in
+  let* shift = int_bound 15 in
+  return { fills; mac; a; b; out; len; samples; shift }
+
+let prop_lea_matches_per_word =
+  QCheck.Test.make ~count:300 ~name:"Lea.fir and vector_mac match the per-word oracle"
+    (QCheck.make
+       ~print:(fun c ->
+         Printf.sprintf "%s a=%d b=%d out=%d len=%d samples=%d shift=%d fills=%d"
+           (if c.mac then "mac" else "fir") c.a c.b c.out c.len c.samples c.shift
+           (List.length c.fills))
+       lea_case_gen)
+    (fun c ->
+      let run mac fir =
+        let m = machine () in
+        let base = Lea.alloc_leram m ~name:"buf" ~words:256 in
+        let sram = Machine.mem m Memory.Sram in
+        List.iter (fun (off, v) -> Memory.write sram (base + off) v) c.fills;
+        let result =
+          if c.mac then mac m ~a:(base + c.a) ~b:(base + c.b) ~len:c.len
+          else begin
+            fir m ~input:(base + c.a) ~coeffs:(base + c.b) ~taps:c.len ~output:(base + c.out)
+              ~samples:c.samples;
+            0
+          end
+        in
+        let counters = (Memory.reads sram, Memory.writes sram) in
+        let machine =
+          (Machine.charges m, Machine.now m, Machine.energy_used_nj m, Machine.events m)
+        in
+        (result, counters, machine, Array.init 256 (fun i -> Memory.read sram (base + i)))
+      in
+      run (Lea.vector_mac ~shift:c.shift) (Lea.fir ~shift:c.shift)
+      = run (Per_word.vector_mac ~shift:c.shift) (Per_word.fir ~shift:c.shift))
+
 (* {1 Sensors} *)
 
 let test_sensor_reads_world () =
@@ -193,6 +283,7 @@ let () =
           tc "rejects out-of-sram operands" `Quick test_lea_rejects_fram_addresses;
           tc "vector max" `Quick test_lea_vector_max;
           tc "shift scaling" `Quick test_lea_shift_scaling;
+          QCheck_alcotest.to_alcotest prop_lea_matches_per_word;
         ] );
       ( "sensors",
         [

@@ -222,6 +222,47 @@ let mem_case_gen =
 
 let outcome f = match f () with v -> Ok v | exception e -> Error e
 
+(* [dot] against the per-word loop it replaces, on one memory: equal
+   sums and equal [reads] advances. Stores land in the first third, so
+   the resident prefix often ends inside a range (or is empty); lengths
+   include 0, negatives and ranges past the end, where both must
+   raise. *)
+let dot_case_gen =
+  let open QCheck.Gen in
+  let* size = oneofl [ 1; 5; 63; 64; 65; 100; 200; 640 ] in
+  let* stores = list_size (int_range 0 20) (pair (int_bound (size / 3)) int) in
+  let* a = int_bound (size - 1) in
+  let* b = int_bound (size - 1) in
+  let room = size - max a b in
+  let* len = oneof [ return 0; int_range (-3) (-1); int_range 1 room; int_range room (room + 3) ] in
+  return (size, stores, a, b, len)
+
+let prop_memory_dot_matches_reads =
+  QCheck.Test.make ~count:500 ~name:"Memory.dot = per-word read loop, sum and reads"
+    (QCheck.make
+       ~print:(fun (size, stores, a, b, len) ->
+         Printf.sprintf "size %d, %d stores, a=%d b=%d len=%d" size (List.length stores) a b len)
+       dot_case_gen)
+    (fun (size, stores, a, b, len) ->
+      let t = Memory.create Memory.Sram ~words:size in
+      List.iter (fun (addr, v) -> Memory.write t addr v) stores;
+      let r0 = Memory.reads t in
+      let dot = outcome (fun () -> Memory.dot t a b len) in
+      let r1 = Memory.reads t in
+      let loop =
+        outcome (fun () ->
+            let acc = ref 0 in
+            for i = 0 to len - 1 do
+              acc := !acc + (Memory.read t (a + i) * Memory.read t (b + i))
+            done;
+            !acc)
+      in
+      let r2 = Memory.reads t in
+      match (dot, loop) with
+      | Ok x, Ok y -> x = y && r1 - r0 = r2 - r1
+      | Error (Invalid_argument _), Error (Invalid_argument _) -> r1 = r0
+      | _ -> false)
+
 let prop_memory_matches_model =
   QCheck.Test.make ~count:500 ~name:"memory matches a flat-array model"
     (QCheck.make
@@ -615,6 +656,7 @@ let () =
           tc "bounds past a partial page" `Quick test_memory_bounds_partial_page;
           tc "hash ignores resident length" `Quick test_memory_hash_ignores_resident_length;
           QCheck_alcotest.to_alcotest prop_memory_matches_model;
+          QCheck_alcotest.to_alcotest prop_memory_dot_matches_reads;
         ] );
       ( "capacitor",
         [

@@ -1,5 +1,5 @@
-(* Tests for the domain-parallel experiment engine: Pool ordering and
-   exactly-once execution, parallel-vs-sequential aggregate equality,
+(* Tests for the domain-parallel experiment engine: Pool ordering,
+   exactly-once execution and the in-order fold, parallel-vs-sequential aggregate equality,
    and run determinism (the property parallelization must not break). *)
 
 (* {1 Pool} *)
@@ -56,12 +56,23 @@ let prop_pool_chunk_invariant =
       && Array.for_all (fun c -> Atomic.get c = 1) calls
       && Array.for_all (fun b -> b) (Array.mapi (fun i v -> v = (i * 5) + 1) out))
 
-(* [map_init] over the same jobs x chunk grid: results in index order,
+(* The fold sees the results in index order for every jobs x chunk
+   combination: a non-commutative fold (list cons) gives exactly the
+   sequential [List.fold_left]. *)
+let prop_pool_fold_in_order =
+  QCheck.Test.make ~count:60 ~name:"Pool.fold = List.fold_left, for any jobs x chunk"
+    QCheck.(triple (int_bound 200) (int_range 1 6) (int_range 1 64))
+    (fun (n, jobs, chunk) ->
+      let f i = (i * 5) + 1 and cons l v = v :: l in
+      Expkit.Pool.fold ~jobs ~chunk ~init:ignore n (fun () i -> f i) cons []
+      = List.fold_left cons [] (List.init n f))
+
+(* [fold ~init] over the same jobs x chunk grid: results in index order,
    every index exactly once, [init] at most once per domain and only on
    a domain that then runs indices (chunk >= n leaves the other domains
    without one), and each index sees the state its own domain built. *)
-let prop_pool_map_init_invariant =
-  QCheck.Test.make ~count:60 ~name:"Pool.map_init inits once per working domain, for any jobs x chunk"
+let prop_pool_fold_init_invariant =
+  QCheck.Test.make ~count:60 ~name:"Pool.fold inits once per working domain, for any jobs x chunk"
     QCheck.(triple (int_bound 200) (int_range 1 6) (int_range 1 64))
     (fun (n, jobs, chunk) ->
       let m = Mutex.create () in
@@ -73,7 +84,7 @@ let prop_pool_map_init_invariant =
       in
       let calls = Array.init n (fun _ -> Atomic.make 0) in
       let out =
-        Expkit.Pool.map_init ~jobs ~chunk
+        Expkit.Pool.fold ~jobs ~chunk
           ~init:(fun () ->
             note inits;
             Domain.self ())
@@ -82,13 +93,41 @@ let prop_pool_map_init_invariant =
             Atomic.incr calls.(i);
             note workers;
             ((i * 5) + 1, owner = Domain.self ()))
+          (fun l v -> v :: l)
+          []
       in
       let domains tbl = List.sort compare (List.of_seq (Hashtbl.to_seq_keys tbl)) in
-      Array.length out = n
+      List.rev out = List.init n (fun i -> ((i * 5) + 1, true))
       && Array.for_all (fun c -> Atomic.get c = 1) calls
-      && Array.for_all (fun b -> b) (Array.mapi (fun i v -> v = ((i * 5) + 1, true)) out)
       && Hashtbl.fold (fun _ k ok -> ok && k = 1) inits true
       && domains inits = domains workers)
+
+(* An exception from case [bad] surfaces only after every worker has
+   been joined, and the fold stops short of it: it has seen a prefix
+   of the indices, in order, and nothing at or past [bad]. *)
+let prop_pool_fold_stops_at_missing =
+  QCheck.Test.make ~count:60 ~name:"Pool.fold never folds past an index that raised"
+    QCheck.(quad (int_range 1 200) (int_range 1 6) (int_range 1 64) small_nat)
+    (fun (n, jobs, chunk, b) ->
+      let bad = b mod n in
+      let running = Atomic.make 0 in
+      let seen = ref [] in
+      match
+        Expkit.Pool.fold ~jobs ~chunk ~init:ignore n
+          (fun () i ->
+            Atomic.incr running;
+            Fun.protect
+              ~finally:(fun () -> Atomic.decr running)
+              (fun () -> if i = bad then failwith "boom" else i))
+          (fun () i -> seen := i :: !seen)
+          ()
+      with
+      | () -> false
+      | exception Failure _ ->
+          let seen = List.rev !seen in
+          Atomic.get running = 0
+          && List.length seen <= bad
+          && seen = List.init (List.length seen) Fun.id)
 
 (* An exception from [init] surfaces like one from [f]: only after
    every worker has been joined, so no index is still running when it
@@ -97,7 +136,7 @@ let test_pool_init_exception_after_join () =
   let home = Domain.self () in
   let running = Atomic.make 0 and ran = Atomic.make 0 in
   match
-    Expkit.Pool.map_init ~jobs:3 ~chunk:1 64
+    Expkit.Pool.fold ~jobs:3 ~chunk:1 64
       ~init:(fun () ->
         if Domain.self () = home then begin
           (* let the other workers get into [f] first *)
@@ -110,8 +149,10 @@ let test_pool_init_exception_after_join () =
         Atomic.decr running;
         Atomic.incr ran;
         i)
+      (fun () _ -> ())
+      ()
   with
-  | _ -> Alcotest.fail "expected the init exception to surface"
+  | () -> Alcotest.fail "expected the init exception to surface"
   | exception Failure msg ->
       Alcotest.(check string) "original exception" "init boom" msg;
       Alcotest.(check int) "no index still running" 0 (Atomic.get running);
@@ -211,8 +252,10 @@ let () =
           tc "jobs=1 sequential fallback" `Quick test_pool_jobs1_sequential_fallback;
           QCheck_alcotest.to_alcotest prop_pool_order_and_exactly_once;
           QCheck_alcotest.to_alcotest prop_pool_chunk_invariant;
-          QCheck_alcotest.to_alcotest prop_pool_map_init_invariant;
+          QCheck_alcotest.to_alcotest prop_pool_fold_init_invariant;
           tc "init exception re-raised after join" `Quick test_pool_init_exception_after_join;
+          QCheck_alcotest.to_alcotest prop_pool_fold_in_order;
+          QCheck_alcotest.to_alcotest prop_pool_fold_stops_at_missing;
         ] );
       ( "parallel-sweep",
         [

@@ -309,6 +309,90 @@ let test_step_limit_inside_block () =
   check_raises ~name:"spin" ~failures:[ Failure.No_failures ] spin_src
     "step limit exceeded (infinite loop?)"
 
+(* {1 Operand bounds}
+
+   An LEA command's operand ranges are checked against their own
+   arrays, not only against SRAM, and a DMA count must not be negative:
+   either is a language error on both executors, raised before the
+   command is issued. Each program first fills [vc], which the
+   unchecked FIR overwrote. *)
+let operand_program body =
+  Printf.sprintf
+    {|
+program operand_bounds;
+vol int va[4];
+vol int vb[4];
+vol int vc[4];
+vol int big[16];
+nv int out;
+task t {
+  int r;
+  int i;
+  for i = 0 to 3 { va[i] = i + 1; vb[i] = 2; vc[i] = 7; }
+  for i = 0 to 15 { big[i] = i; }
+  r = 0;
+  %s
+  out = r + vc[0];
+  stop;
+}
+|}
+    body
+
+let operand_error_cases =
+  [
+    ( "dma negative count",
+      "dma_copy(va[0], vb[0], 0 - 1);",
+      "dma_copy: negative length -1" );
+    ( "fir output past its array",
+      "call_io(Lea_fir, Always, big, vb, 2, vb, 10);",
+      "Lea_fir: output range [0, 10) outside its 4-word array" );
+    ( "fir input past its array",
+      "call_io(Lea_fir, Always, va, vb, 2, vc, 4);",
+      "Lea_fir: input range [0, 5) outside its 4-word array" );
+    ( "fir taps past coeffs",
+      "call_io(Lea_fir, Always, big, vb, 5, vc, 2);",
+      "Lea_fir: coeffs range [0, 5) outside its 4-word array" );
+    ( "fir negative taps",
+      "call_io(Lea_fir, Always, va, vb, 0 - 1, vc, 2);",
+      "Lea_fir: negative taps -1" );
+    ( "fir negative samples",
+      "call_io(Lea_fir, Always, va, vb, 2, vc, 0 - 2);",
+      "Lea_fir: negative samples -2" );
+    ( "mac past its arrays",
+      "r = call_io(Lea_mac, Always, va, big, 5);",
+      "Lea_mac: a range [0, 5) outside its 4-word array" );
+    ( "mac negative length",
+      "r = call_io(Lea_mac, Always, va, vb, 0 - 1);",
+      "Lea_mac: negative length -1" );
+    ( "fir_seg negative offset",
+      "call_io(Lea_fir_seg, Always, big, 0 - 1, vb, 2, vc, 0, 2);",
+      "Lea_fir_seg: input range [-1, 2) outside its 16-word array" );
+    ( "fir_seg taps past coeffs",
+      "call_io(Lea_fir_seg, Always, big, 0, vb, 5, vc, 0, 2);",
+      "Lea_fir_seg: coeffs range [0, 5) outside its 4-word array" );
+    ( "fir_seg output offset past its array",
+      "call_io(Lea_fir_seg, Always, big, 0, vb, 2, vc, 3, 2);",
+      "Lea_fir_seg: output range [3, 5) outside its 4-word array" );
+    ( "fir_seg negative output offset",
+      "call_io(Lea_fir_seg, Always, big, 0, vb, 2, vc, 0 - 1, 2);",
+      "Lea_fir_seg: output range [-1, 1) outside its 4-word array" );
+    ( "fir_seg negative samples",
+      "call_io(Lea_fir_seg, Always, big, 0, vb, 2, vc, 0, 0 - 1);",
+      "Lea_fir_seg: negative samples -1" );
+  ]
+
+let test_operand_bounds () =
+  List.iter
+    (fun (name, body, msg) ->
+      check_raises ~name ~failures:[ Failure.No_failures ] (operand_program body) msg)
+    operand_error_cases;
+  (* ranges that end exactly at their arrays' ends still run, and agree *)
+  assert_program_matches ~name:"lea at bounds" ~failures:[ Failure.No_failures ] ~seeds:[ 1 ]
+    (operand_program
+       ("call_io(Lea_fir, Always, big, vb, 4, vc, 4);\n"
+       ^ "call_io(Lea_fir_seg, Always, big, 12, vb, 4, vc, 3, 1);\n"
+       ^ "r = call_io(Lea_mac, Always, va, vb, 4);"))
+
 (* Observers force the per-op path: a metered run must count every
    per-op dispatch and every I/O verdict — as many as when a sink forces
    the per-op path too — a traced run must emit the same events as the
@@ -442,4 +526,6 @@ let () =
           Alcotest.test_case "traced run" `Quick test_traced_run;
           Alcotest.test_case "energy-mode run" `Quick test_energy_mode_run;
         ] );
+      ( "operands",
+        [ Alcotest.test_case "LEA ranges and DMA counts checked" `Quick test_operand_bounds ] );
     ]

@@ -447,7 +447,10 @@ let judge ?(stop_early = false) ?(config = default_config) (case : Gen.case) =
                              Hashtbl.replace unsafe vname
                                (1 + Option.value ~default:0 (Hashtbl.find_opt unsafe vname))
                        | None -> ());
-                       (if counts_stable then
+                       (* an unprotected run may take another branch
+                          after a reboot, so the floor holds only where
+                          its NV state must match too *)
+                       (if counts_stable && enforce_nv variant then
                           let io = Kernel.Golden.io_executions m in
                           List.iter
                             (fun (kind, n) ->

@@ -137,8 +137,8 @@ let verdict ~gave_up ~stuck_task ~correct ~diff ~skipped =
    case gets a fresh sheet and attribution collector (never shared
    across domains); the fold back into the cell happens in schedule
    order, so everything downstream is jobs-invariant. Campaigns meter
-   unconditionally — every case already carries a trace sink for the
-   Always oracle, so this is not a hot path. *)
+   unconditionally and every case carries a trace sink for the Always
+   oracle; the VM batches its blocks under both (see [Vm.blockify]). *)
 let run_case (spec : Apps.Common.spec) variant ~golden ~seed schedule =
   let watch, skips = Oracle.always_skip_watch () in
   let attr = Obs.Attr.create () in
@@ -174,12 +174,22 @@ let run_case (spec : Apps.Common.spec) variant ~golden ~seed schedule =
 (* A cell is built by folding each case's verdict, snapshot, profile
    and totals into it in schedule order, as {!Expkit.Pool.fold} hands
    them over; the from-power-on and prefix-resume paths fold the same
-   results in the same order, so the two produce bit-identical cells. *)
+   results in the same order, so the two produce bit-identical cells.
+   Neighbouring boundaries fail alike: a failed case whose violations
+   equal the previous failed case's shares that list, so a cell holds
+   one list per run of equal verdicts, not one per case. *)
 let add_case cell (c, snap, profile, totals) =
+  let failed =
+    match (c.violations, cell.failed) with
+    | [], _ -> cell.failed
+    | vs, prev :: _ when vs = prev.violations ->
+        { c with violations = prev.violations } :: cell.failed
+    | _ -> c :: cell.failed
+  in
   {
     cell with
     cases = cell.cases + 1;
-    failed = (if c.violations <> [] then c :: cell.failed else cell.failed);
+    failed;
     snap = Obs.Snapshot.merge cell.snap snap;
     cell_profile = Obs.Attr.merge cell.cell_profile profile;
     cell_totals = add_totals cell.cell_totals totals;

@@ -224,6 +224,7 @@ and exec_stmt t stmt =
       let words = eval t cp_words in
       let dst, dst_room = mem_loc t cp_dst in
       let src, src_room = mem_loc t cp_src in
+      if words < 0 then error "memcpy: negative length %d" words;
       if words > dst_room || words > src_room then error "memcpy out of bounds";
       Machine.with_tag t.m Machine.Overhead (fun () ->
           for i = 0 to words - 1 do

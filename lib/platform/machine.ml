@@ -271,10 +271,12 @@ let[@inline] charge_op t (op : Cost.op_cost) n =
 
 (* A run of charges that no failure, sink or capacitor can observe
    between its first and last charge may be applied as one step; with
-   integer accounts the result is the same as charging one by one. *)
+   integer accounts the result is the same as charging one by one. In a
+   timer mode a charge that does not fire shows a sink nothing but a
+   capacitor sample, so a traced run batches while none falls due. *)
 let[@inline] batchable t ~n ~us =
   (not t.energy_mode)
-  && (match t.sink with None -> true | Some _ -> false)
+  && (match t.sink with None -> true | Some _ -> t.now + us < t.next_cap_sample_us)
   && Failure.quiet t.failure ~now:(t.now + us) ~charges:(t.charges + n)
 
 let[@inline] charge_block t ~n ~us ~pj ~ovh_us ~ovh_pj =

@@ -172,9 +172,12 @@ val cpu : t -> int -> unit
 
 val batchable : t -> n:int -> us:int -> bool
 (** Whether the next [n] charges, [us] µs in all, may be applied as one
-    {!charge_block}: the machine is in a timer mode, no trace sink is
-    attached, and the failure model cannot fire at any of them (see
-    {!Failure.quiet}). Metering is the caller's to check. *)
+    {!charge_block}: the machine is in a timer mode, the failure model
+    cannot fire at any of them (see {!Failure.quiet}), and, when a trace
+    sink is attached, no capacitor sample falls due at any of them
+    ([now + us] stays before the next sample) — the only event a charge
+    that does not fire can emit. A meter sees no charge, so it does not
+    matter here. *)
 
 val charge_block : t -> n:int -> us:int -> pj:int -> ovh_us:int -> ovh_pj:int -> unit
 (** Apply [n] charges in one step, exactly as [n] calls of {!charge}

@@ -14,7 +14,9 @@
    apply a straight-line block's charges in one step ([blockify],
    [Machine.charge_block]): energy is counted in integer picojoules, so
    the one-step sums equal the per-op ones, and a block is batched only
-   when no failure, sink or meter could see inside it.
+   when no failure can strike and no capacitor sample falls due inside
+   it; a metered batch adds the block's per-op dispatch counts in one
+   step too.
 
    What the lowering buys:
    - every global access is resolved at compile time to a concrete word
@@ -67,6 +69,8 @@ type t = {
   dmas : dmasite array;
   strs : string array;
   backs : int array;  (* block take-back records, [back_width] ints each (see [blockify]) *)
+  hists : int array;  (* per-block dispatch counts, [len; op; n; ...] each (see [blockify]) *)
+  copies : int;  (* where the block copies start, after the per-op code *)
   mutable app : Kernel.Task.app option;
   cur_slot : int;  (* pre-allocated engine task pointer (arena reuse) *)
   (* the reusable machine arena: per-run state, reinitialized by the
@@ -77,7 +81,8 @@ type t = {
   mutable steps : int;
   (* campaign metering: latched from [Machine.metered] once per run so
      the dispatch loop tests a plain bool, counts flushed to the sheet
-     after the run (see [run]) *)
+     after the run (see [run]); only the per-op code is counted, and a
+     batched block adds its per-op code's counts in one step *)
   mutable metered : bool;
   opcounts : int array;  (* per-opcode dispatch counts, length n_ops *)
   callcounts : int array;  (* per-callsite executions, indexed like [calls] *)
@@ -157,7 +162,7 @@ let o_seal = 49 (* Easeio.Runtime.seal_dmas (no-op under baselines) *)
    through to the per-op code. The U* ops appear in copies only: the
    per-op semantics minus steps and charges; the ones that can raise
    first take back the part of the block not reached (record k). *)
-let o_block = 50 (* n steps us pj ovh_us ovh_pj copy — see [blockify] *)
+let o_block = 50 (* n steps us pj ovh_us ovh_pj copy hist — see [blockify] *)
 let o_uldloc = 51 (* l *)
 let o_ustloc = 52 (* l *)
 let o_uldg = 53 (* a *)
@@ -228,12 +233,22 @@ let back_width = 6
 
 (* An error inside a block copy: undo the part of the block's one-step
    charge that the per-op code would not have reached, so the error is
-   observed at the same charge count, clock and energy. *)
+   observed at the same charge count, clock and energy. A run that
+   raises flushes no dispatch counts, so those need no take-back. *)
 let take_back t k =
   let b = t.backs and o = k * back_width in
   t.steps <- t.steps - b.(o + 1);
   Machine.charge_block t.m ~n:(-b.(o)) ~us:(-b.(o + 2)) ~pj:(-b.(o + 3)) ~ovh_us:(-b.(o + 4))
     ~ovh_pj:(-b.(o + 5))
+
+(* A metered batch: add the dispatch counts of the per-op code the
+   batch skips, from the block's record at [h] in [hists]. *)
+let[@inline never] count_block t h =
+  let hs = t.hists and oc = t.opcounts in
+  for i = 1 to hs.(h) do
+    let op = hs.(h + (2 * i) - 1) in
+    oc.(op) <- oc.(op) + hs.(h + (2 * i))
+  done
 
 let exec t pc0 =
   let code = t.code
@@ -244,8 +259,9 @@ let exec t pc0 =
   let rec go pc sp =
     let op = code.(pc) in
     (* one well-predicted branch per dispatch when off; counting when
-       on stays out of the simulated cost model entirely *)
-    if t.metered then begin
+       on stays out of the simulated cost model entirely, and skips the
+       block copies, whose BLOCK counted their per-op code *)
+    if t.metered && pc < t.copies then begin
       t.opcounts.(op) <- t.opcounts.(op) + 1;
       if op = 37 (* CALL *) then
         t.callcounts.(code.(pc + 1)) <- t.callcounts.(code.(pc + 1)) + 1
@@ -505,6 +521,7 @@ let exec t pc0 =
         go (pc + 2) (sp - 1)
     | 48 (* CPYGO *) ->
         let words = stack.(sp - 1) in
+        if words < 0 then error "memcpy: negative length %d" words;
         if words > t.sc_dst_room || words > t.sc_src_room then error "memcpy out of bounds";
         let saved = Machine.tag m in
         Machine.set_tag m Machine.Overhead;
@@ -524,16 +541,13 @@ let exec t pc0 =
     | 50 (* BLOCK *) ->
         let n = code.(pc + 1) and steps = code.(pc + 2) in
         let us = code.(pc + 3) and ovh_us = code.(pc + 5) in
-        if
-          (not t.metered)
-          && t.steps + steps <= step_limit
-          && Machine.batchable m ~n ~us:(us + ovh_us)
-        then begin
+        if t.steps + steps <= step_limit && Machine.batchable m ~n ~us:(us + ovh_us) then begin
           t.steps <- t.steps + steps;
           Machine.charge_block m ~n ~us ~pj:code.(pc + 4) ~ovh_us ~ovh_pj:code.(pc + 6);
+          if t.metered then count_block t code.(pc + 8);
           go code.(pc + 7) sp
         end
-        else go (pc + 8) sp
+        else go (pc + 9) sp
     | 51 (* ULDLOC *) ->
         stack.(sp) <- locals.(code.(pc + 1));
         go (pc + 2) (sp + 1)
@@ -921,15 +935,17 @@ let max_stack prog =
    [blockify] rewrites the lowered code: each block with at least
    [min_block_charges] charges gets a BLOCK op in front of it, carrying
    the block's charge count, steps, and µs and picojoules split into
-   current-tag and Overhead parts, and an uncharged copy of it appended
-   after the per-op code. When the failure model cannot fire inside the
-   block, the machine is in a timer mode, no sink is attached, the run
-   is not metered and the step budget covers it, BLOCK applies the sums
-   in one [Machine.charge_block] and jumps to the copy; otherwise it
-   falls through to the per-op code, which this pass leaves as it was.
-   Integer picojoules make the one-step sums equal the per-op ones, so
-   the two paths agree at every point a failure, error, sink or meter
-   can observe. *)
+   current-tag and Overhead parts, the offset of its per-op dispatch
+   counts in [hists], and an uncharged copy of it appended after the
+   per-op code. When the failure model cannot fire inside the block,
+   the machine is in a timer mode, no capacitor sample falls due inside
+   it ([Machine.batchable]) and the step budget covers it, BLOCK applies
+   the sums in one [Machine.charge_block], adds the dispatch counts if
+   the run is metered, and jumps to the copy; otherwise it falls through
+   to the per-op code, which this pass leaves as it was. Integer
+   picojoules make the one-step sums equal the per-op ones, so the two
+   paths agree at every point a failure, error, sink or meter can
+   observe. *)
 
 let min_block_charges = 2
 
@@ -1032,7 +1048,7 @@ let blockify c accs code task_pcs =
            let s = sum_ops c accs code h stop in
            if s.(0) >= min_block_charges then Some (h, stop, s) else None)
   in
-  (* a BLOCK op (8 words) goes before each kept head, and jumps to the
+  (* a BLOCK op (9 words) goes before each kept head, and jumps to the
      head land on it *)
   let sums = Array.make (len + 1) [||] in
   List.iter (fun (h, _, s) -> sums.(h) <- s) kept;
@@ -1041,22 +1057,24 @@ let blockify c accs code task_pcs =
   let main_len =
     fold
       (fun pc at ->
-        let at = if is_head pc then at + 8 else at in
+        let at = if is_head pc then at + 9 else at in
         newpc.(pc) <- at;
         at + width code.(pc))
       0
   in
   newpc.(len) <- main_len;
-  let dest pc = if is_head pc then newpc.(pc) - 8 else newpc.(pc) in
+  let dest pc = if is_head pc then newpc.(pc) - 9 else newpc.(pc) in
   let emit_op buf pc =
     let op = code.(pc) in
     for i = pc to pc + width op - 1 do
       emit buf (if is_branch op && i = target_at op pc then dest code.(i) else code.(i))
     done
   in
-  (* the uncharged copies, appended after the per-op code *)
-  let copies = buf_create () and backs = buf_create () in
-  let copy_at = Array.make (len + 1) 0 in
+  (* the uncharged copies, appended after the per-op code, and each
+     block's per-op dispatch counts, as nonzero (op, n) pairs *)
+  let copies = buf_create () and backs = buf_create () and hists = buf_create () in
+  let copy_at = Array.make (len + 1) 0 and hist_at = Array.make (len + 1) 0 in
+  let ops = Array.make n_ops 0 in
   List.iter
     (fun (h, stop, _) ->
       copy_at.(h) <- main_len + copies.len;
@@ -1068,6 +1086,7 @@ let blockify c accs code task_pcs =
       in
       let rec go pc last =
         if pc < stop then begin
+          ops.(code.(pc)) <- ops.(code.(pc)) + 1;
           (match code.(pc) with
           | 0 | 1 | 2 -> ()
           | 3 (* PUSH *) -> emit_all [ o_pushraw; code.(pc + 1) ]
@@ -1087,7 +1106,11 @@ let blockify c accs code task_pcs =
              continue where the per-op code would *)
           emit_all [ o_jmp; dest stop ]
       in
-      go h (-1))
+      go h (-1);
+      hist_at.(h) <- hists.len;
+      emit hists (Array.fold_left (fun k n -> if n > 0 then k + 1 else k) 0 ops);
+      Array.iteri (fun op n -> if n > 0 then List.iter (emit hists) [ op; n ]) ops;
+      Array.fill ops 0 n_ops 0)
     kept;
   let out = buf_create () in
   fold
@@ -1095,14 +1118,17 @@ let blockify c accs code task_pcs =
       if is_head pc then begin
         emit out o_block;
         Array.iter (emit out) sums.(pc);
-        emit out copy_at.(pc)
+        emit out copy_at.(pc);
+        emit out hist_at.(pc)
       end;
       emit_op out pc)
     ();
   assert (out.len = main_len);
   ( Array.append (Array.sub out.b 0 out.len) (Array.sub copies.b 0 copies.len),
+    main_len,
     Array.map dest task_pcs,
-    Array.sub backs.b 0 backs.len )
+    Array.sub backs.b 0 backs.len,
+    Array.sub hists.b 0 hists.len )
 
 let compile ?policy ?extra_io ?priv_buffer_words ?ablate_regions ?ablate_semantics m prog =
   let linked =
@@ -1142,7 +1168,7 @@ let compile ?policy ?extra_io ?priv_buffer_words ?ablate_regions ?ablate_semanti
   let cur_slot = Machine.alloc m Memory.Fram ~name:"kernel.cur_task" ~words:1 in
   let calls = tbl_to_array ctx.xcalls in
   let accs = tbl_to_array ctx.xaccs in
-  let code, task_pcs, backs =
+  let code, copies, task_pcs, backs, hists =
     blockify (Machine.cost m) accs (Array.sub ctx.cb.b 0 ctx.cb.len) task_pcs
   in
   let t =
@@ -1158,6 +1184,8 @@ let compile ?policy ?extra_io ?priv_buffer_words ?ablate_regions ?ablate_semanti
       dmas = tbl_to_array ctx.xdmas;
       strs = tbl_to_array ctx.xstrs;
       backs;
+      hists;
+      copies;
       app = None;
       cur_slot;
       stack = Array.make (max_stack exec_prog) 0;

@@ -21,9 +21,10 @@
     and element accesses) has its charges applied in one
     {!Platform.Machine.charge_block} and runs uncharged — only when the
     failure model cannot fire inside it, the machine is in a timer mode,
-    no sink is attached, the run is not metered and the step budget
-    covers it; otherwise it runs op by op. The conformance judge
-    cross-checks this on every fuzzing run.
+    no capacitor sample falls due inside it when a sink is attached, and
+    the step budget covers it; otherwise it runs op by op. A metered
+    run adds such a block's per-op dispatch counts in one step. The
+    conformance judge cross-checks this on every fuzzing run.
 
     A compiled program owns a reusable arena (machine, stack, locals,
     loop registers, scratch): [compile] once per (program, policy), then

@@ -3,8 +3,11 @@
    continuous power and the paper's timer failures, and under
    [Nth_charge] failures at strided charge boundaries of a clean run —
    boundaries that land inside the straight-line blocks whose charges
-   the VM applies in one step. Exits non-zero on the first divergence
-   — `dune build @vm-smoke`. *)
+   the VM applies in one step. Every configuration runs twice: without
+   observers, and traced, where the two executors must also emit the
+   same events (the VM batches traced blocks too, while no capacitor
+   sample falls due inside them). Exits non-zero on the first
+   divergence — `dune build @vm-smoke`. *)
 
 open Platform
 
@@ -12,19 +15,24 @@ let checked = ref 0
 let bad = ref 0
 
 let compare_run (spec : Apps.Common.spec) variant ~failure ~seed =
-  let run interp =
+  let run ?sink interp =
     Apps.Common.default_interp := interp;
-    spec.run variant ~failure ~seed
+    spec.run ?sink variant ~failure ~seed
   in
-  let tree = run Apps.Common.Tree_walk in
-  let vm = run Apps.Common.Bytecode in
-  incr checked;
-  if tree <> vm then begin
+  let traced interp =
+    let r = Trace.Recorder.create () in
+    let one = run ~sink:(Trace.Recorder.sink r) interp in
+    (one, Trace.Recorder.events r)
+  in
+  let diverged what =
     incr bad;
-    Printf.eprintf "vm-smoke: DIVERGENCE %s/%s/%s/seed%d\n%!" spec.app_name
+    Printf.eprintf "vm-smoke: DIVERGENCE%s %s/%s/%s/seed%d\n%!" what spec.app_name
       (Apps.Common.variant_name variant)
       (Failure.to_string failure) seed
-  end
+  in
+  incr checked;
+  if run Apps.Common.Tree_walk <> run Apps.Common.Bytecode then diverged "";
+  if traced Apps.Common.Tree_walk <> traced Apps.Common.Bytecode then diverged " (traced)"
 
 (* Boundaries per app x runtime; the stride is odd so the points do not
    keep one phase of a loop body. *)
@@ -53,7 +61,8 @@ let () =
         Apps.Common.all_variants)
     Apps.Catalog.all;
   if !bad > 0 then begin
-    Printf.eprintf "vm-smoke: %d/%d configurations diverged\n%!" !bad !checked;
+    Printf.eprintf "vm-smoke: %d divergences in %d configurations\n%!" !bad !checked;
     exit 1
   end;
-  Printf.printf "vm-smoke: VM == tree-walker on %d configurations\n%!" !checked
+  Printf.printf "vm-smoke: VM == tree-walker on %d configurations, untraced and traced\n%!"
+    !checked

@@ -63,6 +63,51 @@ let test_judge_clean_on_shipped_pipeline () =
         Alcotest.failf "seed %d: unexpected violation %s" case.Gen.gen_seed (Judge.describe v)
   done
 
+(* A Plain run carries a CPU WAR on [a0] ([g0 = a0[0]] before the loop
+   rewrites [a0]): after a reboot [g0] reads the rewritten word, [t0]
+   stops and [t1]'s DMA never runs. An unprotected runtime may take
+   another branch after a reboot, so its divergence is expected-unsafe
+   and its I/O count has no floor (fuzz seed 11, case 41, shrunk). *)
+let plain_branch_src =
+  {|
+program fuzz_2798946199221101360;
+
+nv int g0 = 2;
+nv int g2 = 6;
+nv int a0[8] = {90, 48, 99, 28, 31, 34, 39, 11};
+nv int a1[8] = {81, 51, 3, 66, 30, 90, 48, 76};
+
+task t0 {
+  g0 = a0[0];
+  for i0 = 0 to 7 {
+    a0[i0] = (i0 * 3) + 5;
+  }
+  if (g0 > 5) {
+    next t1;
+  } else {
+    stop;
+  }
+}
+
+task t1 {
+  dma_copy(a1[0], a0[0], 8);
+  if (g2 == 3) {
+    stop;
+  } else {
+    stop;
+  }
+}
+|}
+
+let test_judge_plain_branch_has_no_io_floor () =
+  let prog = Lang.Parser.parse plain_branch_src in
+  let out = Judge.judge { Gen.gen_seed = 2798946199221101360; intent = Gen.Clean; prog } in
+  List.iter
+    (fun v -> Alcotest.failf "unexpected violation %s" (Judge.describe v))
+    out.Judge.violations;
+  checkb "Plain divergence counted as expected-unsafe" true
+    (List.mem_assoc "Plain" out.Judge.unsafe_baseline)
+
 (* The W0403 acceptance criterion: with regional privatization ablated,
    the harness finds an NV-state divergence and shrinks it small. *)
 let find_ablated_counterexample () =
@@ -221,6 +266,8 @@ let () =
         [
           tc "clean on shipped pipeline" `Slow test_judge_clean_on_shipped_pipeline;
           tc "ablated regions found and shrunk" `Slow test_ablated_regions_found_and_shrunk;
+          tc "no I/O floor on an unprotected branch" `Quick
+            test_judge_plain_branch_has_no_io_floor;
         ] );
       ( "shrinker",
         [

@@ -322,6 +322,51 @@ let test_campaign_catches_unsafe_runtime () =
   in
   checkb "differential oracle fired" true has_nv_mismatch
 
+(* Neighbouring boundaries of FIR under Alpaca fail alike, and the cell
+   keeps one violation list per run of equal ones: every failed case
+   whose list equals its predecessor's holds that very list. Sharing is
+   invisible in the document: unsharing every list leaves the JSON
+   byte-identical. *)
+let test_failed_cases_share_violations () =
+  let spec = Apps.Catalog.find "FIR filter" in
+  let report =
+    Faultkit.Campaign.run ~jobs:2
+      ~sweep:(Faultkit.Campaign.Boundaries { stride = 3 })
+      ~variants:[ Apps.Common.Alpaca ] spec
+  in
+  let cell = List.hd report.Faultkit.Campaign.cells in
+  let rec pairs shared = function
+    | (a : Faultkit.Campaign.case) :: ((b : Faultkit.Campaign.case) :: _ as rest) ->
+        if a.violations = b.violations then begin
+          checkb "equal neighbours share one list" true (a.violations == b.violations);
+          pairs (shared + 1) rest
+        end
+        else pairs shared rest
+    | _ -> shared
+  in
+  checkb "equal neighbours found" true (pairs 0 cell.Faultkit.Campaign.failed > 0);
+  let unshared =
+    {
+      report with
+      Faultkit.Campaign.cells =
+        List.map
+          (fun (c : Faultkit.Campaign.cell) ->
+            {
+              c with
+              failed =
+                List.map
+                  (fun (f : Faultkit.Campaign.case) ->
+                    { f with violations = List.map Fun.id f.violations })
+                  c.failed;
+            })
+          report.Faultkit.Campaign.cells;
+    }
+  in
+  Alcotest.(check string)
+    "sharing leaves the JSON alone"
+    (Trace.Json.to_string (Faultkit.Campaign.to_json unshared))
+    (Trace.Json.to_string (Faultkit.Campaign.to_json report))
+
 let test_oracle_catches_ablated_semantics () =
   (* EaseIO with re-execution semantics deliberately ablated (tests
      only): the golden image is captured from the broken build itself,
@@ -565,6 +610,7 @@ let () =
         [
           tc "boundary sweep passes on safe app" `Quick test_campaign_boundary_sweep_passes_on_safe_app;
           tc "catches unsafe runtime" `Quick test_campaign_catches_unsafe_runtime;
+          tc "failed cases share equal violation lists" `Quick test_failed_cases_share_violations;
           tc "catches ablated semantics" `Quick test_oracle_catches_ablated_semantics;
           tc "deterministic across jobs" `Quick test_campaign_deterministic_across_jobs;
           tc "sweep spec round trip" `Quick test_sweep_spec_round_trip;

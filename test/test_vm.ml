@@ -13,8 +13,10 @@
    nothing can observe the charges between (see [Vm.blockify]); the
    cases under "blocks" aim at the points where that must not show:
    errors and the step limit inside a block, failures landing inside
-   loop bodies, and metered, traced and energy-driven runs, which must
-   take the per-op path. *)
+   loop bodies, metered runs, whose batches must count every per-op
+   dispatch they skip, traced runs, where a capacitor sample falling
+   due inside a block forces the per-op path, and energy-driven runs,
+   which always take it. *)
 
 open Platform
 
@@ -312,9 +314,9 @@ let test_step_limit_inside_block () =
 (* {1 Operand bounds}
 
    An LEA command's operand ranges are checked against their own
-   arrays, not only against SRAM, and a DMA count must not be negative:
-   either is a language error on both executors, raised before the
-   command is issued. Each program first fills [vc], which the
+   arrays, not only against SRAM, and a DMA or memcpy count must not be
+   negative: either is a language error on both executors, raised
+   before the command is issued. Each program first fills [vc], which the
    unchecked FIR overwrote. *)
 let operand_program body =
   Printf.sprintf
@@ -343,6 +345,9 @@ let operand_error_cases =
     ( "dma negative count",
       "dma_copy(va[0], vb[0], 0 - 1);",
       "dma_copy: negative length -1" );
+    ( "memcpy negative count",
+      "memcpy(vb[0], va[0], 0 - 1);",
+      "memcpy: negative length -1" );
     ( "fir output past its array",
       "call_io(Lea_fir, Always, big, vb, 2, vb, 10);",
       "Lea_fir: output range [0, 10) outside its 4-word array" );
@@ -393,10 +398,10 @@ let test_operand_bounds () =
        ^ "call_io(Lea_fir_seg, Always, big, 12, vb, 4, vc, 3, 1);\n"
        ^ "r = call_io(Lea_mac, Always, va, vb, 4);"))
 
-(* Observers force the per-op path: a metered run must count every
-   per-op dispatch and every I/O verdict — as many as when a sink forces
-   the per-op path too — a traced run must emit the same events as the
-   tree walker, and both must leave the same results. *)
+(* Observers leave results alone: a metered run must count every I/O
+   verdict, with and without a sink, and leave the tree walker's
+   results and shared counters; its dispatch counts are held against
+   the per-op oracle below. *)
 let counters sheet = (Obs.Snapshot.of_sheet sheet).Obs.Snapshot.counters
 
 let is_vm (k, _) = String.starts_with ~prefix:"vm/" k
@@ -427,7 +432,8 @@ let test_metered_run () =
       let _, vc_traced = run ~sink:(fun _ -> ()) Apps.Common.Bytecode in
       checkb (name ^ ": metered result") true (tr = vr);
       checkb (name ^ ": shared counters") true (without_vm tc = without_vm vc);
-      checkb (name ^ ": dispatch counts") true (List.filter is_vm vc = List.filter is_vm vc_traced);
+      checkb (name ^ ": dispatch counts with and without a sink") true
+        (List.filter is_vm vc = List.filter is_vm vc_traced);
       checkb (name ^ ": io counters with and without a sink") true
         (List.filter is_io vc = List.filter is_io vc_traced);
       (* the sink-less counts include the verdicts of FIR's three
@@ -440,6 +446,57 @@ let test_metered_run () =
       checkb (name ^ ": no block counter") true
         (List.for_all (fun (k, _) -> not (String.starts_with ~prefix:"vm/op/block" k)) vc))
     task_language_apps
+
+(* Energy mode charges op by op whatever the meter, so a metered
+   energy-mode run on a capacitor and harvester that never die counts
+   what the per-op code dispatches: the oracle for the metered run under
+   continuous power, whose blocks batch. The two must agree on every
+   [vm/*] counter, the clock and the charge count. *)
+let never_dies ~seed ~failure =
+  Machine.create ~seed ~failure
+    ~capacitor:(Capacitor.create ~capacity_nj:1e15 ~on_level_nj:1.)
+    ~harvester:(Harvester.constant 1e6) ()
+
+let app_sources =
+  [
+    ("LEA", Apps.Uni.lea_source);
+    ("DMA", Apps.Uni.dma_source);
+    ("Temp", Apps.Uni.temp_source);
+    ("FIR", Apps.Fir.source ~exclude_coefs:false);
+  ]
+
+let metered_vm_run ~machine ~failure policy prog =
+  let vm =
+    Vm.compile ~policy ~extra_io:[ Apps.Common.lea_fir_seg ] (machine ~seed:1 ~failure) prog
+  in
+  Vm.reset ~seed:1 ~failure vm;
+  let m = Vm.machine vm in
+  let sheet = Obs.Sheet.create () in
+  Machine.set_meter m sheet;
+  let o = Vm.run vm in
+  checkb "run completes" true (not o.Kernel.Engine.gave_up);
+  (List.filter is_vm (counters sheet), Machine.now m, Machine.charges m)
+
+let test_metered_counts_per_op () =
+  List.iter
+    (fun (name, src) ->
+      let prog = Lang.Parser.program src in
+      List.iter
+        (fun policy ->
+          let where = name ^ "/" ^ Lang.Interp.policy_name policy in
+          let bc, bnow, bcharges =
+            metered_vm_run ~machine:default_machine ~failure:Failure.No_failures policy prog
+          in
+          let vc, now, charges =
+            metered_vm_run ~machine:never_dies ~failure:Failure.Energy_driven policy prog
+          in
+          checkb (where ^ ": ops counted") true
+            (List.exists (fun (k, n) -> k = "vm/op/stmt" && n > 0) vc);
+          checkb (where ^ ": dispatch counts = per-op oracle") true (bc = vc);
+          checki (where ^ ": clock") now bnow;
+          checki (where ^ ": charges") charges bcharges)
+        [ Lang.Interp.Easeio; Lang.Interp.Alpaca; Lang.Interp.Ink ])
+    app_sources
 
 let test_traced_run () =
   List.iter
@@ -463,6 +520,72 @@ let test_traced_run () =
            (fun e -> match e.Trace.Event.payload with Trace.Event.Cap_level _ -> true | _ -> false)
            ve))
     task_language_apps
+
+(* A traced run batches a block only while no capacitor sample falls due
+   inside it. This loop body is one block of about 45 µs, so most of the
+   1 ms samples of the 9 ms run fall due inside it, where the VM must
+   charge op by op to emit the sample at the tree walker's instant and
+   level. *)
+let sampled_src =
+  {|
+program sampled;
+nv int out;
+vol int buf[4];
+task t {
+  int a;
+  int b;
+  a = 1;
+  b = 2;
+  for i = 0 to 199 {
+    a = a + b * 3 - i;
+    b = b + a - 7;
+    buf[1] = a - b;
+    a = buf[1] + a * 2;
+    b = (b + i) % 1000;
+    buf[2] = a + b + buf[1];
+    a = (buf[2] - a) % 977;
+  }
+  out = a + b;
+  stop;
+}
+|}
+
+let test_sample_inside_block () =
+  let prog = Lang.Parser.program sampled_src in
+  List.iter
+    (fun policy ->
+      let vm =
+        Vm.compile ~policy (Machine.create ~seed:1 ~failure:Failure.No_failures ()) prog
+      in
+      List.iter
+        (fun failure ->
+          let where = ctx_name policy failure 1 in
+          let tree_rec = Trace.Recorder.create () in
+          let machine ~seed ~failure =
+            let m = Machine.create ~seed ~failure () in
+            Machine.set_sink m (Trace.Recorder.sink tree_rec);
+            m
+          in
+          let tr = observe_tree ~machine prog policy ~failure ~seed:1 in
+          let vm_rec = Trace.Recorder.create () in
+          Vm.reset ~seed:1 ~failure vm;
+          Machine.set_sink (Vm.machine vm) (Trace.Recorder.sink vm_rec);
+          let o = Vm.run vm in
+          let te = Trace.Recorder.events tree_rec and ve = Trace.Recorder.events vm_rec in
+          let samples =
+            List.length
+              (List.filter
+                 (fun e ->
+                   match e.Trace.Event.payload with Trace.Event.Cap_level _ -> true | _ -> false)
+                 ve)
+          in
+          checkb (where ^ ": run summary") true
+            (tr.result = Ok (Expkit.Run.of_outcome (Vm.machine vm) o));
+          checki (where ^ ": charges") tr.charges (Machine.charges (Vm.machine vm));
+          checkb (where ^ ": samples taken") true (samples >= 10);
+          checkb (where ^ ": trace events") true (te = ve))
+        [ Failure.No_failures; Failure.paper_timer ])
+    block_policies
 
 (* Energy-driven failures drain the capacitor on every charge: a small
    capacitor and a weak harvester make the Temp app die and recharge
@@ -523,7 +646,9 @@ let () =
           Alcotest.test_case "errors inside a block" `Quick test_errors_inside_blocks;
           Alcotest.test_case "step limit inside a block" `Quick test_step_limit_inside_block;
           Alcotest.test_case "metered run" `Quick test_metered_run;
+          Alcotest.test_case "metered counts = per-op oracle" `Quick test_metered_counts_per_op;
           Alcotest.test_case "traced run" `Quick test_traced_run;
+          Alcotest.test_case "capacitor sample inside a block" `Quick test_sample_inside_block;
           Alcotest.test_case "energy-mode run" `Quick test_energy_mode_run;
         ] );
       ( "operands",

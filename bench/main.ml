@@ -706,13 +706,15 @@ let all_experiments =
 let interp_workloads = [ Uni.dma; Uni.temp; Uni.lea; Fir.spec ]
 
 let time_interp interp spec runs =
-  Common.default_interp := interp;
+  let run seed =
+    ignore (spec.Common.run ~interp Common.Easeio ~failure:Expkit.Experiments.paper_failures ~seed)
+  in
   (* warm-up run: populates the per-domain arena cache (vm) and faults
      in allocations either way *)
-  ignore (spec.Common.run Common.Easeio ~failure:Expkit.Experiments.paper_failures ~seed:1);
+  run 1;
   let t0 = Unix.gettimeofday () in
   for seed = 1 to runs do
-    ignore (spec.Common.run Common.Easeio ~failure:Expkit.Experiments.paper_failures ~seed)
+    run seed
   done;
   Unix.gettimeofday () -. t0
 
@@ -722,7 +724,6 @@ let interp_profile ~reps =
   match !interp_rows with
   | Some rows -> rows
   | None ->
-      let saved = !Common.default_interp in
       let runs = max 20 (min 200 reps) in
       let rows =
         List.map
@@ -732,7 +733,6 @@ let interp_profile ~reps =
             (spec.Common.app_name, runs, tree_s, vm_s))
           interp_workloads
       in
-      Common.default_interp := saved;
       interp_rows := Some rows;
       rows
 
@@ -821,7 +821,7 @@ let () =
   let profile = ref false in
   let usage =
     "usage: main.exe [--reps N] [--jobs N] [--json PATH] [--trace-dir DIR] [--only a,b] \
-     [--interp tree|vm] [--profile-interp] [--progress off|stderr|json]"
+     [--profile-interp] [--progress off|stderr|json]"
   in
   let int_arg flag n =
     match int_of_string_opt n with
@@ -850,14 +850,6 @@ let () =
         parse rest
     | "--only" :: names :: rest ->
         only := String.split_on_char ',' names;
-        parse rest
-    | "--interp" :: which :: rest ->
-        (match which with
-        | "tree" -> Common.default_interp := Common.Tree_walk
-        | "vm" -> Common.default_interp := Common.Bytecode
-        | _ ->
-            Obs.Progress.log "--interp expects tree or vm, got %S\n%s" which usage;
-            exit 2);
         parse rest
     | "--profile-interp" :: rest ->
         profile := true;
@@ -910,7 +902,6 @@ let () =
                   ( "recommended_domains",
                     Trace.Json.Int (Domain.recommended_domain_count ()) );
                   ("total_wall_s", Trace.Json.Float total_wall_s);
-                  ("interp", Trace.Json.String (Common.interp_name !Common.default_interp));
                   ("calibration", calibration ~reps:!reps);
                   ("interp_runs_per_s", fst (interp_meta ~reps:!reps));
                   ("vm_runs_per_s", snd (interp_meta ~reps:!reps));

@@ -4,7 +4,7 @@
      and report every diagnostic (nonzero exit on errors);
    - [easeio compile prog.eio --dump-after PASS --out f.eio] — run the
      full pass pipeline and write the transformed source (Fig. 5 /
-     Fig. 6 style); [transform] is the historical alias;
+     Fig. 6 style);
    - [easeio run prog.eio --runtime easeio --failures --seed 3] —
      execute a task-language program on the simulated MCU;
    - [easeio apps] — list the built-in evaluation applications;
@@ -129,7 +129,7 @@ let write_file_atomic path s =
       raise e);
   Sys.rename tmp path
 
-(* {1 check / compile / transform} *)
+(* {1 check / compile} *)
 
 (* Parse without validation: structural problems come back as
    diagnostics from the pipeline, syntax errors as E0001. *)
@@ -261,12 +261,6 @@ let compile_cmd =
           re-compiling it is the identity.")
     Term.(const run $ file_arg $ dump_after_arg $ out_arg)
 
-let transform_cmd =
-  let run file dump_after out = compile ~dump_after ~out file in
-  Cmd.v
-    (Cmd.info "transform" ~doc:"Alias of $(b,compile) (historical name)")
-    Term.(const run $ file_arg $ dump_after_arg $ out_arg)
-
 (* {1 run} *)
 
 (* A program that fails to parse or validate gets [check]'s diagnostics
@@ -290,52 +284,15 @@ let run_cmd =
     in
     let src = read_file file in
     run_or_exit ~file src @@ fun () ->
-    (* the VM JSON document is built by [Serve.Oneshot.run_doc] — the
-       same function the campaign service memoizes and streams, so the
-       CLI and server bytes can never drift apart *)
-    if json && interp = Apps.Common.Bytecode then
-      print_string (Trace.Json.to_string (Serve.Oneshot.run_doc ~policy ~failure ~seed src))
-    else begin
-    let m = Machine.create ~seed ~failure () in
-    let sheet = Obs.Sheet.create () in
-    Machine.set_meter m sheet;
-    let prog = Lang.Parser.program src in
-    let o =
-      match interp with
-      | Apps.Common.Tree_walk ->
-          Lang.Interp.run
-            (Lang.Interp.build ~policy ~extra_io:[ Apps.Common.lea_fir_seg ] m prog)
-      | Apps.Common.Bytecode ->
-          Vm.run (Vm.compile ~policy ~extra_io:[ Apps.Common.lea_fir_seg ] m prog)
-    in
-    (* one sorted-by-name pass over the I/O counters feeds both the
-       text and the JSON output *)
-    let io = Kernel.Golden.io_executions m in
+    (* the JSON document is built by [Serve.Oneshot.run_doc] — the same
+       function the campaign service memoizes and streams, so the CLI
+       and server bytes can never drift apart *)
     if json then
       print_string
-        (Trace.Json.to_string
-           (Trace.Json.Obj
-              [
-                ("runtime", Trace.Json.String (Lang.Interp.policy_name policy));
-                ("failure", Trace.Json.String (Failure.to_string failure));
-                ("seed", Trace.Json.Int seed);
-                ("completed", Trace.Json.Bool o.Kernel.Engine.completed);
-                ("gave_up", Trace.Json.Bool o.Kernel.Engine.gave_up);
-                ( "stuck_task",
-                  match o.Kernel.Engine.stuck_task with
-                  | Some t -> Trace.Json.String t
-                  | None -> Trace.Json.Null );
-                ("power_failures", Trace.Json.Int o.Kernel.Engine.power_failures);
-                ("total_time_us", Trace.Json.Int o.Kernel.Engine.total_time_us);
-                ("energy_nj", Trace.Json.Float o.Kernel.Engine.energy_nj);
-                ("metrics", Kernel.Metrics.to_json o.Kernel.Engine.metrics);
-                ( "obs",
-                  Obs.Snapshot.to_json
-                    (Obs.Snapshot.of_sheet ~events:(Machine.events m) sheet) );
-                ( "io_executions",
-                  Trace.Json.Obj (List.map (fun (k, n) -> (k, Trace.Json.Int n)) io) );
-              ]))
+        (Trace.Json.to_string (Serve.Oneshot.run_doc ~interp ~policy ~failure ~seed src))
     else begin
+      let m, _, o = Serve.Oneshot.run_metered ~interp ~policy ~failure ~seed src in
+      let io = Kernel.Golden.io_executions m in
       Printf.printf "runtime:        %s\n" (Lang.Interp.policy_name policy);
       Printf.printf "failure:        %s\n" (Failure.to_string failure);
       Printf.printf "completed:      %b\n" o.Kernel.Engine.completed;
@@ -353,7 +310,6 @@ let run_cmd =
         (float_of_int o.Kernel.Engine.metrics.Kernel.Metrics.wasted_us /. 1000.);
       Printf.printf "energy:         %.1f uJ\n" (o.Kernel.Engine.energy_nj /. 1000.);
       List.iter (fun (k, n) -> Printf.printf "%-15s %d\n" (k ^ ":") n) io
-    end
     end
   in
   let policy =
@@ -398,7 +354,6 @@ let apps_cmd =
 
 let app_cmd =
   let run name variant interp runs jobs =
-    Apps.Common.default_interp := interp;
     match find_app name with
     | spec ->
         at_least ~cmd:"app" "runs" 1 runs;
@@ -406,8 +361,9 @@ let app_cmd =
         let jobs = min jobs Expkit.Pool.max_jobs in
         let agg =
           Expkit.Run.average ~jobs ~runs
-            ~golden:(fun () -> spec.Apps.Common.run variant ~failure:Failure.No_failures ~seed:0)
-            (fun ~seed -> spec.Apps.Common.run variant ~failure:Failure.paper_timer ~seed)
+            ~golden:(fun () ->
+              spec.Apps.Common.run ~interp variant ~failure:Failure.No_failures ~seed:0)
+            (fun ~seed -> spec.Apps.Common.run ~interp variant ~failure:Failure.paper_timer ~seed)
         in
         Printf.printf "%s under %s, %d runs:\n" name (Apps.Common.variant_name variant) runs;
         Printf.printf "  total:        %.2f ms\n" agg.Expkit.Run.avg_total_ms;
@@ -444,7 +400,6 @@ let app_cmd =
 
 let trace_cmd =
   let run name variant interp failure_spec seed out format =
-    Apps.Common.default_interp := interp;
     match find_app name with
     | spec ->
         let failure = Option.value ~default:Failure.paper_timer failure_spec in
@@ -452,7 +407,7 @@ let trace_cmd =
         let sheet = Obs.Sheet.create () in
         let machine_events = ref [] in
         let one =
-          spec.Apps.Common.run ~sink:(Trace.Recorder.sink recorder) ~meter:sheet
+          spec.Apps.Common.run ~interp ~sink:(Trace.Recorder.sink recorder) ~meter:sheet
             ~probe:(fun m -> machine_events := Machine.events m)
             variant ~failure ~seed
         in
@@ -470,7 +425,9 @@ let trace_cmd =
         | `Chrome -> Trace.Json.to_file out (Trace.Export.chrome events)
         | `Text -> write_file_atomic out (Trace.Export.text events)
         | `Profile ->
-            let golden = spec.Apps.Common.run variant ~failure:Failure.No_failures ~seed:0 in
+            let golden =
+              spec.Apps.Common.run ~interp variant ~failure:Failure.No_failures ~seed:0
+            in
             let body =
               match Obs.Attr.to_json profile with
               | Trace.Json.Obj fields ->
@@ -527,7 +484,6 @@ let trace_cmd =
 let faults_cmd =
   let run name runtime interp sweep seed jobs no_resume json_out flame_out perfetto_out
       progress_mode =
-    Apps.Common.default_interp := interp;
     match find_app name with
     | spec ->
         at_least ~cmd:"faults" "jobs" 1 jobs;
@@ -535,7 +491,17 @@ let faults_cmd =
         (* sessions run on the bytecode VM only, so a tree-walker sweep
            runs every case from power on *)
         let spec =
-          if interp = Apps.Common.Tree_walk then { spec with Apps.Common.session = None } else spec
+          match interp with
+          | Apps.Common.Bytecode -> spec
+          | Apps.Common.Tree_walk ->
+              {
+                spec with
+                Apps.Common.run =
+                  (fun ?interp:_ ?sink ?meter ?probe variant ~failure ~seed ->
+                    spec.Apps.Common.run ~interp:Apps.Common.Tree_walk ?sink ?meter ?probe
+                      variant ~failure ~seed);
+                session = None;
+              }
         in
         let variants =
           match runtime with None -> Apps.Common.all_variants | Some v -> [ v ]
@@ -961,7 +927,7 @@ let fuzz_cmd =
       const run $ count $ seed $ jobs $ budget $ max_shrink $ json_out $ save_dir
       $ ablate_regions $ ablate_semantics $ interp_arg $ replay $ progress_arg)
 
-(* {1 serve / client / bench-serve} *)
+(* {1 serve / client} *)
 
 let socket_arg =
   Arg.(
@@ -979,6 +945,9 @@ let port_arg =
 let addr_of ~cmd socket port =
   match (socket, port) with
   | Some path, None -> Serve.Server.Unix_sock path
+  | None, Some p when p < 0 || p > 65535 ->
+      Printf.eprintf "easeio %s: --port must be in 0..65535\n" cmd;
+      exit 1
   | None, Some p -> Serve.Server.Tcp p
   | None, None ->
       Printf.eprintf "easeio %s: pass --socket PATH or --port P\n" cmd;
@@ -1129,174 +1098,6 @@ let client_cmd =
           response frame for control requests. Exits 1 on an error frame.")
     Term.(const run $ socket_arg $ port_arg $ spec $ out)
 
-let bench_serve_cmd =
-  let run socket port requests concurrency mode rate app sweep seeds jobs json_out =
-    if requests < 1 || seeds < 1 then begin
-      Printf.eprintf "easeio bench-serve: --requests and --seeds must be >= 1\n";
-      exit 1
-    end;
-    at_least ~cmd:"bench-serve" "jobs" 1 jobs;
-    let jobs = min jobs Expkit.Pool.max_jobs in
-    (* no --socket/--port: measure a self-hosted in-process server on a
-       fresh loopback port, so the load generator is one command *)
-    let server, addr =
-      match (socket, port) with
-      | None, None ->
-          let t =
-            Serve.Server.start
-              { (Serve.Server.default_config (Serve.Server.Tcp 0)) with Serve.Server.jobs }
-          in
-          (Some t, Serve.Server.Tcp (Serve.Server.port t))
-      | _ -> (None, addr_of ~cmd:"bench-serve" socket port)
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Serve.Server.stop server)
-      (fun () ->
-        let sweep_s = Faultkit.Campaign.sweep_to_string sweep in
-        (* [seeds] distinct cache cells cycled across the request
-           stream: 1 = everything hits after the first compute, large =
-           mostly cold *)
-        let payload ~id i =
-          Serve.Protocol.faults_request ~id ~runtime:Apps.Common.Easeio ~sweep
-            ~seed:(1 + (i mod seeds)) ~app ()
-        in
-        let results =
-          List.map
-            (fun conc ->
-              match mode with
-              | `Closed ->
-                  Serve.Load.closed_loop ~addr ~concurrency:conc ~requests ~payload ()
-              | `Open -> Serve.Load.open_loop ~addr ~rate ~requests ~payload ())
-            concurrency
-        in
-        Printf.printf "bench-serve: %s sweep %s, %d requests over %d seed(s), %s loop\n" app
-          sweep_s requests seeds
-          (match mode with `Closed -> "closed" | `Open -> "open");
-        Printf.printf "%-12s %10s %8s %12s %10s %10s %8s\n" "concurrency" "ok" "errors"
-          "campaigns/s" "p50 ms" "p99 ms" "cached";
-        List.iter
-          (fun (r : Serve.Load.result) ->
-            Printf.printf "%-12d %10d %8d %12.1f %10.2f %10.2f %8d\n" r.Serve.Load.concurrency
-              r.Serve.Load.requests r.Serve.Load.errors
-              (Serve.Load.campaigns_per_s r)
-              (Serve.Load.p50 r *. 1e3)
-              (Serve.Load.p99 r *. 1e3)
-              r.Serve.Load.cached_results)
-          results;
-        let any_errors = List.exists (fun r -> r.Serve.Load.errors > 0) results in
-        Option.iter
-          (fun path ->
-            let row (r : Serve.Load.result) =
-              ( Printf.sprintf "c%d" r.Serve.Load.concurrency,
-                Trace.Json.Obj
-                  [
-                    ("requests", Trace.Json.Int r.Serve.Load.requests);
-                    ("errors", Trace.Json.Int r.Serve.Load.errors);
-                    ("cached_results", Trace.Json.Int r.Serve.Load.cached_results);
-                    ("campaigns_per_s", Trace.Json.Float (Serve.Load.campaigns_per_s r));
-                    ("wall_s", Trace.Json.Float r.Serve.Load.wall_s);
-                    ("p50_wall_s", Trace.Json.Float (Serve.Load.p50 r));
-                    ("p99_wall_s", Trace.Json.Float (Serve.Load.p99 r));
-                  ] )
-            in
-            (* same shape as the bench harness JSON, so `easeio report`
-               renders and diffs it with the @report-gate tolerances *)
-            let doc =
-              Trace.Json.Obj
-                [
-                  ( "meta",
-                    Trace.Json.Obj
-                      [
-                        ("harness", Trace.Json.String "easeio-bench-serve");
-                        ("app", Trace.Json.String app);
-                        ("sweep", Trace.Json.String sweep_s);
-                        ("requests", Trace.Json.Int requests);
-                        ("seeds", Trace.Json.Int seeds);
-                        ( "mode",
-                          Trace.Json.String
-                            (match mode with `Closed -> "closed" | `Open -> "open") );
-                        ("jobs", Trace.Json.Int jobs);
-                      ] );
-                  ( "experiments",
-                    Trace.Json.Obj
-                      [ ("serve_load", Trace.Json.Obj (List.map row results)) ] );
-                ]
-            in
-            Trace.Json.to_file path doc;
-            Printf.printf "report -> %s\n" path)
-          json_out;
-        if any_errors then exit 1)
-  in
-  let requests =
-    Arg.(value & opt int 64 & info [ "requests"; "n" ] ~doc:"Total requests per sweep point.")
-  in
-  let concurrency =
-    Arg.(
-      value
-      & opt (list int) [ 1; 4; 8 ]
-      & info [ "concurrency"; "c" ] ~docv:"N,.."
-          ~doc:"Closed-loop client counts to sweep (comma-separated).")
-  in
-  let mode =
-    Arg.(
-      value
-      & opt (enum [ ("closed", `Closed); ("open", `Open) ]) `Closed
-      & info [ "mode" ]
-          ~doc:
-            "$(b,closed): N clients issue requests back to back; $(b,open): requests depart on \
-             a fixed $(b,--rate) schedule regardless of completions.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 50.
-      & info [ "rate" ] ~docv:"R" ~doc:"Open-loop arrival rate (requests per second).")
-  in
-  let app_arg =
-    Arg.(value & opt string "temp" & info [ "app" ] ~doc:"Application the campaigns sweep.")
-  in
-  let sweep =
-    let sweep_conv =
-      let parse s = Result.map_error (fun e -> `Msg e) (Faultkit.Campaign.sweep_of_string s) in
-      Arg.conv
-        (parse, fun ppf s -> Format.pp_print_string ppf (Faultkit.Campaign.sweep_to_string s))
-    in
-    Arg.(
-      value
-      & opt sweep_conv (Faultkit.Campaign.Boundaries { stride = 4 })
-      & info [ "sweep" ] ~docv:"SWEEP" ~doc:"Campaign sweep shape (as in $(b,easeio faults)).")
-  in
-  let seeds =
-    Arg.(
-      value & opt int 1
-      & info [ "seeds" ] ~docv:"K"
-          ~doc:
-            "Distinct campaign seeds cycled across the request stream: 1 = fully cacheable, \
-             large = mostly cold.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt int (Expkit.Pool.default_jobs ())
-      & info [ "jobs"; "j" ] ~doc:"Worker domains for the self-hosted server (default: one per core).")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write campaigns/s and latency percentiles as a report-schema JSON document.")
-  in
-  Cmd.v
-    (Cmd.info "bench-serve"
-       ~doc:
-         "Load-generate against a campaign service (an in-process one on a fresh port by \
-          default, or --socket/--port for a running one): sweep closed-loop concurrency or \
-          fire an open-loop arrival schedule, and record campaigns/s, p50/p99 latency and \
-          cache hits. Exits 1 if any request errors.")
-    Term.(
-      const run $ socket_arg $ port_arg $ requests $ concurrency $ mode $ rate $ app_arg
-      $ sweep $ seeds $ jobs $ json_out)
-
 (* {1 report} *)
 
 let report_cmd =
@@ -1395,7 +1196,6 @@ let () =
           [
             check_cmd;
             compile_cmd;
-            transform_cmd;
             run_cmd;
             apps_cmd;
             app_cmd;
@@ -1405,6 +1205,5 @@ let () =
             fuzz_cmd;
             serve_cmd;
             client_cmd;
-            bench_serve_cmd;
             report_cmd;
           ]))

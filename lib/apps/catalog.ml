@@ -1,5 +1,4 @@
 let all = [ Uni.lea; Uni.dma; Uni.temp; Fir.spec; Weather.spec ]
-let uni_task = [ Uni.dma; Uni.temp; Uni.lea ]
 
 exception Ambiguous of string list
 

@@ -4,9 +4,6 @@ val all : Common.spec list
 (** LEA, DMA, Temp, FIR filter, Weather — in the paper's Table 3
     order. *)
 
-val uni_task : Common.spec list
-(** The three phase-1 applications. *)
-
 exception Ambiguous of string list
 (** A prefix that matches several applications, none exactly: the full
     names of every match, in catalog order. *)

@@ -28,7 +28,6 @@ let lea_fir_seg : string * Lang.Interp.io_impl =
 type interp = Tree_walk | Bytecode
 
 let interp_name = function Tree_walk -> "tree" | Bytecode -> "vm"
-let default_interp = ref Bytecode
 
 (* One compiled arena per (program, variant, ablations) per domain.
    Keyed per-domain so parallel sweeps (Expkit.Pool) never share a
@@ -56,11 +55,11 @@ let arena ~src ?ablate_regions ?ablate_semantics variant ~failure ~seed =
       Hashtbl.add arenas key vm;
       vm
 
-let run_ir ~src ?(setup = fun _ -> ()) ?check ?ablate_regions ?ablate_semantics ?sink ?meter
-    ?probe variant ~failure ~seed =
+let run_ir ~src ?(setup = fun _ -> ()) ?check ?ablate_regions ?ablate_semantics
+    ?(interp = Bytecode) ?sink ?meter ?probe variant ~failure ~seed =
   (* linking charges nothing and emits nothing, so observers attach after it *)
   let m, linked, run =
-    match !default_interp with
+    match interp with
     | Tree_walk ->
         let m = Machine.create ~seed ~failure () in
         let t =
@@ -139,6 +138,7 @@ type spec = {
   io_functions : int;
   nv_volatile : string list;
   run :
+    ?interp:interp ->
     ?sink:Trace.Event.sink ->
     ?meter:Obs.Sheet.t ->
     ?probe:(Machine.t -> unit) ->

@@ -21,16 +21,13 @@ type interp = Tree_walk | Bytecode
 
 val interp_name : interp -> string
 
-val default_interp : interp ref
-(** Executor used by {!run_ir}. Defaults to [Bytecode]; the CLI's
-    [--interp tree] flips it back to the tree-walking oracle. *)
-
 val run_ir :
   src:string ->
   ?setup:(Lang.Interp.t -> unit) ->
   ?check:(Lang.Interp.t -> bool) ->
   ?ablate_regions:bool ->
   ?ablate_semantics:bool ->
+  ?interp:interp ->
   ?sink:Trace.Event.sink ->
   ?meter:Obs.Sheet.t ->
   ?probe:(Machine.t -> unit) ->
@@ -38,13 +35,14 @@ val run_ir :
   failure:Failure.spec ->
   seed:int ->
   Expkit.Run.one
-(** Parse, link under the variant's policy, execute, and summarize one
-    run of a task-language application. [setup] (flashing input images)
-    and [check] (the end-of-run result check) see the linked program
-    ({!Lang.Interp.build}) on either executor. Under [Bytecode] (the
-    default) the program is compiled once per (source, variant,
-    ablations) per domain and the arena is recycled across seeds with
-    {!Vm.reset}; under [Tree_walk] every run links a fresh program.
+(** Parse, link under the variant's policy, execute on [interp], and
+    summarize one run of a task-language application. [setup] (flashing
+    input images) and [check] (the end-of-run result check) see the
+    linked program ({!Lang.Interp.build}) on either executor. Under
+    [Bytecode] (the default) the program is compiled once per (source,
+    variant, ablations) per domain and the arena is recycled across
+    seeds with {!Vm.reset}; under [Tree_walk] every run links a fresh
+    program.
     Results are observationally identical either way. [sink] attaches a
     trace sink to the machine before execution (pure observation: the
     summary is identical with or without one). [probe] runs against the
@@ -114,6 +112,7 @@ type spec = {
           NV-state oracle ignores these regions; an empty list means
           the whole committed image must match the golden run. *)
   run :
+    ?interp:interp ->
     ?sink:Trace.Event.sink ->
     ?meter:Obs.Sheet.t ->
     ?probe:(Machine.t -> unit) ->
@@ -121,6 +120,8 @@ type spec = {
     failure:Failure.spec ->
     seed:int ->
     Expkit.Run.one;
+      (** one run on [interp] (default [Bytecode]); an app that is not
+          a task-language program ignores it *)
   session :
     (?ablate_regions:bool -> ?ablate_semantics:bool -> variant -> seed:int -> session) option;
       (** stepper-compatible access for snapshot-based drivers; [None]

@@ -108,10 +108,10 @@ let spec =
     (* the signal is flashed, not sensed: fully schedule-invariant *)
     nv_volatile = [];
     run =
-      (fun ?sink ?meter ?probe variant ~failure ~seed ->
+      (fun ?interp ?sink ?meter ?probe variant ~failure ~seed ->
         let exclude_coefs = variant = Common.Easeio_op in
-        Common.run_ir ~src:(source ~exclude_coefs) ~setup ~check ?sink ?meter ?probe variant
-          ~failure ~seed);
+        Common.run_ir ~src:(source ~exclude_coefs) ~setup ~check ?interp ?sink ?meter ?probe
+          variant ~failure ~seed);
     session =
       Some
         (fun ?ablate_regions ?ablate_semantics variant ~seed ->

@@ -28,6 +28,5 @@ val run_ablated :
 (** EaseIO with parts switched off, for the ablation benches and
     broken-variant oracle tests. *)
 
-val signal_words : int
 val taps : int
 val samples : int

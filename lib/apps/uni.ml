@@ -87,9 +87,9 @@ let dma =
     (* no sensor inputs: the whole committed image is schedule-invariant *)
     nv_volatile = [];
     run =
-      (fun ?sink ?meter ?probe variant ~failure ~seed ->
-        Common.run_ir ~src:dma_source ~setup:dma_setup ~check:dma_check ?sink ?meter ?probe
-          variant ~failure ~seed);
+      (fun ?interp ?sink ?meter ?probe variant ~failure ~seed ->
+        Common.run_ir ~src:dma_source ~setup:dma_setup ~check:dma_check ?interp ?sink ?meter
+          ?probe variant ~failure ~seed);
     session = Some (Common.session_ir ~src:dma_source ~setup:dma_setup ~check:dma_check ());
   }
 
@@ -147,9 +147,9 @@ let temp =
        schedules shift; tcnt (always 8) stays comparable *)
     nv_volatile = [ "tsum"; "tlast"; "out1" ];
     run =
-      (fun ?sink ?meter ?probe variant ~failure ~seed ->
-        Common.run_ir ~src:temp_source ~check:temp_check ?sink ?meter ?probe variant ~failure
-          ~seed);
+      (fun ?interp ?sink ?meter ?probe variant ~failure ~seed ->
+        Common.run_ir ~src:temp_source ~check:temp_check ?interp ?sink ?meter ?probe variant
+          ~failure ~seed);
     session = Some (Common.session_ir ~src:temp_source ~check:temp_check ());
   }
 
@@ -222,8 +222,8 @@ let lea =
     io_functions = 1;
     nv_volatile = [];
     run =
-      (fun ?sink ?meter ?probe variant ~failure ~seed ->
-        Common.run_ir ~src:lea_source ~check:lea_check ?sink ?meter ?probe variant ~failure
-          ~seed);
+      (fun ?interp ?sink ?meter ?probe variant ~failure ~seed ->
+        Common.run_ir ~src:lea_source ~check:lea_check ?interp ?sink ?meter ?probe variant
+          ~failure ~seed);
     session = Some (Common.session_ir ~src:lea_source ~check:lea_check ());
   }

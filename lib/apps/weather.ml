@@ -324,7 +324,7 @@ let spec =
         "dnn.";
       ];
     run =
-      (fun ?sink ?meter ?probe variant ~failure ~seed ->
+      (fun ?interp:_ ?sink ?meter ?probe variant ~failure ~seed ->
         run_once ?sink ?meter ?probe variant ~failure ~seed);
     session =
       Some

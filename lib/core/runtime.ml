@@ -59,6 +59,8 @@ let machine t = t.m
 let ovh t f = Machine.with_tag t.m Machine.Overhead f
 let effective t = match t.modes with [] -> Normal | m :: _ -> m
 
+(* whether the named I/O operation executed (was not skipped) in the
+   current task attempt — the dependence signal of §3.3.2 *)
 let executed_this_cycle t name = List.mem name t.executed
 
 let deps_executed t deps =

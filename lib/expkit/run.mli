@@ -56,8 +56,6 @@ val average :
     bit-identical for every [jobs]. [f] must construct all of its
     mutable state — the [Machine], runtime, application — per call. *)
 
-val io_total : one -> int
-
 val redundant_vs_golden : golden:one -> one -> int
 (** Per-kind I/O executions beyond the golden (continuous-power) run's
     need, summed: [Σ max 0 (n - golden_n)]. The one definition of

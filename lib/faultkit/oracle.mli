@@ -7,7 +7,7 @@
     same final non-volatile image, modulo regions that legitimately
     depend on {e when} the world was sampled (the app's
     [Common.spec.nv_volatile] list) and runtime-internal bookkeeping
-    ({!default_ignores}). A surviving difference is exactly the class
+    (see {!nv_diff}). A surviving difference is exactly the class
     of bug EaseIO's safety claims rule out: WAR-inconsistent committed
     state from a skipped or re-executed I/O. *)
 
@@ -30,19 +30,16 @@ type mismatch = { region : string; offset : int; expected : int; actual : int }
 
 val pp_mismatch : Format.formatter -> mismatch -> unit
 
-val default_ignores : string list
-(** Allocation-name prefixes never compared — the same set
-    [Lang.Footprint] counts as runtime overhead: ["__"] (source
-    transform: locks, timestamps, privatization scratch), ["rt."]
-    (Alpaca shadows, InK second buffers/indices) and ["easeio."]
-    (privatization buffers, site flags). They hold attempt-local
-    working state that lawfully differs across schedules. *)
-
 val nv_diff :
   ?ignores:string list -> ?extra_volatile:string list -> golden:golden -> Machine.t -> mismatch list
 (** Compare the machine's final FRAM image against [golden], skipping
-    regions whose name starts with any of [ignores] (default
-    {!default_ignores}) or [extra_volatile] (the app's [nv_volatile]).
+    regions whose name starts with any of [ignores] or [extra_volatile]
+    (the app's [nv_volatile]). [ignores] defaults to the prefixes
+    [Lang.Footprint] counts as runtime overhead: ["__"] (source
+    transform: locks, timestamps, privatization scratch), ["rt."]
+    (Alpaca shadows, InK second buffers/indices) and ["easeio."]
+    (privatization buffers, site flags), which hold attempt-local
+    working state that lawfully differs across schedules.
     Reports at most one mismatch per region and at most 16 total; an
     allocation-map divergence is reported as a single ["(layout)"]
     pseudo-mismatch. Empty result = oracle passed. Uncharged: call

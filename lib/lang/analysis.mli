@@ -35,10 +35,6 @@ val split_regions : Ast.task -> (Ast.stmt list * Ast.dma option) list
     region). A task with N top-level DMA statements yields N+1
     regions. *)
 
-val io_arity : string -> int option
-(** Fixed argument count of a built-in I/O function; [None] for
-    variadic ([Send]) or app-registered names. *)
-
 val resolve : Ast.program -> Diagnostics.t list
 (** Name-resolution diagnostics ([E0101]–[E0108]): structural
     well-formedness, undeclared arrays, built-in arity. *)

@@ -39,7 +39,6 @@ type t = {
 
 val error : ?hint:string -> code:string -> span:Span.t -> ('a, unit, string, t) format4 -> 'a
 val warning : ?hint:string -> code:string -> span:Span.t -> ('a, unit, string, t) format4 -> 'a
-val severity_str : severity -> string
 val is_error : t -> bool
 val has_errors : t list -> bool
 

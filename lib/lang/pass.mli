@@ -38,8 +38,6 @@ type ctx = {
   mutable orig : Ast.program option;
 }
 
-val make_ctx : ?opts:options -> unit -> ctx
-
 type t = {
   name : string;
   doc : string;

@@ -6,6 +6,4 @@
     untransformed programs). *)
 
 val expr_to_string : Ast.expr -> string
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
 val program_to_string : Ast.program -> string

@@ -68,12 +68,6 @@ val merge : profile -> profile -> profile
     campaigns get theirs from [Expkit.Pool.fold], which folds results
     in index order however the pool schedules them. *)
 
-val total_app_us : profile -> int
-val total_ovh_us : profile -> int
-val total_wasted_us : profile -> int
-val total_commits : profile -> int
-val total_attempts : profile -> int
-
 val reconcile :
   profile ->
   app_us:int ->

@@ -1,6 +1,5 @@
 open Platform
 
-let leram_words = 2048
 let ev_lea = Machine.event_id "io:LEA"
 
 (* The LEA-RAM window is just a named SRAM region; allocating through the
@@ -36,16 +35,6 @@ let fir ?(shift = 0) m ~input ~coeffs ~taps ~output ~samples =
   let sram = Machine.mem m Memory.Sram in
   for i = 0 to samples - 1 do
     Memory.write sram (output + i) (Memory.dot sram (input + i) coeffs taps asr shift)
-  done
-
-let vector_add m ~a ~b ~dst ~len =
-  check_sram m a len "vector_add";
-  check_sram m b len "vector_add";
-  check_sram m dst len "vector_add";
-  start m ~op:"vector_add" len;
-  let sram = Machine.mem m Memory.Sram in
-  for i = 0 to len - 1 do
-    Memory.write sram (dst + i) (Memory.read sram (a + i) + Memory.read sram (b + i))
   done
 
 let vector_max m ~a ~len =

@@ -16,9 +16,6 @@
 
 open Platform
 
-val leram_words : int
-(** Size of the LEA-RAM window (2 Ki words = 4 KB). *)
-
 val alloc_leram : Machine.t -> name:string -> words:int -> int
 (** Allocate from the LEA-RAM window (a reserved SRAM region). *)
 
@@ -32,9 +29,6 @@ val fir : ?shift:int -> Machine.t -> input:int -> coeffs:int -> taps:int -> outp
     coeffs.(j) >> shift] for [i < samples]. All addresses in SRAM; the
     input window must hold [samples + taps - 1] words. One LEA command
     (single setup, per-MAC element cost), one ["io:LEA"] bump. *)
-
-val vector_add : Machine.t -> a:int -> b:int -> dst:int -> len:int -> unit
-(** Elementwise add over SRAM. *)
 
 val vector_max : Machine.t -> a:int -> len:int -> int
 (** Index of the maximum element (argmax); used by inference layers. *)

@@ -76,14 +76,12 @@ type retry_policy = {
   base_backoff_us : int;  (** wait before the 2nd try; doubles after *)
 }
 
-val default_retry : retry_policy
-(** 4 attempts, 500 µs initial backoff (500 → 1000 → 2000). *)
-
 val with_backoff : ?policy:retry_policy -> Machine.t -> (unit -> unit) -> bool
 (** [with_backoff m send] runs [send ()], retrying on
     [Periph.Radio.Tx_dropped] with exponential backoff (charged to the
-    overhead bucket; interruptible by power failures). Returns [true]
-    on success; on budget exhaustion logs a warning, bumps
-    ["radio:giveup"], emits [Radio_give_up], and returns [false] —
-    {e never} lets [Tx_dropped] escape. Each retry bumps
+    overhead bucket; interruptible by power failures). [policy] defaults
+    to 4 attempts and a 500 µs initial backoff (500 → 1000 → 2000).
+    Returns [true] on success; on budget exhaustion logs a warning,
+    bumps ["radio:giveup"], emits [Radio_give_up], and returns [false]
+    — {e never} lets [Tx_dropped] escape. Each retry bumps
     ["radio:retry"] and emits [Radio_retry]. *)

@@ -9,13 +9,25 @@
 
 module Json = Trace.Json
 
-(* Exactly the [easeio run --json] document. *)
-let run_doc ~policy ~failure ~seed src =
+(* One metered run of [src] on [interp] (the bytecode VM by default):
+   the machine, its sheet and the engine outcome. [easeio run] prints
+   its text report from these. *)
+let run_metered ?(interp = Apps.Common.Bytecode) ~policy ~failure ~seed src =
   let m = Platform.Machine.create ~seed ~failure () in
   let sheet = Obs.Sheet.create () in
   Platform.Machine.set_meter m sheet;
   let prog = Lang.Parser.program src in
-  let o = Vm.run (Vm.compile ~policy ~extra_io:[ Apps.Common.lea_fir_seg ] m prog) in
+  let extra_io = [ Apps.Common.lea_fir_seg ] in
+  let o =
+    match interp with
+    | Apps.Common.Tree_walk -> Lang.Interp.run (Lang.Interp.build ~policy ~extra_io m prog)
+    | Apps.Common.Bytecode -> Vm.run (Vm.compile ~policy ~extra_io m prog)
+  in
+  (m, sheet, o)
+
+(* Exactly the [easeio run --json] document, on either executor. *)
+let run_doc ?interp ~policy ~failure ~seed src =
+  let m, sheet, o = run_metered ?interp ~policy ~failure ~seed src in
   let io = Kernel.Golden.io_executions m in
   Json.Obj
     [

@@ -11,11 +11,16 @@ let ran = ref 0
 
 let quote = Filename.quote
 
-(* Run [cli args], returning (exit code, first stderr line). *)
-let run args =
+(* Run [cli args], returning (exit code, first stderr line). With
+   [timeout_s], a command still running after that many seconds is
+   stopped and exits 124, so a hang fails the check instead of the
+   suite. *)
+let run ?timeout_s args =
   let err = Filename.temp_file "easeio_cli_test" ".stderr" in
   let cmd =
-    Printf.sprintf "%s %s >/dev/null 2>%s" (quote cli)
+    Printf.sprintf "%s%s %s >/dev/null 2>%s"
+      (match timeout_s with Some s -> Printf.sprintf "timeout %d " s | None -> "")
+      (quote cli)
       (String.concat " " (List.map quote args))
       (quote err)
   in
@@ -29,9 +34,9 @@ let run args =
   Sys.remove err;
   (code, first_line)
 
-let check ~name ~args ~code ?stderr_prefix () =
+let check ~name ~args ~code ?stderr_prefix ?timeout_s () =
   incr ran;
-  let got_code, got_err = run args in
+  let got_code, got_err = run ?timeout_s args in
   let prefix_ok =
     match stderr_prefix with
     | None -> true
@@ -95,6 +100,12 @@ let () =
   check ~name:"explore: --max-states 0 exits 1"
     ~args:[ "explore"; "lea"; "--max-states"; "0" ]
     ~code:1 ~stderr_prefix:"easeio explore: --max-states must be >= 1" ();
+  (* a port outside 0..65535 must not wrap to another port at bind *)
+  check ~name:"serve: --port 70000 exits 1" ~args:[ "serve"; "--port"; "70000" ] ~code:1
+    ~stderr_prefix:"easeio serve: --port must be in 0..65535" ~timeout_s:10 ();
+  check ~name:"client: --port=-1 exits 1"
+    ~args:[ "client"; "--port=-1"; {|{"cmd":"ping"}|} ]
+    ~code:1 ~stderr_prefix:"easeio client: --port must be in 0..65535" ~timeout_s:10 ();
   (* run: a program that fails to parse gets check's diagnostic, one that
      fails while running gets its message; neither is an uncaught
      exception *)

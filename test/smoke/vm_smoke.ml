@@ -15,10 +15,7 @@ let checked = ref 0
 let bad = ref 0
 
 let compare_run (spec : Apps.Common.spec) variant ~failure ~seed =
-  let run ?sink interp =
-    Apps.Common.default_interp := interp;
-    spec.run ?sink variant ~failure ~seed
-  in
+  let run ?sink interp = spec.run ~interp ?sink variant ~failure ~seed in
   let traced interp =
     let r = Trace.Recorder.create () in
     let one = run ~sink:(Trace.Recorder.sink r) interp in
@@ -48,7 +45,6 @@ let () =
               List.iter (fun seed -> compare_run spec variant ~failure ~seed) [ 1; 2 ])
             [ Failure.No_failures; Failure.paper_timer ];
           let total = ref 0 in
-          Apps.Common.default_interp := Apps.Common.Bytecode;
           ignore
             (spec.run variant ~failure:Failure.No_failures ~seed:1 ~probe:(fun m ->
                  total := Machine.charges m));

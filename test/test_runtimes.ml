@@ -1,4 +1,5 @@
-(* Tests for the baseline shared-variable managers (Alpaca / InK). *)
+(* Tests for the baseline shared-variable managers (Alpaca / InK) and a
+   Samoyed-style atomic-function model. *)
 
 open Platform
 open Kernel
@@ -226,7 +227,68 @@ let prop_managers_match_golden_without_failures =
       let d = run Manager.Direct in
       d = run Manager.Alpaca && d = run Manager.Ink)
 
-(* {1 Samoyed-style atomic functions} *)
+(* {1 Samoyed-style atomic functions}
+
+   Samoyed (Maeng & Lucia, PLDI '19), the paper's §2.2 comparison point,
+   wraps every peripheral operation in an atomic function: a
+   just-in-time checkpoint at its entry, so a power failure re-executes
+   only the interrupted function, not the whole task — Table 1's
+   "Medium" wasted I/O, with no re-execution semantics and no DMA WAR
+   protection. The model: a task body is a list of steps and a
+   persistent FRAM step pointer per task; each step entry writes the
+   pointer (the checkpoint, charged as runtime overhead), a reboot
+   resumes at the interrupted step, and the pointer resets when the
+   task commits. Steps communicate through non-volatile state. *)
+
+module Samoyed = struct
+  type t = {
+    m : Machine.t;
+    pointers : (string, int) Hashtbl.t;  (** task -> FRAM step-pointer address *)
+  }
+
+  (* taking the JIT checkpoint at an atomic function's entry: registers +
+     stack snapshot, a few dozen cycles on FRAM parts *)
+  let checkpoint_ops = 24
+
+  let create m = { m; pointers = Hashtbl.create 8 }
+
+  let pointer t task =
+    match Hashtbl.find_opt t.pointers task with
+    | Some addr -> addr
+    | None ->
+        let addr = Machine.alloc t.m Memory.Fram ~name:("rt.samoyed.step." ^ task) ~words:1 in
+        Hashtbl.add t.pointers task addr;
+        addr
+
+  let steps t m ~task fns =
+    let ptr = pointer t task in
+    List.iteri
+      (fun i fn ->
+        let resume =
+          Machine.with_tag m Machine.Overhead (fun () -> Machine.read m Memory.Fram ptr)
+        in
+        if i >= resume then begin
+          (* checkpoint at entry: a failure inside this step resumes here *)
+          Machine.with_tag m Machine.Overhead (fun () ->
+              Machine.cpu m checkpoint_ops;
+              Machine.write m Memory.Fram ptr i);
+          fn m;
+          Machine.with_tag m Machine.Overhead (fun () -> Machine.write m Memory.Fram ptr (i + 1))
+        end)
+      fns
+
+  (* resets the step pointers at task commit *)
+  let hooks t =
+    {
+      Kernel.Engine.on_task_start = (fun _ _ -> ());
+      on_commit =
+        (fun m task ->
+          match Hashtbl.find_opt t.pointers task with
+          | Some ptr -> Machine.write m Memory.Fram ptr 0
+          | None -> ());
+      on_reboot = (fun _ -> ());
+    }
+end
 
 let samoyed_app ~fail_at =
   let m = Machine.create () in

@@ -131,6 +131,37 @@ let test_run_differential () =
           Alcotest.(check string) "run warm == one-shot doc" expected warm.Serve.Client.doc;
           Alcotest.(check bool) "warm cached" true warm.Serve.Client.result_cached))
 
+(* [easeio run --json] on either executor is [run_doc]: on the shipped
+   programs, the tree walker's document is the VM's without the [vm/*]
+   dispatch counters of its [obs] block, and the VM's has some. *)
+let test_run_doc_executors () =
+  let map_field name f = function
+    | Json.Obj fields ->
+        Json.Obj (List.map (fun (k, v) -> (k, if k = name then f v else v)) fields)
+    | j -> j
+  in
+  let drop_vm = function
+    | Json.Obj cs ->
+        Json.Obj (List.filter (fun (k, _) -> not (String.starts_with ~prefix:"vm/" k)) cs)
+    | j -> j
+  in
+  let without_vm = map_field "obs" (map_field "counters" drop_vm) in
+  List.iter
+    (fun name ->
+      let ic = open_in_bin (Filename.concat "../examples/programs" name) in
+      let src = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let doc interp =
+        Serve.Oneshot.run_doc ~interp ~policy:Lang.Interp.Easeio
+          ~failure:Platform.Failure.paper_timer ~seed:1 src
+      in
+      let tree = doc Apps.Common.Tree_walk and vm = doc Apps.Common.Bytecode in
+      Alcotest.(check bool) (name ^ ": VM document counts dispatch") true (without_vm vm <> vm);
+      Alcotest.(check string)
+        (name ^ ": tree document == VM document less vm/*")
+        (Json.to_string (without_vm vm)) (Json.to_string tree))
+    [ "greenhouse.eio"; "motion_log.eio" ]
+
 let test_fuzz_differential () =
   let options = { Conformance.Fuzz.default_options with Conformance.Fuzz.count = 4; budget = 6 } in
   (* the server forces jobs:=1 on parse; report bytes are
@@ -452,6 +483,7 @@ let () =
           tc "faults: cell frame per variant" `Quick test_faults_cell_frames;
           tc "faults: jobs=1 == jobs=4 == one-shot" `Quick test_jobs_invariance;
           tc "run: cold/warm == one-shot" `Quick test_run_differential;
+          tc "run: tree doc == VM doc less vm/*" `Quick test_run_doc_executors;
           tc "fuzz: == one-shot report" `Quick test_fuzz_differential;
           tc "explore: == one-shot report" `Quick test_explore_differential;
           tc "pipelined ids, any arrival order" `Quick test_arrival_order_insensitive;

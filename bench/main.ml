@@ -492,9 +492,10 @@ let ablations ~reps =
    resumed at jobs=1, resumed at the host's default jobs, and from
    power on at jobs=1; the three reports must be byte-identical (the
    harness exits nonzero otherwise — the identity claim, enforced on
-   every bench run), and every wall clock lands in the JSON: *_wall_s
-   rows are informational, *_runs_per_s rows are gated against a
-   throughput collapse. The parallel figure is only meaningful beside
+   every bench run). The table prints only what does not depend on the
+   host; every wall clock lands in the JSON: *_wall_s rows are
+   informational, *_runs_per_s rows are gated against a throughput
+   collapse. The parallel figure is only meaningful beside
    [recommended_domains], which is recorded with it. *)
 
 let sweep_resume ~reps =
@@ -522,19 +523,13 @@ let sweep_resume ~reps =
   let per_s wall = if wall > 0. then float_of_int run /. wall else 0. in
   print_endline
     (Expkit.Tablefmt.heading "Prefix-resume: checkpointed vs from-power-on boundary sweep");
-  let w = [ 26; 12; 14; 12; 10 ] in
-  print_endline
-    (Expkit.Tablefmt.row w
-       [ "Sweep"; "resumed"; Printf.sprintf "resumed j=%d" par_jobs; "replay"; "speedup" ]);
+  let w = [ 26; 8; 24 ] in
+  print_endline (Expkit.Tablefmt.row w [ "Sweep"; "stride"; "resumed vs replay" ]);
   print_endline (Expkit.Tablefmt.rule w);
   print_endline
     (Expkit.Tablefmt.row w
        [
-         Printf.sprintf "Weather/EaseIO, %d cases" run;
-         Printf.sprintf "%.2fs" resumed_s;
-         Printf.sprintf "%.2fs" parallel_s;
-         Printf.sprintf "%.2fs" replay_s;
-         Printf.sprintf "%.1fx" (if resumed_s > 0. then replay_s /. resumed_s else 1.);
+         Printf.sprintf "Weather/EaseIO, %d cases" run; string_of_int stride; "identical reports";
        ]);
   record_experiment "sweep_resume"
     (Trace.Json.Obj
@@ -610,17 +605,12 @@ let serve_cache ~reps =
   in
   let per_s wall = if wall > 0. then float_of_int cases /. wall else 0. in
   print_endline (Expkit.Tablefmt.heading "Campaign service: cold compute vs warm cache replay");
-  let w = [ 26; 12; 12; 10 ] in
-  print_endline (Expkit.Tablefmt.row w [ "Sweep"; "cold"; "warm"; "speedup" ]);
+  let w = [ 26; 12; 16 ] in
+  print_endline (Expkit.Tablefmt.row w [ "Sweep"; "warm reply"; "cold and warm" ]);
   print_endline (Expkit.Tablefmt.rule w);
   print_endline
     (Expkit.Tablefmt.row w
-       [
-         Printf.sprintf "Weather/EaseIO, %d cases" cases;
-         Printf.sprintf "%.2fs" cold_s;
-         Printf.sprintf "%.4fs" warm_s;
-         Printf.sprintf "%.0fx" speedup;
-       ]);
+       [ Printf.sprintf "Weather/EaseIO, %d cases" cases; "cached"; "= one-shot" ]);
   record_experiment "serve_cache"
     (Trace.Json.Obj
        [
@@ -788,31 +778,6 @@ let dune_profile () =
   in
   go parts
 
-(* Speedup metadata for --json: time one small representative sweep
-   sequentially and at the configured --jobs. Runs only when a JSON
-   report is requested so the default invocation's cost is unchanged. *)
-let calibration ~reps =
-  let runs = max 8 (min 48 reps) in
-  let sweep j =
-    let t0 = Unix.gettimeofday () in
-    ignore
-      (Expkit.Run.average ~jobs:j ~runs
-         ~golden:(fun () -> Uni.temp.Common.run Common.Easeio ~failure:Failure.No_failures ~seed:0)
-         (fun ~seed ->
-           Uni.temp.Common.run Common.Easeio ~failure:Expkit.Experiments.paper_failures ~seed));
-    Unix.gettimeofday () -. t0
-  in
-  let seq_s = sweep 1 in
-  let par_s = if !jobs = 1 then seq_s else sweep !jobs in
-  Trace.Json.Obj
-    [
-      ("workload", Trace.Json.String "Temp.");
-      ("runs", Trace.Json.Int runs);
-      ("sequential_s", Trace.Json.Float seq_s);
-      ("parallel_s", Trace.Json.Float par_s);
-      ("speedup", Trace.Json.Float (if par_s > 0. then seq_s /. par_s else 1.));
-    ]
-
 let () =
   let reps = ref 1000 in
   let only = ref [] in
@@ -902,7 +867,6 @@ let () =
                   ( "recommended_domains",
                     Trace.Json.Int (Domain.recommended_domain_count ()) );
                   ("total_wall_s", Trace.Json.Float total_wall_s);
-                  ("calibration", calibration ~reps:!reps);
                   ("interp_runs_per_s", fst (interp_meta ~reps:!reps));
                   ("vm_runs_per_s", snd (interp_meta ~reps:!reps));
                 ] );

@@ -530,20 +530,19 @@ let faults_cmd =
           seed;
         List.iter
           (fun (c : Faultkit.Campaign.cell) ->
-            let failed = List.length c.failed in
+            let failed = c.failed_count in
             Printf.printf "  %-10s %5d/%d cases ok (%d charge boundaries)%s\n"
               (Apps.Common.variant_name c.variant)
               (c.cases - failed) c.cases c.boundaries
               (if failed = 0 then "" else Printf.sprintf "  <- %d VIOLATIONS" failed);
-            List.iteri
-              (fun i (case : Faultkit.Campaign.case) ->
-                if i < 5 then
-                  List.iter
-                    (fun v ->
-                      Printf.printf "      %s: %s\n" (Failure.to_string case.schedule)
-                        (Faultkit.Campaign.violation_text v))
-                    case.violations)
-              c.failed)
+            List.iter
+              (fun (case : Faultkit.Campaign.case) ->
+                List.iter
+                  (fun v ->
+                    Printf.printf "      %s: %s\n" (Failure.to_string case.schedule)
+                      (Faultkit.Campaign.violation_text v))
+                  case.violations)
+              (Faultkit.Campaign.failed_cases ~limit:5 c.failed))
           report.Faultkit.Campaign.cells;
         Option.iter
           (fun path ->

@@ -103,6 +103,7 @@ type session = {
       (* capture extra-machine state (radio log, VM counters); returns
          the restorer to pair with [Engine.restore] *)
   ses_finish : unit -> unit;  (* end-of-run flush (VM dispatch counts) *)
+  ses_radio : Periph.Radio.t;  (* the receiver log, outside the machine *)
 }
 
 (* Session builder for task-language apps: always the bytecode VM (one
@@ -130,6 +131,7 @@ let session_ir ~src ?(setup = fun _ -> ()) ?check () ?ablate_regions ?ablate_sem
           Periph.Radio.restore (Vm.radio vm) radio;
           Option.iter (Vm.restore_counts vm) counts);
     ses_finish = (fun () -> Vm.flush_counts vm);
+    ses_radio = Vm.radio vm;
   }
 
 type spec = {

@@ -81,7 +81,11 @@ type session = {
           it (pair with [Engine.restore]) *)
   ses_finish : unit -> unit;
       (** call when a run reaches [Finished] — flushes VM dispatch
-          counts to the attached sheet *)
+          counts to the attached sheet; [ses_finish] then [ses_begin]
+          mid-run flushes the counts so far and counts on from zero *)
+  ses_radio : Periph.Radio.t;
+      (** the radio whose receiver log [ses_save] captures: state a
+          continuation depends on besides the machine's *)
 }
 
 val session_ir :

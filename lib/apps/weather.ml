@@ -294,6 +294,7 @@ let session ?buffering variant ~seed =
         let r = Periph.Radio.snapshot radio in
         fun () -> Periph.Radio.restore radio r);
     ses_finish = (fun () -> ());
+    ses_radio = radio;
   }
 
 let run_once ?buffering ?sink ?meter ?probe variant ~failure ~seed =

@@ -91,6 +91,14 @@ let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_sem
       ?cur_slot:session.Apps.Common.ses_cur_slot m session.Apps.Common.ses_app
   in
   let golden = ref None in
+  (* Every simulated segment flushes its VM dispatch counts and counts
+     on from zero, so [vm/*] sums the whole walk as [engine/*] does: a
+     seek restores the counts saved at its checkpoint, which an earlier
+     flush already holds. *)
+  let flush () =
+    session.Apps.Common.ses_finish ();
+    session.Apps.Common.ses_begin ()
+  in
   (* Pace the engine's current position to completion. The latched
      failure spec is one-shot and has already fired (or is
      [No_failures] at the root), so the run does not pause. *)
@@ -99,6 +107,7 @@ let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_sem
     watch := w;
     let o, walk = Kernel.Walker.pace ~save:session.Apps.Common.ses_save engine in
     watch := no_watch;
+    flush ();
     Obs.Attr.add_run attr;
     (o, walk, skips ())
   in
@@ -143,9 +152,12 @@ let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_sem
     while !k <= n_final && budget_left () do
       let restore_extras = Kernel.Walker.seek walk !k in
       restore_extras ();
+      session.Apps.Common.ses_begin ();
       let before = Machine.now m in
       Obs.Sheet.add sheet c_prefix_saved before;
-      (match Kernel.Engine.run_until_boundary engine with
+      let step = Kernel.Engine.run_until_boundary engine in
+      flush ();
+      (match step with
       | Kernel.Engine.Finished o ->
           (* the failure was deferred into the final commit's critical
              section and the run completed first: a full execution,
@@ -188,7 +200,6 @@ let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_sem
          (Apps.Common.variant_name variant));
   let boundaries = Machine.charges m in
   if depth > 0 then expand ~reboots:[] ~depth_left:depth walk0;
-  session.Apps.Common.ses_finish ();
   Obs.Attr.add_phase attr "explore" !explore_us;
   {
     app = spec.Apps.Common.app_name;

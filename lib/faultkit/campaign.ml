@@ -30,6 +30,19 @@ type violation =
   | Always_skipped of string list
 
 type case = { schedule : Failure.spec; pf : int; violations : violation list }
+type failed_run = { first : case; count : int; step : int }
+
+(* The [i]-th case of a run: [first]'s verdict, [i] steps on. *)
+let nth_case r i =
+  match r.first.schedule with
+  | Failure.Nth_charge k when i > 0 ->
+      { r.first with schedule = Failure.Nth_charge (k + (i * r.step)) }
+  | _ -> r.first
+
+let failed_cases ?(limit = max_int) runs =
+  List.to_seq runs
+  |> Seq.concat_map (fun r -> Seq.init r.count (nth_case r))
+  |> Seq.take limit |> List.of_seq
 
 (* Summed Kernel.Metrics across a set of runs — the exact-integer side
    of the attribution reconciliation (Obs.Attr.reconcile). *)
@@ -52,7 +65,8 @@ type cell = {
   cases : int;
   boundaries_run : int;
   strided : bool;
-  failed : case list;
+  failed : failed_run list;
+  failed_count : int;
   snap : Obs.Snapshot.t;
   cell_profile : Obs.Attr.profile;
   cell_totals : totals;
@@ -175,21 +189,26 @@ let run_case (spec : Apps.Common.spec) variant ~golden ~seed schedule =
    and totals into it in schedule order, as {!Expkit.Pool.fold} hands
    them over; the from-power-on and prefix-resume paths fold the same
    results in the same order, so the two produce bit-identical cells.
-   Neighbouring boundaries fail alike: a failed case whose violations
-   equal the previous failed case's shares that list, so a cell holds
-   one list per run of equal verdicts, not one per case. *)
-let add_case cell (c, snap, profile, totals) =
+   Neighbouring boundaries fail alike: a failed case that is the next
+   boundary of the sweep after the last failed run's end ([step]
+   charges on, so no case passed in between) and equals its verdict and
+   power-failure count lengthens that run, so a cell holds one record
+   per run of equal failures, not one per case. *)
+let add_case ~step cell (c, snap, profile, totals) =
   let failed =
     match (c.violations, cell.failed) with
     | [], _ -> cell.failed
-    | vs, prev :: _ when vs = prev.violations ->
-        { c with violations = prev.violations } :: cell.failed
-    | _ -> c :: cell.failed
+    | vs, r :: rest
+      when step > 0 && c.pf = r.first.pf && vs = r.first.violations
+           && c.schedule = (nth_case r r.count).schedule ->
+        { r with count = r.count + 1 } :: rest
+    | _ -> { first = c; count = 1; step } :: cell.failed
   in
   {
     cell with
     cases = cell.cases + 1;
     failed;
+    failed_count = (if c.violations = [] then cell.failed_count else cell.failed_count + 1);
     snap = Obs.Snapshot.merge cell.snap snap;
     cell_profile = Obs.Attr.merge cell.cell_profile profile;
     cell_totals = add_totals cell.cell_totals totals;
@@ -207,14 +226,89 @@ let fold_cases ?jobs ?progress ~init ~sweep ~golden variant n case =
       boundaries_run = 0;
       strided = false;
       failed = [];
+      failed_count = 0;
       snap = Obs.Snapshot.zero;
       cell_profile = Obs.Attr.empty;
       cell_totals = zero_totals;
     }
   in
-  let cell = Expkit.Pool.fold ?jobs ?tick ~init n case add_case empty in
+  let step = match sweep with Boundaries { stride } -> stride | Random _ -> 0 in
+  let cell = Expkit.Pool.fold ?jobs ?tick ~init n case (add_case ~step) empty in
   let boundaries_run, strided = coverage ~sweep ~cases:cell.cases in
   { cell with failed = List.rev cell.failed; boundaries_run; strided }
+
+let totals_of (mt : Kernel.Metrics.t) =
+  {
+    app_us = mt.Kernel.Metrics.useful_app_us;
+    ovh_us = mt.Kernel.Metrics.useful_ovh_us;
+    wasted_us = mt.Kernel.Metrics.wasted_us;
+    commits = mt.Kernel.Metrics.commits;
+    attempts = mt.Kernel.Metrics.attempts;
+  }
+
+let sub_totals a b =
+  {
+    app_us = a.app_us - b.app_us;
+    ovh_us = a.ovh_us - b.ovh_us;
+    wasted_us = a.wasted_us - b.wasted_us;
+    commits = a.commits - b.commits;
+    attempts = a.attempts - b.attempts;
+  }
+
+(* [after] minus [before], over two name-sorted event-count lists whose
+   counts only grow; zero rows dropped. *)
+let rec count_delta after before =
+  match (after, before) with
+  | r, [] -> r
+  | [], _ -> []
+  | (a, x) :: after', (b, y) :: before' ->
+      let c = compare a b in
+      if c < 0 then (a, x) :: count_delta after' before
+      else if c > 0 then count_delta after before'
+      else if x = y then count_delta after' before'
+      else (a, x - y) :: count_delta after' before'
+
+(* What a run adds to its case from a post-reboot state on, and the
+   verdict inputs of its final state. [events] are the kinds a case's
+   observers read ({!Obs.Attr.sink} and the Always watch), in order. *)
+type tail = {
+  events : Trace.Event.t list;
+  delta : Obs.Snapshot.t;  (* metrics and event counts added *)
+  added : totals;  (* Kernel.Metrics added *)
+  pf_added : int;
+  gave_up : bool;
+  stuck_task : string option;
+  correct : bool option;
+  diff : Oracle.mismatch list;
+}
+
+(* The tail of a run that ends where it stands. *)
+let final_tail (o : Kernel.Engine.outcome) ~diff =
+  {
+    events = [];
+    delta = Obs.Snapshot.zero;
+    added = zero_totals;
+    pf_added = 0;
+    gave_up = o.Kernel.Engine.gave_up;
+    stuck_task = o.Kernel.Engine.stuck_task;
+    correct = o.Kernel.Engine.correct;
+    diff;
+  }
+
+let observed (e : Trace.Event.t) =
+  match e.payload with
+  | Trace.Event.Task_commit _ | Trace.Event.Task_abort _ | Trace.Event.Io _ | Trace.Event.Boot _
+  | Trace.Event.Power_failure _ ->
+      true
+  | _ -> false
+
+(* A continuation stored for reuse: the post-reboot state it ran from
+   (machine and radio log) and what it added. *)
+type shared = { from : Machine.snapshot; radio : Periph.Radio.snapshot; tail : tail }
+
+(* How a case's continuation went: replayed from a stored one, or
+   simulated to this outcome and NV diff. *)
+type continuation = Shared of tail | Ran of Kernel.Engine.outcome * Oracle.mismatch list
 
 (* Prefix-sharing boundary sweep. Apps with a [session] runner expose
    raw engine inputs, so an exhaustive [Nth_charge] sweep need not
@@ -229,6 +323,22 @@ let fold_cases ?jobs ?progress ~init ~sweep ~golden variant n case =
    charges nothing before its first attempt top, so every boundary has
    a checkpoint before it.
 
+   Most cases then reboot into a state an earlier case of the cell
+   already reached, and the rest of the run is the same again. Each
+   pacer keeps those continuations, keyed by the post-reboot state: the
+   machine's behavior (its convergence hash, then word-for-word
+   memories and exact fields), the watchdog counter, the boot and
+   failure counts and the radio log. A case whose state is stored
+   replays the stored tail into its observers instead of simulating it.
+   From a post-reboot state the continuation is a function of that key
+   alone, except through the clock, which reaches simulated values only
+   through {!Machine.clock}; a continuation that read it is simulated
+   every time and never stored. Everything else the key leaves out —
+   the clock, energy accounts, charge and event counts, the engine's
+   metrics and attempt numbers — either accumulates into what the tail
+   records as a delta or only stamps events, and no case observer reads
+   those stamps.
+
    The resumable cases fan out over [Expkit.Pool.fold]. All cases
    resumed from one pacer share its arena, so each domain that takes a
    chunk runs its own pacer (a deterministic rerun of the same
@@ -237,7 +347,8 @@ let fold_cases ?jobs ?progress ~init ~sweep ~golden variant n case =
    [jobs = 1] that is the only pacer. Pool hands each domain its chunks
    in ascending order, which is the order a walker seeks in, and folds
    results by index, so the fold is in schedule order for any
-   [jobs]. *)
+   [jobs]. A pacer's stored continuations go with it when the cell is
+   done. *)
 let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_session variant =
   (* one pacer run: its outcome and machine, and the case runner
      resuming from its checkpoints *)
@@ -253,6 +364,66 @@ let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_s
         ?cur_slot:session.Apps.Common.ses_cur_slot m session.Apps.Common.ses_app
     in
     let o0, walk = Kernel.Walker.pace ~tape ~save:session.Apps.Common.ses_save engine in
+    let radio = session.Apps.Common.ses_radio in
+    let nv_diff golden = Oracle.nv_diff ~extra_volatile:spec.nv_volatile ~golden m in
+    let stored = Hashtbl.create 256 in
+    (* The rest of the run from the post-reboot state the engine stands
+       at, its observed events fed to [sink] and its metrics to
+       [sheet], the case's. A simulated continuation is stored, with
+       its deltas, when it read no clock. *)
+    let continue ~golden ~sheet sink =
+      let key =
+        ( Machine.behavior_hash m,
+          Kernel.Engine.stalled engine,
+          Machine.boots m,
+          Machine.failures m,
+          Periph.Radio.packets_sent radio )
+      in
+      let log = Periph.Radio.snapshot radio in
+      let candidates = Option.value ~default:[] (Hashtbl.find_opt stored key) in
+      match
+        List.find_opt
+          (fun s -> Periph.Radio.same s.radio log && Machine.same_behavior m s.from)
+          candidates
+      with
+      | Some s ->
+          List.iter sink s.tail.events;
+          Shared s.tail
+      | None ->
+          let sheet0 = Obs.Sheet.copy sheet
+          and counts0 = Machine.events m
+          and totals0 = totals_of (Kernel.Engine.metrics engine)
+          and pf0 = Machine.failures m
+          and reads0 = Machine.clock_reads m in
+          (* captured with the meter detached: a from-power-on run takes
+             no snapshots *)
+          Machine.clear_meter m;
+          let from = Machine.snapshot m in
+          Machine.set_meter m sheet;
+          let events = ref [] in
+          Machine.set_sink m (fun e ->
+              sink e;
+              if observed e then events := e :: !events);
+          let o = Kernel.Engine.drive engine in
+          session.Apps.Common.ses_finish ();
+          let diff = nv_diff golden in
+          if Machine.clock_reads m = reads0 then begin
+            let tail =
+              {
+                (final_tail o ~diff) with
+                events = List.rev !events;
+                delta =
+                  Obs.Snapshot.of_sheet
+                    ~events:(count_delta (Machine.events m) counts0)
+                    (Obs.Sheet.diff sheet sheet0);
+                added = sub_totals (totals_of o.Kernel.Engine.metrics) totals0;
+                pf_added = o.Kernel.Engine.power_failures - pf0;
+              }
+            in
+            Hashtbl.replace stored key ({ from; radio = log; tail } :: candidates)
+          end;
+          Ran (o, diff)
+    in
     let resumed_case ~golden k =
       let watch, skips = Oracle.always_skip_watch () in
       let attr = Obs.Attr.create () in
@@ -263,28 +434,43 @@ let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_s
       in
       let restore_extras = Kernel.Walker.seek ~sink walk k in
       restore_extras ();
-      let o = Kernel.Engine.drive engine in
-      session.Apps.Common.ses_finish ();
+      let sheet = Option.get (Machine.meter m) in
+      (* the case's sheet, counts and totals as they stand, and what
+         follows *)
+      let standing tail =
+        ( ( Obs.Snapshot.of_sheet ~events:(Machine.events m) sheet,
+            totals_of (Kernel.Engine.metrics engine),
+            Machine.failures m ),
+          tail )
+      in
+      let (snap, totals, pf), tail =
+        match Kernel.Engine.run_until_boundary engine with
+        | Kernel.Engine.Paused -> (
+            Kernel.Engine.resume engine;
+            (* flush the prefix's dispatch counts, so the continuation's
+               count from zero *)
+            session.Apps.Common.ses_finish ();
+            session.Apps.Common.ses_begin ();
+            match continue ~golden ~sheet sink with
+            | Shared tail -> standing tail
+            | Ran (o, diff) -> standing (final_tail o ~diff))
+        | Kernel.Engine.Finished o ->
+            (* the failure was deferred past the final commit: nothing
+               follows *)
+            session.Apps.Common.ses_finish ();
+            standing (final_tail o ~diff:(nv_diff golden))
+      in
       Obs.Attr.add_run attr;
-      let mt = o.Kernel.Engine.metrics in
       ( {
           schedule = Failure.Nth_charge k;
-          pf = o.Kernel.Engine.power_failures;
+          pf = pf + tail.pf_added;
           violations =
-            verdict ~gave_up:o.Kernel.Engine.gave_up ~stuck_task:o.Kernel.Engine.stuck_task
-              ~correct:o.Kernel.Engine.correct
-              ~diff:(Oracle.nv_diff ~extra_volatile:spec.nv_volatile ~golden m)
-              ~skipped:(skips ());
+            verdict ~gave_up:tail.gave_up ~stuck_task:tail.stuck_task ~correct:tail.correct
+              ~diff:tail.diff ~skipped:(skips ());
         },
-        Obs.Snapshot.of_sheet ~events:(Machine.events m) (Option.get (Machine.meter m)),
+        Obs.Snapshot.merge snap tail.delta,
         Obs.Attr.profile attr,
-        {
-          app_us = mt.Kernel.Metrics.useful_app_us;
-          ovh_us = mt.Kernel.Metrics.useful_ovh_us;
-          wasted_us = mt.Kernel.Metrics.wasted_us;
-          commits = mt.Kernel.Metrics.commits;
-          attempts = mt.Kernel.Metrics.attempts;
-        } )
+        add_totals totals tail.added )
     in
     (o0, m, resumed_case)
   in
@@ -358,7 +544,7 @@ let perfetto r =
       ("campaign/ovh_us", series (fun c -> c.cell_totals.ovh_us));
       ("campaign/wasted_us", series (fun c -> c.cell_totals.wasted_us));
       ("campaign/power_failures", series (fun c -> c.cell_profile.Obs.Attr.power_failures));
-      ("campaign/failed_cases", series (fun c -> List.length c.failed));
+      ("campaign/failed_cases", series (fun c -> c.failed_count));
     ]
 
 (* {1 JSON} *)
@@ -429,10 +615,9 @@ let cell_json c =
       ("boundaries_run", Trace.Json.Int c.boundaries_run);
       ("strided", Trace.Json.Bool c.strided);
       ("passed", Trace.Json.Bool (cell_passed c));
-      ("failed_count", Trace.Json.Int (List.length c.failed));
+      ("failed_count", Trace.Json.Int c.failed_count);
       ( "failed_cases",
-        Trace.Json.List
-          (List.map case_json (List.filteri (fun i _ -> i < max_failed_in_json) c.failed)) );
+        Trace.Json.List (List.map case_json (failed_cases ~limit:max_failed_in_json c.failed)) );
       ("totals", totals_json c.cell_totals);
       ("metrics", Obs.Snapshot.to_json c.snap);
       ("profile", Obs.Attr.to_json c.cell_profile);

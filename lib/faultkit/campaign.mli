@@ -35,6 +35,21 @@ type violation =
 
 type case = { schedule : Failure.spec; pf : int; violations : violation list }
 
+type failed_run = {
+  first : case;
+  count : int;  (** consecutive failed cases in the run, [first] included *)
+  step : int;
+      (** charges between the schedules of consecutive cases: the sweep's
+          stride ([Nth_charge] boundaries), 0 for a random sweep, whose
+          runs hold one case *)
+}
+(** A maximal run of consecutive failed cases of one cell, each the next
+    boundary of the sweep after the one before, all with [first]'s
+    violations and power-failure count. *)
+
+val failed_cases : ?limit:int -> failed_run list -> case list
+(** The cases of the runs, in order, at most [limit] of them. *)
+
 val verdict :
   gave_up:bool ->
   stuck_task:string option ->
@@ -46,6 +61,12 @@ val verdict :
     alike. A run that gave up never reached its final state, so its
     livelock is its only violation; otherwise the app check, the NV
     diff ({!Oracle.nv_diff}) and the skipped Always sites, in order. *)
+
+val observed : Trace.Event.t -> bool
+(** The event kinds a sweep case's observers read: task commits and
+    aborts, I/O decisions, boots and power failures
+    ({!Obs.Attr.sink} and {!Oracle.always_skip_watch} ignore the rest).
+    A continuation stored for reuse keeps only these. *)
 
 val violation_text : violation -> string
 (** One line, as the [faults] and [explore] commands print it: the
@@ -66,7 +87,8 @@ type cell = {
       (** exact coverage: boundaries run as [Nth_charge] cases (equals
           [cases] for boundary sweeps, [0] for random ones) *)
   strided : bool;  (** a stride > 1 skipped boundaries *)
-  failed : case list;  (** cases with at least one violation *)
+  failed : failed_run list;  (** cases with at least one violation, as runs *)
+  failed_count : int;  (** cases with at least one violation *)
   snap : Obs.Snapshot.t;  (** metrics merged over the cell, schedule order *)
   cell_profile : Obs.Attr.profile;  (** attribution merged over the cell *)
   cell_totals : totals;
@@ -114,8 +136,13 @@ val run :
     engine charges nothing before its first checkpoint. The resumed
     cases fan out over the same domain pool, each domain that takes a
     chunk pacing its own walk (the calling domain reuses the golden
-    pacer, so [jobs = 1] paces once). The report is byte-identical to
-    [~resume:false] and for any [jobs]; only the wall-clock changes.
+    pacer, so [jobs = 1] paces once). Each pacer also keeps the
+    continuations it simulated, keyed by the post-reboot state, and a
+    case that reboots into a stored state replays them instead of
+    simulating; a continuation that read the clock
+    ({!Platform.Machine.clock_reads}) is never stored. The report is
+    byte-identical to [~resume:false] and for any [jobs]; only the
+    wall-clock changes.
 
     Either way, each case's verdict, snapshot, profile and totals are
     folded into its cell in schedule order as soon as every earlier

@@ -137,6 +137,8 @@ let start ?(hooks = no_hooks) ?(max_failures = 100_000) ?(stall_limit = 1_000) ?
 
 let machine s = s.s_m
 let running s = s.s_running
+let metrics s = s.s_metrics
+let stalled s = s.s_stalled
 
 let give_up s =
   s.s_gave_up <- true;

@@ -121,6 +121,13 @@ val machine : session -> Machine.t
 val running : session -> bool
 (** [false] once the run finished or gave up. *)
 
+val metrics : session -> Metrics.t
+(** The session's running metrics: the object its outcome will hold. *)
+
+val stalled : session -> int
+(** The watchdog counter now: consecutive aborted attempts since the
+    last commit. *)
+
 (** {2 Checkpoints}
 
     A checkpoint pairs a total {!Platform.Machine.snapshot} with the

@@ -40,6 +40,19 @@ let observe t id v =
    every resumed case starts from the prefix's exact totals. *)
 let copy t = { c = Array.copy t.c; h = Array.map Array.copy t.h }
 
+let diff a b =
+  let t = copy a in
+  Array.iteri (fun id n -> if n <> 0 then add t id (-n)) b.c;
+  Array.iteri
+    (fun id row ->
+      if Array.exists (fun n -> n <> 0) row then begin
+        ensure_hist t id;
+        let dst = t.h.(id) in
+        Array.iteri (fun i n -> dst.(i) <- dst.(i) - n) row
+      end)
+    b.h;
+  t
+
 let reset t =
   Array.fill t.c 0 (Array.length t.c) 0;
   Array.iter (fun row -> if Array.length row > 0 then Array.fill row 0 (Array.length row) 0) t.h

@@ -25,6 +25,10 @@ val copy : t -> t
     each checkpoint so every resumed case starts from the prefix's
     exact totals. *)
 
+val diff : t -> t -> t
+(** [diff a b] is [a] minus [b], row by row: what a run added to a
+    sheet between a {!copy} [b] and now. *)
+
 val reset : t -> unit
 (** Zero every row, keeping the allocations. *)
 

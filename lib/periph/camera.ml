@@ -15,7 +15,7 @@ let capture ?(exposure_us = 4_000) m ~(dst : Loc.t) ~pixels =
     end
   in
   expose exposure_us;
-  let shot_at = Machine.now m in
+  let shot_at = Machine.clock m in
   let w = Machine.world m in
   for i = 0 to pixels - 1 do
     Machine.write m dst.space (dst.addr + i) (World.image_pixel w shot_at i)

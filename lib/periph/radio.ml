@@ -32,6 +32,11 @@ type snapshot = {
 
 let snapshot t = { sn_log = t.log; sn_log_len = t.log_len; sn_sent = t.sent }
 
+let same a b =
+  a.sn_sent = b.sn_sent
+  && a.sn_log_len = b.sn_log_len
+  && (a.sn_log == b.sn_log || a.sn_log = b.sn_log)
+
 let restore t sn =
   t.log <- sn.sn_log;
   t.log_len <- sn.sn_log_len;

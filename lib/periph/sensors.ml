@@ -14,7 +14,7 @@ let ev_light = Machine.event_id "io:Light"
 let sample m ~event ~us ~pj read =
   Machine.bump_id m event;
   Machine.charge m ~us ~pj;
-  let v = read (Machine.world m) (Machine.now m) in
+  let v = read (Machine.world m) (Machine.clock m) in
   let index, glitched = Faults.next_read (Machine.faults m) in
   if glitched then begin
     if Machine.traced m then

@@ -43,6 +43,9 @@ type t = {
   (* metrics sheet; same zero-cost-when-off discipline as [sink] *)
   mutable meter : Obs.Sheet.t option;
   mutable next_cap_sample_us : int;
+  (* reads of [now] by simulated code (see {!clock}); bookkeeping for
+     drivers, outside snapshots like the sink and the meter *)
+  mutable clock_reads : int;
 }
 
 (* Periodic capacitor samples are emitted at most this often (simulated
@@ -86,6 +89,7 @@ let create ?(seed = 1) ?(cost = Cost.msp430fr5994) ?(failure = Failure.No_failur
     sink = None;
     meter = None;
     next_cap_sample_us = 0;
+    clock_reads = 0;
   }
 
 (* Recycle a machine for a fresh run: equivalent to [create] with the
@@ -125,7 +129,8 @@ let reset ?(seed = 1) ?(failure = Failure.No_failures) ?(faults = Faults.none) t
   Array.fill t.ev_counts 0 (Array.length t.ev_counts) 0;
   t.sink <- None;
   t.meter <- None;
-  t.next_cap_sample_us <- 0
+  t.next_cap_sample_us <- 0;
+  t.clock_reads <- 0
 
 (* {1 Tracing}
 
@@ -183,6 +188,12 @@ let maybe_sample_cap t =
       end
 
 let now t = t.now
+
+let clock t =
+  t.clock_reads <- t.clock_reads + 1;
+  t.now
+
+let clock_reads t = t.clock_reads
 let on t = t.on
 let rng t = t.rng
 let world t = t.world
@@ -565,25 +576,49 @@ let restore_snapshot t sn =
    identically modulo those declared-volatile columns; the capacitor
    level is also excluded (only consulted in energy-driven failure
    modes, which boundary exploration never uses). *)
-let snapshot_behavior_hash sn =
+let behavior_fold ~fram ~sram ~rng ~on ~tag ~critical_depth ~pending_death ~faults ~failure =
   let h = ref 0x811c9dc5 in
   let add v = h := (!h * 0x01000193) lxor v in
-  add (Memory.image_hash sn.sn_fram);
-  add (Memory.image_hash sn.sn_sram);
-  add (Int64.to_int sn.sn_rng);
-  add (Bool.to_int sn.sn_on);
-  add (match sn.sn_tag with App -> 0 | Overhead -> 1);
-  add sn.sn_critical_depth;
-  add (Bool.to_int sn.sn_pending_death);
-  let sends, reads, dmas = sn.sn_faults in
+  add fram;
+  add sram;
+  add (Int64.to_int rng);
+  add (Bool.to_int on);
+  add (match tag with App -> 0 | Overhead -> 1);
+  add critical_depth;
+  add (Bool.to_int pending_death);
+  let sends, reads, dmas = faults in
   add sends;
   add reads;
   add dmas;
-  let deadline, charge_deadline, remaining = sn.sn_failure in
+  let deadline, charge_deadline, remaining = failure in
   add deadline;
   add charge_deadline;
   List.iter add remaining;
   !h land max_int
+
+let snapshot_behavior_hash sn =
+  behavior_fold ~fram:(Memory.image_hash sn.sn_fram) ~sram:(Memory.image_hash sn.sn_sram)
+    ~rng:sn.sn_rng ~on:sn.sn_on ~tag:sn.sn_tag ~critical_depth:sn.sn_critical_depth
+    ~pending_death:sn.sn_pending_death ~faults:sn.sn_faults ~failure:sn.sn_failure
+
+(* The same two views of the live machine, read in place: prefix-resume
+   sweeps key their shared continuations by them and capture only when
+   a key is new. *)
+let behavior_hash t =
+  behavior_fold ~fram:(Memory.hash t.fram) ~sram:(Memory.hash t.sram) ~rng:(Rng.state t.rng)
+    ~on:t.on ~tag:t.tag ~critical_depth:t.critical_depth ~pending_death:t.pending_death
+    ~faults:(Faults.save t.faults) ~failure:(Failure.save t.failure)
+
+let same_behavior t sn =
+  Memory.same t.fram sn.sn_fram
+  && Memory.same t.sram sn.sn_sram
+  && Int64.equal (Rng.state t.rng) sn.sn_rng
+  && t.on = sn.sn_on
+  && t.tag = sn.sn_tag
+  && t.critical_depth = sn.sn_critical_depth
+  && t.pending_death = sn.sn_pending_death
+  && Faults.save t.faults = sn.sn_faults
+  && Failure.save t.failure = sn.sn_failure
 
 let snapshot_charges sn = sn.sn_charges
 let snapshot_fram sn = sn.sn_fram

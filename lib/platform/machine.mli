@@ -125,6 +125,19 @@ val metered : t -> bool
 (** {1 Observation} *)
 
 val now : t -> Units.time_us
+(** The clock, as reports and drivers read it. Simulated code that
+    derives a value from the time reads {!clock} instead. *)
+
+val clock : t -> Units.time_us
+(** [now], counted in {!clock_reads}: the read of every clock-derived
+    value (persistent-timekeeper stamps, sensor samples, camera
+    frames). *)
+
+val clock_reads : t -> int
+(** {!clock} calls since {!create} or {!reset}; outside snapshots. A
+    stretch of execution that leaves it unchanged computed nothing from
+    the clock, so it runs alike from every instant. *)
+
 val on : t -> bool
 val rng : t -> Rng.t
 val world : t -> World.t
@@ -292,6 +305,16 @@ val snapshot_behavior_hash : snapshot -> int
     shift time-derived (declared-volatile) observations. Coarser than
     {!snapshot_hash}: states equal under it evolve identically modulo
     [nv_volatile] regions. *)
+
+val behavior_hash : t -> int
+(** [snapshot_behavior_hash (snapshot t)], computed in place: no
+    capture, no page copied, nothing metered. *)
+
+val same_behavior : t -> snapshot -> bool
+(** Whether the live machine equals the snapshot in everything
+    {!snapshot_behavior_hash} covers: both memories word for word
+    ({!Memory.same}) and every other field exactly, where the hash may
+    collide. Read in place. *)
 
 val snapshot_charges : snapshot -> int
 val snapshot_fram : snapshot -> Memory.image

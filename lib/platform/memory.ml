@@ -237,24 +237,30 @@ let set_counters t ~reads ~writes =
   t.reads <- reads;
   t.writes <- writes
 
-(* Copy and hash resident page [p] into slot [p] of a directory; an
-   all-zero page becomes the shared [zero_page]. *)
-let capture_page t pages hashes p =
+(* The hash of resident page [p]'s words, or -1 when they are all
+   zero. *)
+let page_hash t p =
   let base = p lsl page_bits in
-  let len = Int.min page_words (Array.length t.words - base) in
   let h = ref hash_seed and nonzero = ref 0 in
-  for i = base to base + len - 1 do
+  for i = base to Int.min (Array.length t.words) (base + page_words) - 1 do
     let v = Array.unsafe_get t.words i in
     h := hash_step !h v;
     nonzero := !nonzero lor v
   done;
-  if !nonzero = 0 then begin
+  if !nonzero = 0 then -1 else !h land max_int
+
+(* Copy and hash resident page [p] into slot [p] of a directory; an
+   all-zero page becomes the shared [zero_page]. *)
+let capture_page t pages hashes p =
+  let h = page_hash t p in
+  if h < 0 then begin
     pages.(p) <- zero_page;
     hashes.(p) <- zero_hash
   end
   else begin
-    pages.(p) <- Array.sub t.words base len;
-    hashes.(p) <- !h land max_int
+    let base = p lsl page_bits in
+    pages.(p) <- Array.sub t.words base (Int.min page_words (Array.length t.words - base));
+    hashes.(p) <- h
   end
 
 let[@inline] page_of img p =
@@ -341,3 +347,58 @@ let image_hash img =
     h := hash_step !h img.i_hashes.(p)
   done;
   !h land max_int
+
+(* The live contents against the copy-on-write base: a page that was
+   not written since [base] was taken holds the base's page. *)
+let[@inline] clean t p = t.track && Bytes.unsafe_get t.dirty p = '\000'
+
+(* [image_hash (snapshot t)] without the capture: a clean page takes the
+   base's page hash, a dirty one is hashed from the words, and zero
+   pages fold only when a non-zero page follows them. *)
+let hash t =
+  let len = Array.length t.words in
+  let h = ref hash_seed and zeros = ref 0 in
+  for p = 0 to pages_of len - 1 do
+    let ph =
+      match t.base with
+      | Some base when clean t p ->
+          if page_of base p == zero_page then -1 else Array.unsafe_get base.i_hashes p
+      | _ -> page_hash t p
+    in
+    if ph < 0 then incr zeros
+    else begin
+      for _ = 1 to !zeros do
+        h := hash_step !h zero_hash
+      done;
+      zeros := 0;
+      h := hash_step !h ph
+    end
+  done;
+  !h land max_int
+
+(* Word for word, reading in place: a clean page whose base page is
+   the image's own page is equal without a look at its words. *)
+let same t img =
+  img.i_words = t.size
+  &&
+  let len = Array.length t.words in
+  let live_pages = pages_of len in
+  let page_equal p =
+    let want = page_of img p in
+    (match t.base with
+    | Some base when p < live_pages && clean t p -> page_of base p == want
+    | _ -> false)
+    ||
+    let first = p lsl page_bits in
+    let rec word i =
+      i >= Array.length want
+      || (if first + i < len then Array.unsafe_get t.words (first + i) else 0)
+         = Array.unsafe_get want i
+         && word (i + 1)
+    in
+    word 0
+  in
+  let rec from p =
+    p >= Int.max live_pages (Array.length img.i_pages) || (page_equal p && from (p + 1))
+  in
+  from 0

@@ -120,3 +120,13 @@ val image_hash : image -> int
     computed when each page was captured, up to the last non-zero page:
     O(resident pages), no word traversal, and equal contents hash equal
     whatever resident length each image was captured at. *)
+
+val hash : t -> int
+(** [image_hash (snapshot t)], computed in place: nothing is captured
+    or copied. Pages not written since the copy-on-write base was taken
+    reuse its page hashes; the others are hashed from their words. *)
+
+val same : t -> image -> bool
+(** Whether the live contents equal the image word for word, read in
+    place. A page that was not written since the base was taken and is
+    the image's own page (the two share it) is equal unread. *)

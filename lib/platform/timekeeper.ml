@@ -5,6 +5,6 @@ let read_cost = 20
 
 let read m =
   Machine.cpu m read_cost;
-  Machine.now m / resolution_us * resolution_us
+  Machine.clock m / resolution_us * resolution_us
 
 let elapsed_since m t0 = max 0 (read m - t0)

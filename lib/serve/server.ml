@@ -225,7 +225,7 @@ let cell_frame ~id ~index ~label ~cached = function
       Printf.sprintf
         "{\"id\":%d,\"frame\":\"cell\",\"index\":%d,\"runtime\":\"%s\",\"cached\":%b,\"cases\":%d,\"failed\":%d}"
         id index (String.escaped label) cached c.Faultkit.Campaign.cases
-        (List.length c.Faultkit.Campaign.failed)
+        c.Faultkit.Campaign.failed_count
   | Doc d ->
       Printf.sprintf
         "{\"id\":%d,\"frame\":\"cell\",\"index\":%d,\"runtime\":\"%s\",\"cached\":%b,\"bytes\":%d}"

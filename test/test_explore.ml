@@ -53,6 +53,37 @@ let test_snapshot_round_trip =
          && Machine.snapshot_hash s1 = Machine.snapshot_hash s2
          && Machine.snapshot_behavior_hash s1 = Machine.snapshot_behavior_hash s2))
 
+(* The behavior key read in place equals the captured one, with or
+   without a copy-on-write base, and the live machine equals a snapshot
+   exactly when their images hold the same words. *)
+let test_live_behavior_key =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"live behavior key = captured key"
+       (QCheck.pair writes_arb writes_arb)
+       (fun (before, after) ->
+         let m = Machine.create ~seed:11 () in
+         let apply ws = List.iter (fun (sp, a, v) -> Memory.write (Machine.mem m sp) a v) ws in
+         apply before;
+         let untracked = Machine.behavior_hash m in
+         let s1 = Machine.snapshot m in
+         apply after;
+         let live = Machine.behavior_hash m and same = Machine.same_behavior m s1 in
+         let s2 = Machine.snapshot m in
+         let words_equal =
+           List.for_all
+             (fun (img1, img2) ->
+               List.for_all
+                 (fun a -> Memory.image_get img1 a = Memory.image_get img2 a)
+                 (List.init 4096 Fun.id))
+             [
+               (Machine.snapshot_fram s1, Machine.snapshot_fram s2);
+               (Machine.snapshot_sram s1, Machine.snapshot_sram s2);
+             ]
+         in
+         untracked = Machine.snapshot_behavior_hash s1
+         && live = Machine.snapshot_behavior_hash s2
+         && same = words_equal))
+
 (* {1 Stepper = Engine.run}
 
    Driving an app through the resumable stepper (start / pause at the
@@ -162,7 +193,7 @@ let test_explorer_agrees_with_sweep () =
       let failed =
         List.map
           (fun (c : Faultkit.Campaign.case) -> (c.schedule, c.violations))
-          cell.Faultkit.Campaign.failed
+          (Faultkit.Campaign.failed_cases cell.Faultkit.Campaign.failed)
       in
       checkb (name ^ ": explorer clean") clean (Explore.passed r);
       checkb (name ^ ": sweep clean") clean (Faultkit.Campaign.passed report);
@@ -202,10 +233,19 @@ let test_prune_soundness () =
   checkb "same distinct violations with and without pruning" true
     (violation_set pruned = violation_set full)
 
+(* Every simulated segment of a walk flushes its VM dispatch counts, so
+   [vm/*] sums the walk as [engine/*] does: each explored state runs its
+   continuation to the final [stop]. *)
+let test_walk_counts_every_dispatch () =
+  let r = Explore.explore ~depth:1 Apps.Fir.spec Apps.Common.Easeio ~seed:1 in
+  let counter name = Obs.Snapshot.counter r.Explore.snap name in
+  checkb "several states" true (r.Explore.states > 1);
+  checkb "vm/op/stop >= explore/states" true (counter "vm/op/stop" >= counter "explore/states")
+
 let () =
   Alcotest.run "explore"
     [
-      ("snapshot", [ test_snapshot_round_trip ]);
+      ("snapshot", [ test_snapshot_round_trip; test_live_behavior_key ]);
       ( "stepper",
         [ Alcotest.test_case "byte-identical to Engine.run" `Quick test_stepper_matches_run ] );
       ( "walker",
@@ -220,5 +260,6 @@ let () =
           Alcotest.test_case "agrees with the exhaustive sweep" `Quick
             test_explorer_agrees_with_sweep;
           Alcotest.test_case "pruning is sound" `Quick test_prune_soundness;
+          Alcotest.test_case "vm counts sum the walk" `Quick test_walk_counts_every_dispatch;
         ] );
     ]

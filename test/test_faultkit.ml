@@ -318,54 +318,78 @@ let test_campaign_catches_unsafe_runtime () =
         List.exists
           (function Faultkit.Campaign.Nv_mismatch _ -> true | _ -> false)
           c.violations)
-      cell.Faultkit.Campaign.failed
+      (Faultkit.Campaign.failed_cases cell.Faultkit.Campaign.failed)
   in
   checkb "differential oracle fired" true has_nv_mismatch
 
+(* One case from power on, judged as a sweep judges it. *)
+let judge_from_power_on (spec : Apps.Common.spec) variant ~golden k =
+  let watch, skips = Faultkit.Oracle.always_skip_watch () in
+  let diff = ref [] in
+  let one =
+    spec.run ~sink:watch
+      ~probe:(fun m ->
+        diff := Faultkit.Oracle.nv_diff ~extra_volatile:spec.nv_volatile ~golden m)
+      variant ~failure:(Failure.Nth_charge k) ~seed:1
+  in
+  ( one.Expkit.Run.pf,
+    Faultkit.Campaign.verdict ~gave_up:one.Expkit.Run.gave_up
+      ~stuck_task:one.Expkit.Run.stuck_task ~correct:one.Expkit.Run.correct ~diff:!diff
+      ~skipped:(skips ()) )
+
 (* Neighbouring boundaries of FIR under Alpaca fail alike, and the cell
-   keeps one violation list per run of equal ones: every failed case
-   whose list equals its predecessor's holds that very list. Sharing is
-   invisible in the document: unsharing every list leaves the JSON
-   byte-identical. *)
-let test_failed_cases_share_violations () =
+   keeps one record per maximal run of them. The runs expand to exactly
+   the failed cases a case-by-case judgement from power on finds, and
+   no two neighbouring runs could have been one. *)
+let test_failed_cases_fold_into_runs () =
   let spec = Apps.Catalog.find "FIR filter" in
+  let stride = 7 in
   let report =
     Faultkit.Campaign.run ~jobs:2
-      ~sweep:(Faultkit.Campaign.Boundaries { stride = 3 })
+      ~sweep:(Faultkit.Campaign.Boundaries { stride })
       ~variants:[ Apps.Common.Alpaca ] spec
   in
   let cell = List.hd report.Faultkit.Campaign.cells in
-  let rec pairs shared = function
-    | (a : Faultkit.Campaign.case) :: ((b : Faultkit.Campaign.case) :: _ as rest) ->
-        if a.violations = b.violations then begin
-          checkb "equal neighbours share one list" true (a.violations == b.violations);
-          pairs (shared + 1) rest
-        end
-        else pairs shared rest
-    | _ -> shared
+  let runs = cell.Faultkit.Campaign.failed in
+  checkb "runs longer than one case" true
+    (List.exists (fun (r : Faultkit.Campaign.failed_run) -> r.count > 1) runs);
+  checkb "fewer runs than failed cases" true (List.length runs < cell.failed_count);
+  checki "runs sum to the failed count" cell.failed_count
+    (List.fold_left (fun n (r : Faultkit.Campaign.failed_run) -> n + r.count) 0 runs);
+  let rec maximal = function
+    | (a : Faultkit.Campaign.failed_run) :: (b :: _ as rest) ->
+        let last =
+          List.nth (Faultkit.Campaign.failed_cases [ a ]) (a.count - 1)
+        in
+        (match (last.schedule, b.first.schedule) with
+        | Failure.Nth_charge i, Failure.Nth_charge j ->
+            checkb "neighbouring runs differ or are apart" true
+              (j <> i + stride || b.first.violations <> a.first.violations
+             || b.first.pf <> a.first.pf)
+        | _ -> Alcotest.fail "boundary schedules expected");
+        maximal rest
+    | _ -> ()
   in
-  checkb "equal neighbours found" true (pairs 0 cell.Faultkit.Campaign.failed > 0);
-  let unshared =
-    {
-      report with
-      Faultkit.Campaign.cells =
-        List.map
-          (fun (c : Faultkit.Campaign.cell) ->
-            {
-              c with
-              failed =
-                List.map
-                  (fun (f : Faultkit.Campaign.case) ->
-                    { f with violations = List.map Fun.id f.violations })
-                  c.failed;
-            })
-          report.Faultkit.Campaign.cells;
-    }
-  in
-  Alcotest.(check string)
-    "sharing leaves the JSON alone"
-    (Trace.Json.to_string (Faultkit.Campaign.to_json unshared))
-    (Trace.Json.to_string (Faultkit.Campaign.to_json report))
+  maximal runs;
+  let captured = ref None in
+  ignore
+    (spec.run
+       ~probe:(fun m -> captured := Some (Faultkit.Oracle.capture m))
+       Apps.Common.Alpaca ~failure:Failure.No_failures ~seed:1);
+  let golden = Option.get !captured in
+  let expected = ref [] in
+  let k = ref 1 in
+  while !k <= golden.Faultkit.Oracle.charges do
+    (match judge_from_power_on spec Apps.Common.Alpaca ~golden !k with
+    | _, [] -> ()
+    | pf, violations -> expected := (Failure.Nth_charge !k, pf, violations) :: !expected);
+    k := !k + stride
+  done;
+  checkb "expanded runs = per-case judgements" true
+    (List.rev !expected
+    = List.map
+        (fun (c : Faultkit.Campaign.case) -> (c.schedule, c.pf, c.violations))
+        (Faultkit.Campaign.failed_cases runs))
 
 let test_oracle_catches_ablated_semantics () =
   (* EaseIO with re-execution semantics deliberately ablated (tests
@@ -425,6 +449,102 @@ let resume_invariant ~what ~stride ~variants spec =
         (bytes (run ~jobs ~resume:true)))
     [ 1; 2; 3 ];
   reference
+
+(* A task-language spec on [Common.run_ir]/[Common.session_ir]. *)
+let spec_of_source ~name ?check src =
+  {
+    Apps.Common.app_name = name;
+    tasks = 0;
+    io_functions = 0;
+    nv_volatile = [];
+    run =
+      (fun ?interp ?sink ?meter ?probe variant ~failure ~seed ->
+        Apps.Common.run_ir ~src ?check ?interp ?sink ?meter ?probe variant ~failure ~seed);
+    session = Some (Apps.Common.session_ir ~src ?check ());
+  }
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Resumed sweeps share the continuation of every post-reboot state an
+   earlier case reached. Temp reads the clock in every continuation
+   (Timely stamps and sensors), so none is stored; DMA and LEA share
+   theirs, VM dispatch counts included; greenhouse.eio mixes Timely,
+   Always and sensor sites. *)
+let test_resumed_sweep_shares_continuations () =
+  List.iter
+    (fun (name, stride) ->
+      ignore
+        (resume_invariant ~what:name ~stride ~variants:Apps.Common.all_variants
+           (Apps.Catalog.find name)))
+    [ ("Temp.", 97); ("DMA", 89); ("LEA", 101) ];
+  ignore
+    (resume_invariant ~what:"greenhouse.eio" ~stride:3 ~variants:Apps.Common.all_variants
+       (spec_of_source ~name:"greenhouse"
+          (read_file "../examples/programs/greenhouse.eio")))
+
+(* Two boundaries of one task, one inside the radio transmission and
+   one after it, reboot into the same machine state: nothing
+   non-volatile changed in between. Only the receiver log tells them
+   apart, and the re-executed send makes the second case log a
+   duplicate, which the check counts. A continuation keyed without the
+   log would pass that case. *)
+let radio_log_source =
+  {|
+program radio_log;
+nv int reading;
+task send_it {
+  int i;
+  int acc;
+  call_io(Send, Always, reading);
+  acc = 0;
+  for i = 0 to 40 { acc = acc + i; }
+  next finish;
+}
+task finish { stop; }
+|}
+
+let test_radio_log_keys_continuations () =
+  let spec =
+    spec_of_source ~name:"radio log"
+      ~check:(fun t -> List.length (Periph.Radio.log (Lang.Interp.radio t)) = 1)
+      radio_log_source
+  in
+  let report = resume_invariant ~what:"radio log" ~stride:1 ~variants:[ Apps.Common.Alpaca ] spec in
+  let cell = List.hd report.Faultkit.Campaign.cells in
+  checkb "duplicates fail" true (cell.Faultkit.Campaign.failed_count > 0);
+  checkb "resends before the log pass" true
+    (cell.Faultkit.Campaign.failed_count < cell.Faultkit.Campaign.cases)
+
+(* A stored continuation keeps only {!Faultkit.Campaign.observed}
+   events: over traced runs of every catalog app under paper failures,
+   those fold to the same attribution profile and Always-watch result
+   as the full stream. *)
+let test_observed_events_suffice () =
+  let fold events =
+    let attr = Obs.Attr.create () in
+    let watch, skips = Faultkit.Oracle.always_skip_watch () in
+    List.iter
+      (fun e ->
+        Obs.Attr.sink attr e;
+        watch e)
+      events;
+    (Obs.Attr.profile attr, skips ())
+  in
+  List.iter
+    (fun (spec : Apps.Common.spec) ->
+      List.iter
+        (fun variant ->
+          let events = ref [] in
+          ignore
+            (spec.run
+               ~sink:(fun e -> events := e :: !events)
+               variant ~failure:Failure.paper_timer ~seed:3);
+          let all = List.rev !events in
+          let kept = List.filter Faultkit.Campaign.observed all in
+          checkb (spec.app_name ^ ": fewer events kept") true (List.length kept < List.length all);
+          checkb (spec.app_name ^ ": same profile and watch") true (fold kept = fold all))
+        Apps.Common.all_variants)
+    Apps.Catalog.all
 
 let test_resumed_sweep_jobs_invariant () =
   let fir =
@@ -610,12 +730,15 @@ let () =
         [
           tc "boundary sweep passes on safe app" `Quick test_campaign_boundary_sweep_passes_on_safe_app;
           tc "catches unsafe runtime" `Quick test_campaign_catches_unsafe_runtime;
-          tc "failed cases share equal violation lists" `Quick test_failed_cases_share_violations;
+          tc "failed cases fold into runs" `Quick test_failed_cases_fold_into_runs;
           tc "catches ablated semantics" `Quick test_oracle_catches_ablated_semantics;
           tc "deterministic across jobs" `Quick test_campaign_deterministic_across_jobs;
           tc "sweep spec round trip" `Quick test_sweep_spec_round_trip;
           tc "resumed sweep jobs-invariant" `Quick test_resumed_sweep_jobs_invariant;
           tc "resumed sweep fans out" `Quick test_resumed_sweep_fans_out;
+          tc "resumed sweep shares continuations" `Quick test_resumed_sweep_shares_continuations;
+          tc "radio log keys continuations" `Quick test_radio_log_keys_continuations;
+          tc "observed events suffice" `Quick test_observed_events_suffice;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_nv_state_schedule_independent ]);
     ]

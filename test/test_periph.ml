@@ -266,6 +266,33 @@ let test_camera_writes_frame () =
   checkb "frame has content" true (!nonzero > 0);
   checki "event" 1 (Machine.event m "io:Capture")
 
+(* {1 Clock reads}
+
+   Every value simulated code derives from the time goes through
+   [Machine.clock], whose read count tells a resumed sweep which
+   continuations depend on when they ran. Charging and reporting the
+   time read none. *)
+
+let test_clock_sources_count_reads () =
+  let m = machine () in
+  let reads () = Machine.clock_reads m in
+  Machine.charge m ~us:10 ~pj:0;
+  Machine.idle m 1_000;
+  ignore (Machine.now m);
+  checki "charge, idle and now read no clock" 0 (reads ());
+  ignore (Timekeeper.read m);
+  checki "timekeeper" 1 (reads ());
+  ignore (Timekeeper.elapsed_since m 0);
+  checki "elapsed_since reads the timekeeper" 2 (reads ());
+  List.iteri
+    (fun i sample ->
+      ignore (sample m);
+      checki "every sensor reading" (3 + i) (reads ()))
+    [ Sensors.temperature_dc; Sensors.humidity_pct; Sensors.pressure_pa10; Sensors.light_lux ];
+  let dst = Machine.alloc m Memory.Sram ~name:"img" ~words:4 in
+  Camera.capture m ~dst:(Loc.sram dst) ~pixels:4;
+  checki "camera frame" 7 (reads ())
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "periph"
@@ -297,4 +324,5 @@ let () =
           tc "send from memory" `Quick test_radio_send_from_memory;
         ] );
       ("camera", [ tc "writes frame" `Quick test_camera_writes_frame ]);
+      ("clock", [ tc "sources count reads" `Quick test_clock_sources_count_reads ]);
     ]

@@ -32,7 +32,9 @@ val run_once :
 (** One execution; default buffering [`Double]. The run is judged
     correct when the stored class equals the bit-exact reference
     inference on the stored image and the transmitted packet matches
-    the stored sensor values and class. *)
+    the stored sensor values and class. Runs recycle one built machine
+    per (variant, buffering) per domain ({!Platform.Machine.reset}), as
+    the VM apps' arenas do; the machine [probe] sees is that one. *)
 
 val build :
   ?buffering:[ `Single | `Double ] ->

@@ -33,6 +33,11 @@ let flash m addr values =
   let fram = Machine.mem m Memory.Fram in
   Array.iteri (fun i v -> Memory.write fram (addr + i) v) values
 
+let reflash m t =
+  flash m t.w_conv1 conv1_weights;
+  flash m t.w_conv2 conv2_weights;
+  flash m t.w_fc fc_weights
+
 let create m ~buffering =
   let alloc name words = Machine.alloc m Memory.Fram ~name:("dnn." ^ name) ~words in
   let act_words = input_dim * input_dim in
@@ -51,9 +56,7 @@ let create m ~buffering =
         Layers.alloc_scratch m ~max_act:act_words ~max_weights:(fc_in * classes);
     }
   in
-  flash m t.w_conv1 conv1_weights;
-  flash m t.w_conv2 conv2_weights;
-  flash m t.w_fc fc_weights;
+  reflash m t;
   t
 
 let image_loc t = Loc.fram t.image

@@ -32,6 +32,10 @@ val create : Machine.t -> buffering:[ `Single | `Double ] -> t
 (** Allocate FRAM buffers and LEA-RAM scratch; flash the weights
     (uncharged, link-time). *)
 
+val reflash : Machine.t -> t -> unit
+(** Flash the weights again, into a machine recycled with
+    {!Platform.Machine.reset} (which zeroes them). *)
+
 val image_loc : t -> Loc.t
 (** Where the camera must deposit the frame. *)
 

@@ -4,19 +4,22 @@
     power failure from power on. The explorer walks the full tree of
     reboot points up to a reboot-count [depth]: each post-reboot state
     is a node. Each node's continuation is paced through a
-    {!Kernel.Walker}, and each of its children is reached by seeking
-    that walk to the child's boundary and running into the failure,
-    rather than by replaying from power on. Every finished run gets the
+    {!Kernel.Walker}, and each of its children is reached by failing
+    that walk at the child's boundary ({!Kernel.Walker.fail}, from the
+    machine the walker captured there), rather than by replaying from
+    power on. Every finished run gets the
     campaign's {!Faultkit.Campaign.verdict} against the clean run's
     golden NV image, and findings print with
     {!Faultkit.Campaign.violation_json}. At [depth = 1] without pruning
     the findings are exactly the failed cases of the exhaustive
     boundary sweep (tested).
 
-    Convergent states — equal {!Platform.Machine.snapshot_behavior_hash}
-    plus engine watchdog counter — are visited once; pruning is what
-    lets a [10^4]-boundary space collapse to the (much smaller) set of
-    behaviorally distinct post-reboot states. Results are pure
+    Convergent states — equal behavior ({!Platform.Machine.behavior_hash},
+    confirmed word for word), engine watchdog counter and radio log
+    (packet count and payloads) — are visited once, so pruning never
+    drops a violation; it is what lets a [10^4]-boundary space collapse
+    to the (much smaller) set of behaviorally distinct post-reboot
+    states. Results are pure
     functions of (app, variant, seed, depth, max_states): the walk is
     sequential and deterministic.
 
@@ -50,11 +53,13 @@ type report = {
   findings : finding list;
   snap : Obs.Snapshot.t;
       (** metric snapshot of the whole walk ([explore/states],
-          [explore/pruned], [resume/prefix_us_saved],
-          [snapshot/pages_copied], VM dispatch counts, ...) *)
+          [explore/pruned], [resume/prefix_us_saved] (the clock at each
+          child's attempt top), [snapshot/pages_copied] (by the walks'
+          attempt-top checkpoints), VM dispatch counts, ...) *)
   profile : Obs.Attr.profile;
-      (** attribution over every simulated run, with the explorer's
-          re-positioning time in a flamegraph-visible [explore] phase *)
+      (** attribution over every simulated run and every child's
+          positioning (from its attempt top through the reboot), with
+          the positioning time in a flamegraph-visible [explore] phase *)
 }
 
 val explore :

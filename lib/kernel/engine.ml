@@ -95,6 +95,10 @@ type session = {
      on-window) trips [stall_limit] long before [max_failures]. *)
   mutable s_stalled : int;
   mutable s_running : bool;
+  (* how the attempt's body ended, from the start of its commit
+     sequence until the commit is counted: a failure landing meanwhile
+     was deferred past the commit *)
+  mutable s_ending : Task.transition option;
 }
 
 type step = Paused | Finished of outcome
@@ -130,6 +134,7 @@ let start ?(hooks = no_hooks) ?(max_failures = 100_000) ?(stall_limit = 1_000) ?
       s_stuck = None;
       s_stalled = 0;
       s_running = true;
+      s_ending = None;
     }
   in
   Machine.boot m;
@@ -169,6 +174,78 @@ let resume s =
   Machine.reboot s.s_m;
   s.s_hooks.on_reboot s.s_m
 
+(* The two ends of an attempt, shared by the stepper and by {!fail}.
+   Each returns [Some Paused] when the run wants a reboot and [None]
+   when it goes on or has ended ([s_running] says which). *)
+
+(* A power failure interrupted the attempt: it counts as wasted. *)
+let aborted s =
+  let m = s.s_m in
+  s.s_stalled <- s.s_stalled + 1;
+  let att = Machine.take_attempt m in
+  Metrics.fail s.s_metrics att;
+  (match s.s_meter with
+  | None -> ()
+  | Some sheet ->
+      Obs.Sheet.bump sheet m_aborts;
+      Obs.Sheet.observe sheet m_wasted_hist (att.Machine.app_us + att.Machine.ovh_us));
+  if s.s_traced then begin
+    Machine.emit m
+      (Trace.Event.Task_abort
+         {
+           task = s.s_cur_name;
+           attempt = s.s_cur_att;
+           app_us = att.Machine.app_us;
+           ovh_us = att.Machine.ovh_us;
+           app_nj = att.Machine.app_nj;
+           ovh_nj = att.Machine.ovh_nj;
+         });
+    s.s_cur_name <- dispatch_task;
+    s.s_cur_att <- 0
+  end;
+  if Machine.failures m >= s.s_max_failures || s.s_stalled >= s.s_stall_limit then begin
+    give_up s;
+    s.s_running <- false;
+    None
+  end
+  else Some Paused
+
+(* The attempt's commit sequence completed: it counts as useful. A
+   failure deferred to the end of that sequence ([failed]) then lands
+   between tasks, unless the task stopped the run. *)
+let committed s transition ~failed =
+  let m = s.s_m in
+  s.s_ending <- None;
+  s.s_stalled <- 0;
+  let att = Machine.take_attempt m in
+  Metrics.commit s.s_metrics att;
+  (match s.s_meter with None -> () | Some sheet -> Obs.Sheet.bump sheet m_commits);
+  if s.s_traced then begin
+    Machine.emit m
+      (Trace.Event.Task_commit
+         {
+           task = s.s_cur_name;
+           attempt = s.s_cur_att;
+           app_us = att.Machine.app_us;
+           ovh_us = att.Machine.ovh_us;
+           app_nj = att.Machine.app_nj;
+           ovh_nj = att.Machine.ovh_nj;
+         });
+    s.s_cur_name <- dispatch_task;
+    s.s_cur_att <- 0
+  end;
+  (match transition with
+  | Task.Next _ -> ()
+  | Task.Stop -> s.s_running <- false);
+  if failed && s.s_running then
+    if Machine.failures m >= s.s_max_failures then begin
+      give_up s;
+      s.s_running <- false;
+      None
+    end
+    else Some Paused
+  else None
+
 let run_until_boundary ?on_attempt s =
   let m = s.s_m and app = s.s_app and hooks = s.s_hooks in
   let next_attempt name =
@@ -195,6 +272,7 @@ let run_until_boundary ?on_attempt s =
          power failure striking inside it is deferred to its end, at
          which point the task HAS committed — the failure then simply
          lands between tasks *)
+      s.s_ending <- Some transition;
       let failed_after_commit =
         match
           Machine.critical m (fun () ->
@@ -209,62 +287,8 @@ let run_until_boundary ?on_attempt s =
       in
       (transition, failed_after_commit)
     with
-    | transition, failed_after_commit ->
-        s.s_stalled <- 0;
-        let att = Machine.take_attempt m in
-        Metrics.commit s.s_metrics att;
-        (match s.s_meter with None -> () | Some sheet -> Obs.Sheet.bump sheet m_commits);
-        if s.s_traced then begin
-          Machine.emit m
-            (Trace.Event.Task_commit
-               {
-                 task = s.s_cur_name;
-                 attempt = s.s_cur_att;
-                 app_us = att.Machine.app_us;
-                 ovh_us = att.Machine.ovh_us;
-                 app_nj = att.Machine.app_nj;
-                 ovh_nj = att.Machine.ovh_nj;
-               });
-          s.s_cur_name <- dispatch_task;
-          s.s_cur_att <- 0
-        end;
-        (match transition with
-        | Task.Next _ -> ()
-        | Task.Stop -> s.s_running <- false);
-        if failed_after_commit && s.s_running then
-          if Machine.failures m >= s.s_max_failures then begin
-            give_up s;
-            s.s_running <- false
-          end
-          else result := Some Paused
-    | exception Machine.Power_failure ->
-        s.s_stalled <- s.s_stalled + 1;
-        let att = Machine.take_attempt m in
-        Metrics.fail s.s_metrics att;
-        (match s.s_meter with
-        | None -> ()
-        | Some sheet ->
-            Obs.Sheet.bump sheet m_aborts;
-            Obs.Sheet.observe sheet m_wasted_hist (att.Machine.app_us + att.Machine.ovh_us));
-        if s.s_traced then begin
-          Machine.emit m
-            (Trace.Event.Task_abort
-               {
-                 task = s.s_cur_name;
-                 attempt = s.s_cur_att;
-                 app_us = att.Machine.app_us;
-                 ovh_us = att.Machine.ovh_us;
-                 app_nj = att.Machine.app_nj;
-                 ovh_nj = att.Machine.ovh_nj;
-               });
-          s.s_cur_name <- dispatch_task;
-          s.s_cur_att <- 0
-        end;
-        if Machine.failures m >= s.s_max_failures || s.s_stalled >= s.s_stall_limit then begin
-          give_up s;
-          s.s_running <- false
-        end
-        else result := Some Paused
+    | transition, failed -> result := committed s transition ~failed
+    | exception Machine.Power_failure -> result := aborted s
   done;
   match !result with Some step -> step | None -> Finished (outcome s)
 
@@ -309,8 +333,8 @@ let checkpoint s =
     k_running = s.s_running;
   }
 
-let restore s k =
-  Machine.restore_snapshot s.s_m k.k_snap;
+(* The engine's loop state from [k]; the machine stays as it is. *)
+let restore_loop s k =
   Metrics.assign ~src:k.k_metrics ~dst:s.s_metrics;
   Hashtbl.reset s.s_attempt_counts;
   Hashtbl.iter (Hashtbl.replace s.s_attempt_counts) k.k_attempts;
@@ -321,11 +345,46 @@ let restore s k =
   s.s_running <- k.k_running;
   s.s_gave_up <- false;
   s.s_stuck <- None;
+  s.s_ending <- None;
   (* re-latch observers: the reviver attaches its own sink/meter before
      restoring, exactly as a fresh run would before [start] *)
   s.s_traced <- Machine.traced s.s_m;
   s.s_meter <- Machine.meter s.s_m
 
+let restore s k =
+  Machine.restore_snapshot s.s_m k.k_snap;
+  restore_loop s k
+
+(* {1 Failing a capture}
+
+   Inside an attempt the engine's own state moves only at its start
+   (the task is identified and its attempt numbered) and at its end (the
+   commit or abort is counted); the rest of the attempt's control state
+   dies with a power failure. So a machine captured at a failing charge,
+   with the loop state of its attempt top and the few fields below, is
+   all a from-power-on run has at that failure. *)
+
+type position = { p_name : string; p_att : int; p_last : string; p_ending : Task.transition option }
+
+let position s =
+  { p_name = s.s_cur_name; p_att = s.s_cur_att; p_last = s.s_last_task; p_ending = s.s_ending }
+
+let fail s ~top p =
+  restore_loop s top;
+  s.s_cur_name <- p.p_name;
+  s.s_cur_att <- p.p_att;
+  s.s_last_task <- p.p_last;
+  if p.p_att > 0 then Hashtbl.replace s.s_attempt_counts p.p_name p.p_att;
+  let step =
+    match Machine.die s.s_m with
+    | () -> invalid_arg "Engine.fail: the failure was deferred"
+    | exception Machine.Power_failure -> (
+        (* the unwinding of the interrupted attempt restores its tag *)
+        Machine.set_tag s.s_m (Machine.snapshot_tag top.k_snap);
+        match p.p_ending with
+        | None -> aborted s
+        | Some transition -> committed s transition ~failed:true)
+  in
+  match step with Some step -> step | None -> Finished (outcome s)
+
 let checkpoint_charges k = Machine.snapshot_charges k.k_snap
-let checkpoint_snapshot k = k.k_snap
-let checkpoint_stalled k = k.k_stalled

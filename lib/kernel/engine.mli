@@ -150,12 +150,34 @@ val restore : session -> checkpoint -> unit
 
 val checkpoint_charges : checkpoint -> int
 (** The machine's cumulative charge count at capture — the key
-    {!Walker.seek} picks the latest checkpoint strictly before an
-    [Nth_charge] boundary by. *)
+    {!Walker} picks the attempt top a boundary belongs to by. *)
 
-val checkpoint_snapshot : checkpoint -> Machine.snapshot
+(** {2 Failing a capture}
 
-val checkpoint_stalled : checkpoint -> int
-(** The watchdog counter at capture; the explorer folds it into its
-    convergence hash (machine state alone does not determine a
-    give-up). *)
+    Inside an attempt the engine's own state moves only where the
+    attempt starts (the task is identified and numbered) and where it
+    ends; everything else about the interrupted attempt dies with the
+    power. A machine snapshot taken where a power failure fires, plus
+    the {!position} there and the checkpoint of the attempt's top, is
+    therefore all that a from-power-on run holds at that failure: the
+    primitive behind {!Walker.fail}. *)
+
+type position
+(** Where a running attempt stands: its task and attempt number, and
+    whether its commit sequence has completed (a failure there was
+    deferred past the commit). *)
+
+val position : session -> position
+(** Read at the moment a failure fires (from a
+    {!Platform.Machine.intercept} hook). *)
+
+val fail : session -> top:checkpoint -> position -> step
+(** [fail s ~top p] handles a power failure exactly as
+    {!run_until_boundary} does at [p]: the engine's loop state is taken
+    from [top], the checkpoint at the top of [p]'s attempt, and the
+    machine must already stand where the failure fired (restored from a
+    snapshot taken there, its failure model spent). A failure in the
+    attempt aborts it ([Paused], or [Finished] on a give-up); one
+    deferred past the commit counts the commit and then lands between
+    tasks, which finishes the run when the task stopped it. Observers
+    are re-latched as {!restore} does. *)

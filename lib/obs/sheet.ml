@@ -40,18 +40,25 @@ let observe t id v =
    every resumed case starts from the prefix's exact totals. *)
 let copy t = { c = Array.copy t.c; h = Array.map Array.copy t.h }
 
-let diff a b =
-  let t = copy a in
-  Array.iteri (fun id n -> if n <> 0 then add t id (-n)) b.c;
+(* Add [sign] times every row of [d] to [t]. *)
+let add_rows t d sign =
+  Array.iteri (fun id n -> if n <> 0 then add t id (sign * n)) d.c;
   Array.iteri
     (fun id row ->
       if Array.exists (fun n -> n <> 0) row then begin
         ensure_hist t id;
         let dst = t.h.(id) in
-        Array.iteri (fun i n -> dst.(i) <- dst.(i) - n) row
+        Array.iteri (fun i n -> dst.(i) <- dst.(i) + (sign * n)) row
       end)
-    b.h;
+    d.h
+
+let diff a b =
+  let t = copy a in
+  add_rows t b (-1);
   t
+
+let add_sheet t d = add_rows t d 1
+let sub_sheet t d = add_rows t d (-1)
 
 let reset t =
   Array.fill t.c 0 (Array.length t.c) 0;

@@ -29,6 +29,12 @@ val diff : t -> t -> t
 (** [diff a b] is [a] minus [b], row by row: what a run added to a
     sheet between a {!copy} [b] and now. *)
 
+val add_sheet : t -> t -> unit
+(** [add_sheet t d] adds every row of [d] to [t]. *)
+
+val sub_sheet : t -> t -> unit
+(** [sub_sheet t d] takes every row of [d] from [t]. *)
+
 val reset : t -> unit
 (** Zero every row, keeping the allocations. *)
 

@@ -46,6 +46,9 @@ type t = {
   (* reads of [now] by simulated code (see {!clock}); bookkeeping for
      drivers, outside snapshots like the sink and the meter *)
   mutable clock_reads : int;
+  (* consulted before a power failure takes the machine down (see
+     {!intercept}); outside snapshots like the sink *)
+  mutable interceptor : (unit -> bool) option;
 }
 
 (* Periodic capacitor samples are emitted at most this often (simulated
@@ -90,6 +93,7 @@ let create ?(seed = 1) ?(cost = Cost.msp430fr5994) ?(failure = Failure.No_failur
     meter = None;
     next_cap_sample_us = 0;
     clock_reads = 0;
+    interceptor = None;
   }
 
 (* Recycle a machine for a fresh run: equivalent to [create] with the
@@ -130,7 +134,8 @@ let reset ?(seed = 1) ?(failure = Failure.No_failures) ?(faults = Faults.none) t
   t.sink <- None;
   t.meter <- None;
   t.next_cap_sample_us <- 0;
-  t.clock_reads <- 0
+  t.clock_reads <- 0;
+  t.interceptor <- None
 
 (* {1 Tracing}
 
@@ -139,6 +144,8 @@ let reset ?(seed = 1) ?(failure = Failure.No_failures) ?(faults = Faults.none) t
    and the nil-sink default costs one branch per charge. *)
 
 let set_sink t sink = t.sink <- Some sink
+let clear_sink t = t.sink <- None
+let sink t = t.sink
 let traced t = match t.sink with None -> false | Some _ -> true
 
 (* {1 Metering}
@@ -218,16 +225,23 @@ let with_tag t tag f =
   Fun.protect ~finally:(fun () -> t.tag <- saved) f
 
 (* Every power loss funnels through [kill] so the trace always carries
-   the failure instant (with the capacitor level at death). *)
+   the failure instant (with the capacitor level at death). An
+   interceptor that takes the failure leaves the machine running, as if
+   nothing had fired. *)
 let kill t =
-  t.on <- false;
-  if traced t then begin
-    settle_cap t;
-    emit t (Trace.Event.Power_failure { index = t.failures + 1; cap_nj = Capacitor.level t.cap })
-  end;
-  raise Power_failure
+  match t.interceptor with
+  | Some f when f () -> ()
+  | _ ->
+      t.on <- false;
+      if traced t then begin
+        settle_cap t;
+        emit t
+          (Trace.Event.Power_failure { index = t.failures + 1; cap_nj = Capacitor.level t.cap })
+      end;
+      raise Power_failure
 
 let die t = if t.critical_depth > 0 then t.pending_death <- true else kill t
+let intercept t f = t.interceptor <- f
 
 (* Failure-atomic section: real task runtimes make their commit sequence
    atomic with replay protocols (e.g. Alpaca's commit list); we model
@@ -535,12 +549,12 @@ let snapshot t =
     sn_next_cap = t.next_cap_sample_us;
   }
 
-let restore_snapshot t sn =
+let restore_snapshot ?failure t sn =
   Memory.restore t.fram sn.sn_fram;
   Memory.restore t.sram sn.sn_sram;
   Memory.set_counters t.fram ~reads:sn.sn_fram_reads ~writes:sn.sn_fram_writes;
   Memory.set_counters t.sram ~reads:sn.sn_sram_reads ~writes:sn.sn_sram_writes;
-  t.failure <- Failure.create sn.sn_failure_spec;
+  t.failure <- Failure.create (Option.value failure ~default:sn.sn_failure_spec);
   Failure.load t.failure sn.sn_failure;
   t.faults <- Faults.create sn.sn_faults_plan;
   Faults.load t.faults sn.sn_faults;
@@ -621,6 +635,7 @@ let same_behavior t sn =
   && Failure.save t.failure = sn.sn_failure
 
 let snapshot_charges sn = sn.sn_charges
+let snapshot_tag sn = sn.sn_tag
 let snapshot_fram sn = sn.sn_fram
 let snapshot_sram sn = sn.sn_sram
 

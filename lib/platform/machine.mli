@@ -89,6 +89,9 @@ val reset : ?seed:int -> ?failure:Failure.spec -> ?faults:Faults.plan -> t -> un
 val set_sink : t -> Trace.Event.sink -> unit
 (** Attach an event sink (normally [Trace.Recorder.sink]). *)
 
+val clear_sink : t -> unit
+val sink : t -> Trace.Event.sink option
+
 val traced : t -> bool
 (** Whether a sink is attached. Emitting layers guard event
     construction with this so disabled runs allocate nothing. *)
@@ -230,9 +233,22 @@ val reboot : t -> unit
     SRAM, recharge, arm the failure timer, count the failure. *)
 
 val die : t -> unit
-(** Force a power failure from outside the charge path (tests). Inside
-    a {!critical} section the failure is deferred to the section's
-    end. *)
+(** Force a power failure from outside the charge path (tests, and the
+    checkpoint walker failing a restored capture). Inside a {!critical}
+    section the failure is deferred to the section's end. *)
+
+val intercept : t -> (unit -> bool) option -> unit
+(** Install (or, with [None], remove) a hook consulted each time a power
+    failure is about to take the machine down: when a failure fires
+    outside any {!critical} section, or at the end of the section a
+    failure was deferred to. If the hook returns [true] the machine
+    stays on and execution goes on exactly as if nothing had fired;
+    [false] lets the failure happen. A failure deadline ([Nth_charge])
+    fires from inside {!charge}, so a hook that takes the failure and
+    re-arms the deadline sees the machine as it stands at each chosen
+    charge while one run goes on — the checkpoint walker's captures,
+    which cost the charge path nothing. Outside snapshots, like the
+    sink; {!reset} removes it. *)
 
 val critical : t -> (unit -> 'a) -> 'a
 (** Failure-atomic section: a power failure striking inside is deferred
@@ -285,10 +301,14 @@ val snapshot : t -> snapshot
 (** Capture the current state. When a metrics sheet is attached, bumps
     the [snapshot/pages_copied] counter by the pages freshly copied. *)
 
-val restore_snapshot : t -> snapshot -> unit
+val restore_snapshot : ?failure:Failure.spec -> t -> snapshot -> unit
 (** Roll the machine back to a captured state: O(resident pages) to
     scan, copying only the pages that may have changed since. The sink
-    and meter are left as they are. *)
+    and meter are left as they are. [failure] replaces the captured
+    failure spec while keeping the model's captured state (armed
+    deadlines): a capture taken where one spent [Nth_charge] deadline
+    left the machine stands for any other boundary whose failure lands
+    in the same state. *)
 
 val snapshot_hash : snapshot -> int
 (** Structural hash (computed on demand, O(resident pages)) of
@@ -317,6 +337,11 @@ val same_behavior : t -> snapshot -> bool
     collide. Read in place. *)
 
 val snapshot_charges : snapshot -> int
+
+val snapshot_tag : snapshot -> tag
+(** The accounting tag at capture: at an attempt top, the tag a power
+    failure's unwinding restores. *)
+
 val snapshot_fram : snapshot -> Memory.image
 val snapshot_sram : snapshot -> Memory.image
 

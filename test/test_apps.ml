@@ -126,6 +126,47 @@ let test_weather_single_buffer_table5 () =
   Alcotest.(check (float 0.0)) "easeio double-buffer correct" 0.0
     (frac Common.Easeio `Double ~seeds:25)
 
+(* Weather runs recycle one built machine per (variant, buffering) per
+   domain, which leaves in place every runtime site that earlier runs
+   allocated: sound only while every run visits the same sites in the
+   same order. A recycled run must leave the machine, its metering and
+   its summary exactly as a run on a freshly built machine does. *)
+let test_weather_recycled_matches_fresh () =
+  let final m meter =
+    Machine.clear_meter m;
+    (Machine.snapshot_hash (Machine.snapshot m), Obs.Snapshot.of_sheet ~events:(Machine.events m) meter)
+  in
+  let fresh buffering variant ~seed =
+    let m = Machine.create ~seed ~failure:paper_failures () and meter = Obs.Sheet.create () in
+    Machine.set_meter m meter;
+    let app, hooks, _radio = Weather.build ~buffering variant m in
+    let o = Kernel.Engine.run ~hooks m app in
+    let state = final m meter in
+    (Expkit.Run.of_outcome m o, state)
+  in
+  let recycled buffering variant ~seed =
+    let meter = Obs.Sheet.create () and state = ref None in
+    let one =
+      Weather.run_once ~buffering ~meter
+        ~probe:(fun m -> state := Some (final m meter))
+        variant ~failure:paper_failures ~seed
+    in
+    (one, Option.get !state)
+  in
+  for seed = 1 to 6 do
+    List.iter
+      (fun buffering ->
+        List.iter
+          (fun variant ->
+            checkb
+              (Printf.sprintf "%s seed %d: recycled run = fresh run" (Common.variant_name variant)
+                 seed)
+              true
+              (recycled buffering variant ~seed = fresh buffering variant ~seed))
+          Common.all_variants)
+      [ `Double; `Single ]
+  done
+
 let test_easeio_reduces_wasted_work_dma () =
   let wasted variant =
     let total = ref 0 in
@@ -193,6 +234,7 @@ let () =
           tc "easeio always correct under failures" `Slow test_easeio_always_correct_under_failures;
           tc "fir: baselines corrupt, easeio doesn't" `Slow test_fir_baselines_incorrect_easeio_correct;
           tc "weather single vs double buffer (table 5)" `Slow test_weather_single_buffer_table5;
+          tc "weather: recycled runs match fresh builds" `Quick test_weather_recycled_matches_fresh;
         ] );
       ( "efficiency",
         [

@@ -108,6 +108,45 @@ let test_judge_plain_branch_has_no_io_floor () =
   checkb "Plain divergence counted as expected-unsafe" true
     (List.mem_assoc "Plain" out.Judge.unsafe_baseline)
 
+(* The VM shadow is failed at the tree walker's boundary probes, so a VM
+   that runs fewer charges than the tree walker meets probes past its
+   own run. Each must be reported as a divergence, not refused: here the
+   shadow compiles the same program with a shorter loop. *)
+let test_judge_reports_short_vm () =
+  let prog = Lang.Parser.parse plain_branch_src in
+  let short =
+    let loop = "for i0 = 0 to 7" in
+    let rec at i = if String.sub plain_branch_src i (String.length loop) = loop then i else at (i + 1) in
+    let i = at 0 in
+    Lang.Parser.parse
+      (String.sub plain_branch_src 0 i
+      ^ "for i0 = 0 to 3"
+      ^ String.sub plain_branch_src (i + String.length loop)
+          (String.length plain_branch_src - i - String.length loop))
+  in
+  let charges prog policy =
+    let m =
+      Platform.Machine.create ~seed:Judge.default_config.machine_seed
+        ~failure:Platform.Failure.No_failures ()
+    in
+    ignore (Lang.Interp.run (Lang.Interp.build ~policy m prog) : Kernel.Engine.outcome);
+    Platform.Machine.charges m
+  in
+  let out =
+    Judge.judge ~vm_program:short { Gen.gen_seed = 2798946199221101360; intent = Gen.Clean; prog }
+  in
+  List.iter
+    (fun policy ->
+      let name = Lang.Interp.policy_name policy and last = charges prog policy in
+      checkb (name ^ ": the VM runs short") true (charges short policy < last);
+      let schedule = Platform.Failure.to_string (Platform.Failure.Nth_charge last) in
+      checkb (name ^ ": the last boundary is a divergence") true
+        (List.exists
+           (fun v ->
+             v.Judge.vkind = "vm-diverge" && v.Judge.variant = name && v.Judge.schedule = schedule)
+           out.Judge.violations))
+    [ Lang.Interp.Plain; Lang.Interp.Alpaca; Lang.Interp.Ink; Lang.Interp.Easeio ]
+
 (* The W0403 acceptance criterion: with regional privatization ablated,
    the harness finds an NV-state divergence and shrinks it small. *)
 let find_ablated_counterexample () =
@@ -268,6 +307,7 @@ let () =
           tc "ablated regions found and shrunk" `Slow test_ablated_regions_found_and_shrunk;
           tc "no I/O floor on an unprotected branch" `Quick
             test_judge_plain_branch_has_no_io_floor;
+          tc "a VM that runs short diverges" `Quick test_judge_reports_short_vm;
         ] );
       ( "shrinker",
         [

@@ -767,6 +767,8 @@ let fuzz_cmd =
       interp replay progress_mode =
     at_least ~cmd:"fuzz" "count" 1 count;
     at_least ~cmd:"fuzz" "jobs" 1 jobs;
+    at_least ~cmd:"fuzz" "budget" 1 budget;
+    at_least ~cmd:"fuzz" "max-shrink" 0 max_shrink;
     let jobs = min jobs Expkit.Pool.max_jobs in
     let options =
       {

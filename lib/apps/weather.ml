@@ -65,9 +65,7 @@ let direct_plumbing m mgr_strategy =
           ~pixels:(Dnn.Network.input_dim * Dnn.Network.input_dim));
     send =
       (fun m radio st ->
-        ignore
-          (Runtimes.Manager.with_backoff m (fun () ->
-               Periph.Radio.send_from radio ~src:(Loc.fram st.packet) ~words:packet_words));
+        Periph.Radio.send_from radio ~src:(Loc.fram st.packet) ~words:packet_words;
         (* listen window for the acknowledgement *)
         Machine.idle m 2_500);
     end_of_dma_task = (fun _ -> ());
@@ -113,10 +111,8 @@ let easeio_plumbing m =
     send =
       (fun m radio st ->
         Easeio.Runtime.call_io_unit rt ~deps:[ "Temp"; "Humd" ] ~name:"Send"
-          ~sem:Easeio.Semantics.Single (fun m ->
-            ignore
-              (Runtimes.Manager.with_backoff m (fun () ->
-                   Periph.Radio.send_from radio ~src:(Loc.fram st.packet) ~words:packet_words)));
+          ~sem:Easeio.Semantics.Single (fun _ ->
+            Periph.Radio.send_from radio ~src:(Loc.fram st.packet) ~words:packet_words);
         (* the acknowledgement window must re-open after every reboot *)
         Easeio.Runtime.call_io_unit rt ~name:"AckWindow" ~sem:Easeio.Semantics.Always (fun m ->
             Machine.idle m 2_500);

@@ -74,8 +74,6 @@ let batch_size = 32
 
 let pace ?tape ?(restart = ignore) ~save s =
   let m = Engine.machine s in
-  if Faults.plan (Machine.faults m) <> Faults.none then
-    invalid_arg "Walker.pace: a fault plan can fail the walk outside its boundaries";
   let marks = ref [] in
   let on_attempt s =
     let payload = save () and top_us = Machine.now m in

@@ -54,8 +54,7 @@ val pace :
     from-power-on run takes no snapshots, so their page accounting must
     not reach a case. The observers attached now (a sink, a sheet) are
     the ones the walk's boundaries are observed for. No failure may
-    interrupt the paced run, and the machine may carry no fault plan
-    (raises [Invalid_argument]).
+    interrupt the paced run.
 
     [restart] is called whenever a batch starts simulating from an
     attempt top, after the top's payload is restored (the explorer

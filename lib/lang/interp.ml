@@ -300,15 +300,11 @@ let default_io radio : (string * io_impl) list =
     ("Pres", fun m _ -> Periph.Sensors.pressure_pa10 m);
     ("Light", fun m _ -> Periph.Sensors.light_lux m);
     ( "Send",
-      fun m args ->
+      fun _ args ->
         let payload =
           List.map (function Val v -> v | Arr _ -> error "Send takes scalar values") args
         in
-        (* dropped packets are retried with backoff, then abandoned:
-           graceful degradation, never an app-visible exception *)
-        ignore
-          (Runtimes.Manager.with_backoff m (fun () ->
-               Periph.Radio.send radio (Array.of_list payload)));
+        Periph.Radio.send radio (Array.of_list payload);
         0 );
     ( "Capture",
       fun m args ->
@@ -429,26 +425,13 @@ let link_hooks globals mgr rt transformed =
   in
   Kernel.Engine.compose_hooks base clear_hook
 
-let build ?(policy = Easeio) ?(extra_io = []) ?check ?priv_buffer_words ?ablate_regions
-    ?ablate_semantics m prog =
+let build ?(policy = Easeio) ?(extra_io = []) ?check ?ablate_regions ?ablate_semantics m prog =
   validate prog;
   let transformed =
     match policy with
     | Easeio ->
-        (* with no explicit size the buffer is fitted to the statically
-           computed demand (zero for DMA-free applications — the paper's
-           6-byte-overhead case) *)
-        Some
-          (Transform.apply ?ablate_regions ?ablate_semantics
-             ~priv_buffer_words:(Option.value ~default:max_int priv_buffer_words)
-             prog)
+        Some (Transform.apply ?ablate_regions ?ablate_semantics ~priv_buffer_words:max_int prog)
     | Plain | Alpaca | Ink -> None
-  in
-  let priv_buffer_words =
-    match (priv_buffer_words, transformed) with
-    | Some w, _ -> Some w
-    | None, Some r -> Some r.Transform.priv_demand_words
-    | None, None -> None
   in
   let prog = match transformed with Some r -> r.Transform.prog | None -> prog in
   let mgr =
@@ -457,7 +440,13 @@ let build ?(policy = Easeio) ?(extra_io = []) ?check ?priv_buffer_words ?ablate_
     | Ink -> Some (Runtimes.Manager.create m Runtimes.Manager.Ink)
     | Plain | Easeio -> None
   in
-  let rt = match policy with Easeio -> Some (Easeio.Runtime.create ?priv_buffer_words m) | _ -> None in
+  (* the buffer is fitted to the statically computed demand (zero for
+     DMA-free applications — the paper's 6-byte-overhead case) *)
+  let rt =
+    Option.map
+      (fun r -> Easeio.Runtime.create ~priv_buffer_words:r.Transform.priv_demand_words m)
+      transformed
+  in
   let radio = Periph.Radio.create m in
   let io = Hashtbl.create 16 in
   List.iter (fun (name, impl) -> Hashtbl.replace io name impl) (default_io radio @ extra_io);
@@ -491,5 +480,4 @@ let to_app t =
   Kernel.Task.make_app ?check ~name:t.prog.p_name ~entry:t.prog.p_entry
     (List.map (fun task -> { Kernel.Task.name = task.t_name; body = body_of task }) t.prog.p_tasks)
 
-let run ?max_failures t =
-  Kernel.Engine.run ~hooks:t.hooks ?max_failures t.m (to_app t)
+let run t = Kernel.Engine.run ~hooks:t.hooks t.m (to_app t)

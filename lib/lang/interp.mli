@@ -57,7 +57,6 @@ val build :
   ?policy:policy ->
   ?extra_io:(string * io_impl) list ->
   ?check:(t -> bool) ->
-  ?priv_buffer_words:int ->
   ?ablate_regions:bool ->
   ?ablate_semantics:bool ->
   Machine.t ->
@@ -65,17 +64,18 @@ val build :
   t
 (** Link [prog] onto [m] under [policy] (default [Easeio]): validate it,
     transform it ({!Transform.apply}, Easeio only; the ablate flags are
-    forwarded) and size the privatization buffer, create the runtime
-    (the baseline manager, or the EaseIO runtime) and the radio,
-    register the default peripherals (Temp, Humd, Pres, Light, Send,
-    Capture, Delay, Lea_mac, Lea_fir) plus [extra_io], place every
-    global (WAR variables declared to the manager under Alpaca/InK) and
-    write its initializer at flash time, and resolve each task's
-    commit-cleared lock flags into the engine hooks. This is the only
-    linker: the bytecode VM ([Vm.compile]) lowers the [t] it returns,
-    so both executors run on the same layout. *)
+    forwarded) and size the privatization buffer to the transform's
+    demand, create the runtime (the baseline manager, or the EaseIO
+    runtime) and the radio, register the default peripherals (Temp,
+    Humd, Pres, Light, Send, Capture, Delay, Lea_mac, Lea_fir) plus
+    [extra_io], place every global (WAR variables declared to the
+    manager under Alpaca/InK) and write its initializer at flash time,
+    and resolve each task's commit-cleared lock flags into the engine
+    hooks. This is the only linker: the bytecode VM ([Vm.compile])
+    lowers the [t] it returns, so both executors run on the same
+    layout. *)
 
-val run : ?max_failures:int -> t -> Kernel.Engine.outcome
+val run : t -> Kernel.Engine.outcome
 (** Execute to completion through the kernel engine (the tree walker). *)
 
 val machine : t -> Machine.t

@@ -6,41 +6,28 @@ let ev_dma = Machine.event_id "io:DMA"
 let copy m ~(src : Loc.t) ~(dst : Loc.t) ~words =
   if words < 0 then invalid_arg "Dma.copy: negative length";
   let c = Machine.cost m in
-  (* executions are counted when the transfer is programmed, so an
-     interrupted transfer still counts as (wasted) I/O work *)
+  (* executions are counted when the transfer is programmed, so a
+     transfer cut short by a power failure still counts as (wasted) I/O
+     work *)
   Machine.bump_id m ev_dma;
   if Machine.traced m then begin
     let kind = function Memory.Fram -> Trace.Event.Fram | Memory.Sram -> Trace.Event.Sram in
     Machine.emit m (Trace.Event.Dma { src = kind src.space; dst = kind dst.space; words })
   end;
-  let fault_index, interrupted = Faults.next_dma (Machine.faults m) in
   Machine.charge_op m c.Cost.dma_setup 1;
   let src_mem = Machine.mem m src.space and dst_mem = Machine.mem m dst.space in
-  (* an injected interruption kills the transfer at its midpoint: the
-     chunks already blitted stay written, the rest never happen — the
-     same partial-copy state a power failure mid-transfer leaves. The
-     re-executed copy draws a fresh occurrence index, so it completes. *)
-  let cut = if interrupted then max 1 (words / 2) else max_int in
   let rec go done_ =
-    if done_ < words then
-      if done_ >= cut then begin
-        if Machine.traced m then
-          Machine.emit m (Trace.Event.Fault { kind = "dma-interrupt"; index = fault_index });
-        (* halts the transfer even if death is deferred by an enclosing
-           critical section: the DMA engine stops, the copy stays partial *)
-        Machine.die m
-      end
-      else begin
-        (* int-specialized: polymorphic [min] calls the generic
-           comparator once per chunk *)
-        let left = words - done_ in
-        let n = if chunk_words < left then chunk_words else left in
-        (* charge first: if power fails inside the chunk, the chunk is not
-           written, but earlier chunks already are -> partial copy. *)
-        Machine.charge_op m c.Cost.dma_word n;
-        Memory.blit ~src:src_mem ~src_addr:(src.addr + done_) ~dst:dst_mem
-          ~dst_addr:(dst.addr + done_) ~words:n;
-        go (done_ + n)
-      end
+    if done_ < words then begin
+      (* int-specialized: polymorphic [min] calls the generic
+         comparator once per chunk *)
+      let left = words - done_ in
+      let n = if chunk_words < left then chunk_words else left in
+      (* charge first: if power fails inside the chunk, the chunk is not
+         written, but earlier chunks already are -> partial copy. *)
+      Machine.charge_op m c.Cost.dma_word n;
+      Memory.blit ~src:src_mem ~src_addr:(src.addr + done_) ~dst:dst_mem
+        ~dst_addr:(dst.addr + done_) ~words:n;
+      go (done_ + n)
+    end
   in
   go 0

@@ -1,10 +1,5 @@
 open Platform
 
-(* A glitched sample returns a deterministic corruption of the true
-   value (bit-flip-style distortion) rather than random noise, so
-   faulted runs stay reproducible. *)
-let glitch v = 0x7FFF - v
-
 (* event ids interned once at module init; sampling bumps by id *)
 let ev_temp = Machine.event_id "io:Temp"
 let ev_humd = Machine.event_id "io:Humd"
@@ -14,14 +9,7 @@ let ev_light = Machine.event_id "io:Light"
 let sample m ~event ~us ~pj read =
   Machine.bump_id m event;
   Machine.charge m ~us ~pj;
-  let v = read (Machine.world m) (Machine.clock m) in
-  let index, glitched = Faults.next_read (Machine.faults m) in
-  if glitched then begin
-    if Machine.traced m then
-      Machine.emit m (Trace.Event.Fault { kind = "sensor-glitch"; index });
-    glitch v
-  end
-  else v
+  read (Machine.world m) (Machine.clock m)
 
 let temperature_dc m = sample m ~event:ev_temp ~us:900 ~pj:700_000 World.temperature_dc
 let humidity_pct m = sample m ~event:ev_humd ~us:700 ~pj:550_000 World.humidity_pct

@@ -21,7 +21,6 @@ type t = {
   mutable boots : int;
   mutable failures : int;
   mutable charges : int;
-  mutable faults : Faults.t;
   mutable critical_depth : int;
   mutable pending_death : bool;
   (* energy accounts in whole picojoules: integer sums are exact, so
@@ -57,9 +56,8 @@ type t = {
 let cap_sample_interval_us = 1_000
 
 let create ?(seed = 1) ?(cost = Cost.msp430fr5994) ?(failure = Failure.No_failures)
-    ?(faults = Faults.none) ?(harvester = Harvester.constant 1.0)
-    ?(capacitor = Capacitor.mf1_powercast ()) ?(world = World.create ())
-    ?(fram_words = 131_072) ?(sram_words = 4_096) () =
+    ?(harvester = Harvester.constant 1.0) ?(capacitor = Capacitor.mf1_powercast ())
+    ?(world = World.create ()) ?(fram_words = 131_072) ?(sram_words = 4_096) () =
   let failure = Failure.create failure in
   {
     fram = Memory.create Fram ~words:fram_words;
@@ -78,7 +76,6 @@ let create ?(seed = 1) ?(cost = Cost.msp430fr5994) ?(failure = Failure.No_failur
     boots = 0;
     failures = 0;
     charges = 0;
-    faults = Faults.create faults;
     critical_depth = 0;
     pending_death = false;
     total_pj = 0;
@@ -102,7 +99,7 @@ let create ?(seed = 1) ?(cost = Cost.msp430fr5994) ?(failure = Failure.No_failur
    layouts survive, which is exactly what a compiled-program arena
    needs. Every piece of run state is re-zeroed by hand; keep this in
    sync with the record fields above. *)
-let reset ?(seed = 1) ?(failure = Failure.No_failures) ?(faults = Faults.none) t =
+let reset ?(seed = 1) ?(failure = Failure.No_failures) t =
   (* every program-reachable address comes from Layout.alloc, so only
      the allocated prefix can be dirty — skip memset-ing the tail *)
   Memory.untrack t.fram;
@@ -112,7 +109,6 @@ let reset ?(seed = 1) ?(failure = Failure.No_failures) ?(faults = Faults.none) t
   Memory.reset_counters t.fram;
   Memory.reset_counters t.sram;
   t.failure <- Failure.create failure;
-  t.faults <- Faults.create faults;
   Rng.reseed t.rng seed;
   Capacitor.set_full t.cap;
   t.now <- 0;
@@ -208,7 +204,6 @@ let cost t = t.cost
 let boots t = t.boots
 let failures t = t.failures
 let charges t = t.charges
-let faults t = t.faults
 let energy_used_nj t = Units.nj_of_pj t.total_pj
 
 let capacitor t =
@@ -427,7 +422,7 @@ let events t =
 
    A snapshot is a total capture of the machine's run state: memory
    images (copy-on-write, so repeated captures cost O(pages written
-   between them)), the failure/fault models' mutable state, capacitor
+   between them)), the failure model's mutable state, capacitor
    level, RNG state, clocks, counters and accounting buckets. It
    deliberately EXCLUDES the static layouts (monotone link-time data
    shared by every run of an arena) and the attached sink/meter (pure
@@ -447,8 +442,6 @@ type snapshot = {
   sn_sram_writes : int;
   sn_failure_spec : Failure.spec;
   sn_failure : int * int * int list;
-  sn_faults_plan : Faults.plan;
-  sn_faults : int * int * int;
   sn_cap_level : float;
   sn_cap_pj : int;
   sn_rng : int64;
@@ -471,10 +464,10 @@ type snapshot = {
 }
 
 (* Structural hash of everything that can influence future evolution or
-   end-of-run checks: memories, clock, power state, energy, RNG, fault
-   counters, event counts and the failure model's mutable state (but
-   NOT its spec — the explorer compares states reached under different
-   [Nth_charge] targets whose latched post-fire state is identical).
+   end-of-run checks: memories, clock, power state, energy, RNG, event
+   counts and the failure model's mutable state (but NOT its spec — the
+   explorer compares states reached under different [Nth_charge]
+   targets whose latched post-fire state is identical).
    Pure observers (memory access counters, sink, meter) are excluded. *)
 let snapshot_hash sn =
   let h = ref 0x811c9dc5 in
@@ -496,10 +489,6 @@ let snapshot_hash sn =
   addf sn.sn_cap_level;
   add sn.sn_cap_pj;
   add (Int64.to_int sn.sn_rng);
-  let sends, reads, dmas = sn.sn_faults in
-  add sends;
-  add reads;
-  add dmas;
   add sn.sn_att_app_us;
   add sn.sn_att_ovh_us;
   Array.iter add sn.sn_ev_counts;
@@ -526,8 +515,6 @@ let snapshot t =
     sn_sram_writes = Memory.writes t.sram;
     sn_failure_spec = Failure.spec t.failure;
     sn_failure = Failure.save t.failure;
-    sn_faults_plan = Faults.plan t.faults;
-    sn_faults = Faults.save t.faults;
     sn_cap_level = t.cap.Capacitor.level;
     sn_cap_pj = t.cap_pj;
     sn_rng = Rng.state t.rng;
@@ -556,8 +543,6 @@ let restore_snapshot ?failure t sn =
   Memory.set_counters t.sram ~reads:sn.sn_sram_reads ~writes:sn.sn_sram_writes;
   t.failure <- Failure.create (Option.value failure ~default:sn.sn_failure_spec);
   Failure.load t.failure sn.sn_failure;
-  t.faults <- Faults.create sn.sn_faults_plan;
-  Faults.load t.faults sn.sn_faults;
   t.cap.Capacitor.level <- sn.sn_cap_level;
   t.cap_pj <- sn.sn_cap_pj;
   Rng.set_state t.rng sn.sn_rng;
@@ -582,15 +567,15 @@ let restore_snapshot ?failure t sn =
 
 (* Convergence key for reboot-space pruning: everything that determines
    future {e decisions and committed values} — memories, RNG, power
-   flags, failure/fault latches — but NOT the clock, energy accounting
-   or monotone counters (boots/failures/charges, event counts), which
+   flags, failure latches — but NOT the clock, energy accounting or
+   monotone counters (boots/failures/charges, event counts), which
    differ at every reboot point of a sweep yet only shift time-derived
    observations, i.e. exactly the regions apps must declare
    [nv_volatile]. Two snapshots with equal behavior hashes evolve
    identically modulo those declared-volatile columns; the capacitor
    level is also excluded (only consulted in energy-driven failure
    modes, which boundary exploration never uses). *)
-let behavior_fold ~fram ~sram ~rng ~on ~tag ~critical_depth ~pending_death ~faults ~failure =
+let behavior_fold ~fram ~sram ~rng ~on ~tag ~critical_depth ~pending_death ~failure =
   let h = ref 0x811c9dc5 in
   let add v = h := (!h * 0x01000193) lxor v in
   add fram;
@@ -600,10 +585,6 @@ let behavior_fold ~fram ~sram ~rng ~on ~tag ~critical_depth ~pending_death ~faul
   add (match tag with App -> 0 | Overhead -> 1);
   add critical_depth;
   add (Bool.to_int pending_death);
-  let sends, reads, dmas = faults in
-  add sends;
-  add reads;
-  add dmas;
   let deadline, charge_deadline, remaining = failure in
   add deadline;
   add charge_deadline;
@@ -613,7 +594,7 @@ let behavior_fold ~fram ~sram ~rng ~on ~tag ~critical_depth ~pending_death ~faul
 let snapshot_behavior_hash sn =
   behavior_fold ~fram:(Memory.image_hash sn.sn_fram) ~sram:(Memory.image_hash sn.sn_sram)
     ~rng:sn.sn_rng ~on:sn.sn_on ~tag:sn.sn_tag ~critical_depth:sn.sn_critical_depth
-    ~pending_death:sn.sn_pending_death ~faults:sn.sn_faults ~failure:sn.sn_failure
+    ~pending_death:sn.sn_pending_death ~failure:sn.sn_failure
 
 (* The same two views of the live machine, read in place: prefix-resume
    sweeps key their shared continuations by them and capture only when
@@ -621,7 +602,7 @@ let snapshot_behavior_hash sn =
 let behavior_hash t =
   behavior_fold ~fram:(Memory.hash t.fram) ~sram:(Memory.hash t.sram) ~rng:(Rng.state t.rng)
     ~on:t.on ~tag:t.tag ~critical_depth:t.critical_depth ~pending_death:t.pending_death
-    ~faults:(Faults.save t.faults) ~failure:(Failure.save t.failure)
+    ~failure:(Failure.save t.failure)
 
 let same_behavior t sn =
   Memory.same t.fram sn.sn_fram
@@ -631,7 +612,6 @@ let same_behavior t sn =
   && t.tag = sn.sn_tag
   && t.critical_depth = sn.sn_critical_depth
   && t.pending_death = sn.sn_pending_death
-  && Faults.save t.faults = sn.sn_faults
   && Failure.save t.failure = sn.sn_failure
 
 let snapshot_charges sn = sn.sn_charges

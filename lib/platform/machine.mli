@@ -51,7 +51,6 @@ val create :
   ?seed:int ->
   ?cost:Cost.t ->
   ?failure:Failure.spec ->
-  ?faults:Faults.plan ->
   ?harvester:Harvester.t ->
   ?capacitor:Capacitor.t ->
   ?world:World.t ->
@@ -60,22 +59,22 @@ val create :
   unit ->
   t
 (** Defaults: MSP430FR5994 profile — 128 Ki FRAM words (256 KB), 4 Ki
-    SRAM words (8 KB), no failures, no peripheral faults, constant
-    1 nJ/µs harvester, the paper's 1 mF capacitor window.
+    SRAM words (8 KB), no failures, constant 1 nJ/µs harvester, the
+    paper's 1 mF capacitor window.
     [fram_words] and [sram_words] are nominal capacities: they bound
     addresses and {!alloc} layouts, while host memory follows the words
     actually written (see {!Memory}), so creating a machine allocates
     no memory image. *)
 
-val reset : ?seed:int -> ?failure:Failure.spec -> ?faults:Faults.plan -> t -> unit
+val reset : ?seed:int -> ?failure:Failure.spec -> t -> unit
 (** Recycle the machine for a fresh run: clear both memories and their
-    diagnostic counters, re-create the failure/fault models, reseed the
-    RNG, refill the capacitor and zero every clock, counter and
-    accounting bucket — observationally identical to {!create} with the
-    same structural parameters, minus the allocation. Static {!alloc}
+    diagnostic counters, re-create the failure model, reseed the RNG,
+    refill the capacitor and zero every clock, counter and accounting
+    bucket — observationally identical to {!create} with the same
+    structural parameters, minus the allocation. Static {!alloc}
     layouts are {e kept}: this is the arena-reuse primitive behind
-    [Vm.reset]. Defaults mirror {!create} ([seed 1], no failures, no
-    faults). The trace sink and the metrics sheet are detached. *)
+    [Vm.reset]. Defaults mirror {!create} ([seed 1], no failures). The
+    trace sink and the metrics sheet are detached. *)
 
 (** {1 Tracing}
 
@@ -152,10 +151,6 @@ val charges : t -> int
 (** Cumulative {!charge} calls — the run's failure-boundary count. A
     clean run's final value is the probe used by exhaustive
     [Nth_charge] sweeps (see {!Failure.spec}). *)
-
-val faults : t -> Faults.t
-(** The machine's peripheral fault-injection counters (see
-    {!Faults}). *)
 
 val energy_used_nj : t -> float
 (** Total energy charged this run, in nJ (the picojoule account
@@ -286,14 +281,13 @@ val events : t -> (string * int) list
     state: both memory images (copy-on-write — see {!Memory.snapshot} —
     so repeated captures along one run copy only the pages written
     between them, plus a page directory the size of the resident
-    prefix), the failure and fault models' mutable state, capacitor
-    level, RNG state, clocks, counters, energy accounting and event
-    counts. Static {!alloc} layouts are {e not} captured (they are
-    monotone link-time data shared by every run of an arena), and
-    neither are the attached trace sink / metrics sheet (pure
-    observers; whoever restores re-attaches its own). The contract:
-    [restore_snapshot] followed by identical charges replays the
-    original execution byte for byte. *)
+    prefix), the failure model's mutable state, capacitor level, RNG
+    state, clocks, counters, energy accounting and event counts. Static
+    {!alloc} layouts are {e not} captured (they are monotone link-time
+    data shared by every run of an arena), and neither are the attached
+    trace sink / metrics sheet (pure observers; whoever restores
+    re-attaches its own). The contract: [restore_snapshot] followed by
+    identical charges replays the original execution byte for byte. *)
 
 type snapshot
 
@@ -313,15 +307,15 @@ val restore_snapshot : ?failure:Failure.spec -> t -> snapshot -> unit
 val snapshot_hash : snapshot -> int
 (** Structural hash (computed on demand, O(resident pages)) of
     everything that can influence future evolution or end-of-run checks
-    — memories, clock, power, energy, RNG, fault counters, event
-    counts, armed failure state — excluding the failure {e spec} and
-    pure observers. Equal hashes are the explorer's convergence test. *)
+    — memories, clock, power, energy, RNG, event counts, armed failure
+    state — excluding the failure {e spec} and pure observers. Equal
+    hashes are the explorer's convergence test. *)
 
 val snapshot_behavior_hash : snapshot -> int
 (** Convergence key for reboot-space pruning: hashes what determines
     future decisions and committed values (memories, RNG, power flags,
-    failure/fault latches) but excludes the clock, energy accounting
-    and monotone counters — which differ at every reboot point yet only
+    failure latches) but excludes the clock, energy accounting and
+    monotone counters — which differ at every reboot point yet only
     shift time-derived (declared-volatile) observations. Coarser than
     {!snapshot_hash}: states equal under it evolve identically modulo
     [nv_volatile] regions. *)

@@ -28,8 +28,6 @@ let m_privatize_words = Obs.Registry.counter "runtime/privatize_words"
 let m_commit_words = Obs.Registry.counter "runtime/commit_words"
 let m_privatizes = Obs.Registry.counter "runtime/privatizes"
 let m_commits = Obs.Registry.counter "runtime/commits"
-let m_retries = Obs.Registry.counter "radio/backoff_retries"
-let m_giveups = Obs.Registry.counter "radio/backoff_giveups"
 
 let create m strategy = { m; strategy; vars = [] }
 let machine t = t.m
@@ -183,47 +181,3 @@ let hooks t =
     on_commit = (fun _m task -> on_commit t task);
     on_reboot = (fun _m -> ());
   }
-
-(* {1 Radio retry / backoff} *)
-
-type retry_policy = { max_attempts : int; base_backoff_us : int }
-
-let default_retry = { max_attempts = 4; base_backoff_us = 500 }
-
-let log_src = Logs.Src.create "runtimes.radio" ~doc:"radio retry/backoff policy"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-let ev_retry = Machine.event_id "radio:retry"
-let ev_giveup = Machine.event_id "radio:giveup"
-
-let with_backoff ?(policy = default_retry) m send =
-  if policy.max_attempts < 1 then invalid_arg "with_backoff: max_attempts must be >= 1";
-  let rec attempt n backoff_us =
-    match send () with
-    | () -> true
-    | exception Periph.Radio.Tx_dropped _ ->
-        if n >= policy.max_attempts then begin
-          Machine.bump_id m ev_giveup;
-          (match Machine.meter m with
-          | None -> ()
-          | Some sheet -> Obs.Sheet.bump sheet m_giveups);
-          if Machine.traced m then
-            Machine.emit m (Trace.Event.Radio_give_up { attempts = n });
-          Log.warn (fun k ->
-              k "radio: dropping packet after %d failed attempts (t=%dus)" n (Machine.now m));
-          false
-        end
-        else begin
-          Machine.bump_id m ev_retry;
-          (match Machine.meter m with
-          | None -> ()
-          | Some sheet -> Obs.Sheet.bump sheet m_retries);
-          if Machine.traced m then
-            Machine.emit m (Trace.Event.Radio_retry { attempt = n; backoff_us });
-          (* the wait is runtime bookkeeping, not useful app work *)
-          Machine.with_tag m Overhead (fun () -> Machine.idle m backoff_us);
-          attempt (n + 1) (2 * backoff_us)
-        end
-  in
-  attempt 1 policy.base_backoff_us

@@ -63,25 +63,3 @@ val committed : t -> var -> int -> int
 val hooks : t -> Kernel.Engine.hooks
 (** Engine hooks performing privatization at task start and commit at
     task end (charged to the overhead bucket by the engine). *)
-
-(** {1 Radio retry / backoff}
-
-    Real intermittent stacks treat a lost packet as expected weather,
-    not a crash: bounded retries with exponential backoff, then drop
-    the packet and move on (graceful degradation — the node's next
-    sample matters more than this one). *)
-
-type retry_policy = {
-  max_attempts : int;  (** total tries, including the first *)
-  base_backoff_us : int;  (** wait before the 2nd try; doubles after *)
-}
-
-val with_backoff : ?policy:retry_policy -> Machine.t -> (unit -> unit) -> bool
-(** [with_backoff m send] runs [send ()], retrying on
-    [Periph.Radio.Tx_dropped] with exponential backoff (charged to the
-    overhead bucket; interruptible by power failures). [policy] defaults
-    to 4 attempts and a 500 µs initial backoff (500 → 1000 → 2000).
-    Returns [true] on success; on budget exhaustion logs a warning,
-    bumps ["radio:giveup"], emits [Radio_give_up], and returns [false]
-    — {e never} lets [Tx_dropped] escape. Each retry bumps
-    ["radio:retry"] and emits [Radio_retry]. *)

@@ -172,6 +172,8 @@ let parse_fuzz fields =
   let* ablate_regions = get_bool fields ~cmd "ablate_regions" ~default:false in
   let* ablate_semantics = get_bool fields ~cmd "ablate_semantics" ~default:false in
   if count < 1 then bad "fuzz: count must be >= 1"
+  else if budget < 1 then bad "fuzz: budget must be >= 1"
+  else if max_shrink < 0 then bad "fuzz: max_shrink must be >= 0"
   else
     Ok
       (Fuzz
@@ -211,6 +213,7 @@ let parse_explore fields =
   let* max_states =
     match List.assoc_opt "max_states" fields with
     | None | Some Json.Null -> Ok None
+    | Some (Json.Int n) when n < 1 -> bad "explore: max_states must be >= 1"
     | Some (Json.Int n) -> Ok (Some n)
     | Some _ -> bad "explore: field \"max_states\" must be an integer"
   in

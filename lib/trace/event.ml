@@ -38,9 +38,6 @@ type payload =
   | Dma of { src : mem; dst : mem; words : int }
   | Lea of { op : string; elements : int }
   | Radio_send of { words : int }
-  | Fault of { kind : string; index : int }
-  | Radio_retry of { attempt : int; backoff_us : int }
-  | Radio_give_up of { attempts : int }
   | Count of { name : string; count : int }
 
 type t = { ts_us : int; payload : payload }

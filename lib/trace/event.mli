@@ -76,18 +76,6 @@ type payload =
   | Dma of { src : mem; dst : mem; words : int }  (** transfer programmed *)
   | Lea of { op : string; elements : int }  (** accelerator command issued *)
   | Radio_send of { words : int }  (** packet transmission started *)
-  | Fault of { kind : string; index : int }
-      (** an injected peripheral fault struck: [kind] is
-          ["radio-drop"], ["sensor-glitch"] or ["dma-interrupt"];
-          [index] is the 1-based occurrence number within its class
-          (see [Platform.Faults]) *)
-  | Radio_retry of { attempt : int; backoff_us : int }
-      (** the retry policy re-arms a dropped transmission: attempt
-          [attempt] failed and the sender backs off [backoff_us]
-          before attempt [attempt + 1] *)
-  | Radio_give_up of { attempts : int }
-      (** retry budget exhausted after [attempts] tries; the sender
-          degrades gracefully (drops the packet and continues) *)
   | Count of { name : string; count : int }
       (** a machine event counter ticked to [count]; names starting
           with ["io:"] are peripheral executions, and the final count

@@ -163,18 +163,6 @@ let chrome events =
                [ ("elements", Json.Int elements) ])
       | Event.Radio_send { words } ->
           push (instant ~ts ~tid:2 ~name:"radio send" ~cat:"periph" [ ("words", Json.Int words) ])
-      | Event.Fault { kind; index } ->
-          push
-            (instant ~ts ~tid:2 ~name:("fault " ^ kind) ~cat:"fault"
-               [ ("kind", Json.String kind); ("index", Json.Int index) ])
-      | Event.Radio_retry { attempt; backoff_us } ->
-          push
-            (instant ~ts ~tid:2 ~name:"radio retry" ~cat:"periph"
-               [ ("attempt", Json.Int attempt); ("backoff_us", Json.Int backoff_us) ])
-      | Event.Radio_give_up { attempts } ->
-          push
-            (instant ~ts ~tid:2 ~name:"radio give up" ~cat:"periph"
-               [ ("attempts", Json.Int attempts) ])
       | Event.Count { name; count } -> push (counter ~ts ~name (Json.Int count)))
     events;
   (match !pending with
@@ -228,11 +216,6 @@ let text events =
           line ts "DMA %s -> %s, %d words" (Event.mem_name src) (Event.mem_name dst) words
       | Event.Lea { op; elements } -> line ts "LEA %s, %d elements" op elements
       | Event.Radio_send { words } -> line ts "radio send, %d words" words
-      | Event.Fault { kind; index } -> line ts "FAULT %s #%d" kind index
-      | Event.Radio_retry { attempt; backoff_us } ->
-          line ts "radio retry after attempt %d (backoff %dus)" attempt backoff_us
-      | Event.Radio_give_up { attempts } ->
-          line ts "radio GIVE UP after %d attempts" attempts
       | Event.Count { name; count } -> line ts "count %s = %d" name count)
     events;
   Buffer.contents buf

@@ -1130,10 +1130,8 @@ let blockify c accs code task_pcs =
     Array.sub backs.b 0 backs.len,
     Array.sub hists.b 0 hists.len )
 
-let compile ?policy ?extra_io ?priv_buffer_words ?ablate_regions ?ablate_semantics m prog =
-  let linked =
-    Interp.build ?policy ?extra_io ?priv_buffer_words ?ablate_regions ?ablate_semantics m prog
-  in
+let compile ?policy ?extra_io ?ablate_regions ?ablate_semantics m prog =
+  let linked = Interp.build ?policy ?extra_io ?ablate_regions ?ablate_semantics m prog in
   let exec_prog = Interp.program linked in
   (* lower every task into one shared code buffer *)
   let ctx =
@@ -1275,9 +1273,9 @@ let restore_counts t (ops, calls) =
   Array.blit ops 0 t.opcounts 0 (Array.length ops);
   Array.blit calls 0 t.callcounts 0 (Array.length calls)
 
-let run ?check ?max_failures t =
+let run ?check t =
   let app, hooks, cur_slot = prepare ?check t in
   begin_metered t;
-  let outcome = Kernel.Engine.run ~hooks ?max_failures ~cur_slot t.m app in
+  let outcome = Kernel.Engine.run ~hooks ~cur_slot t.m app in
   flush_counts t;
   outcome

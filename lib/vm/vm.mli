@@ -39,7 +39,6 @@ type t
 val compile :
   ?policy:Lang.Interp.policy ->
   ?extra_io:(string * Lang.Interp.io_impl) list ->
-  ?priv_buffer_words:int ->
   ?ablate_regions:bool ->
   ?ablate_semantics:bool ->
   Machine.t ->
@@ -55,13 +54,12 @@ val compile :
 val reset : ?seed:int -> ?failure:Failure.spec -> t -> unit
 (** Reinitialize the arena for a fresh run: clear both memories, reset
     counters/clock/energy/events, reseed the RNG, install the given
-    failure schedule (and no peripheral faults), and replay the
-    program's flash-time global initialization
-    ({!Lang.Interp.reflash}). Compile-time memory layouts are kept, so a
-    [reset] arena is observationally identical to a freshly [compile]d
-    one. *)
+    failure schedule, and replay the program's flash-time global
+    initialization ({!Lang.Interp.reflash}). Compile-time memory layouts
+    are kept, so a [reset] arena is observationally identical to a
+    freshly [compile]d one. *)
 
-val run : ?check:(Lang.Interp.t -> bool) -> ?max_failures:int -> t -> Kernel.Engine.outcome
+val run : ?check:(Lang.Interp.t -> bool) -> t -> Kernel.Engine.outcome
 (** Execute to completion through the kernel engine. [check] is the
     end-of-run application check (same role as [Interp.build]'s
     [?check]) on the {!linked} program, supplied per run so one compiled

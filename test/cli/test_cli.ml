@@ -95,6 +95,17 @@ let () =
     ~stderr_prefix:"easeio fuzz: --count must be >= 1" ();
   check ~name:"fuzz: --count 0 exits 1" ~args:[ "fuzz"; "--count"; "0" ] ~code:1
     ~stderr_prefix:"easeio fuzz: --count must be >= 1" ();
+  check ~name:"fuzz: --budget 0 exits 1" ~args:[ "fuzz"; "--count"; "1"; "--budget"; "0" ] ~code:1
+    ~stderr_prefix:"easeio fuzz: --budget must be >= 1" ();
+  check ~name:"fuzz: --budget=-3 exits 1" ~args:[ "fuzz"; "--count"; "1"; "--budget=-3" ] ~code:1
+    ~stderr_prefix:"easeio fuzz: --budget must be >= 1" ();
+  check ~name:"fuzz: --replay --budget 0 exits 1"
+    ~args:
+      [ "fuzz"; "--replay"; fixture "fuzz-corpus/fuzz_2127312984094606724.eio"; "--budget"; "0" ]
+    ~code:1 ~stderr_prefix:"easeio fuzz: --budget must be >= 1" ();
+  check ~name:"fuzz: --max-shrink=-1 exits 1"
+    ~args:[ "fuzz"; "--count"; "1"; "--max-shrink=-1" ]
+    ~code:1 ~stderr_prefix:"easeio fuzz: --max-shrink must be >= 0" ();
   check ~name:"explore: --depth=-1 exits 1" ~args:[ "explore"; "lea"; "--depth=-1" ] ~code:1
     ~stderr_prefix:"easeio explore: --depth must be >= 0" ();
   check ~name:"explore: --max-states 0 exits 1"

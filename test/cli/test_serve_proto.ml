@@ -143,6 +143,19 @@ let () =
         [ {|"id":0|}; {|"code":"bad-request"|}; "unknown field" ];
       send fd {|{"id":4,"cmd":"faults","app":"Temp.","sweep":"every-other-run"}|};
       expect_frame "bad sweep spec -> bad-request" fd [ {|"id":0|}; {|"code":"bad-request"|} ];
+      (* out-of-range numbers are refused at parse time, as the CLI
+         refuses them *)
+      List.iter
+        (fun (name, req) ->
+          send fd req;
+          expect_frame name fd [ {|"id":0|}; {|"code":"bad-request"|} ])
+        [
+          ("fuzz budget 0 -> bad-request", {|{"id":8,"cmd":"fuzz","count":1,"budget":0}|});
+          ( "fuzz max_shrink -1 -> bad-request",
+            {|{"id":9,"cmd":"fuzz","count":1,"max_shrink":-1}|} );
+          ( "explore max_states 0 -> bad-request",
+            {|{"id":10,"cmd":"explore","app":"lea","max_states":0}|} );
+        ];
       send fd {|{"cmd":"run","src":"program t;"}|};
       expect_frame "job without id -> bad-request" fd
         [ {|"code":"bad-request"|}; "positive" ];

@@ -438,6 +438,45 @@ let test_walk_counts_every_dispatch () =
   checkb "several states" true (r.Explore.states > 1);
   checkb "vm/op/stop >= explore/states" true (counter "vm/op/stop" >= counter "explore/states")
 
+(* {1 The prune key}
+
+   A sensor sample leaves nothing behind that outlives a reboot but its
+   event count, which the behavior key leaves out: failing Temp under
+   Alpaca just before one sample and just after it, in the same
+   attempt, reboots into one state under one key. *)
+let test_sample_count_not_keyed () =
+  let session () = (Option.get Apps.Uni.temp.Apps.Common.session) Apps.Common.Alpaca ~seed:1 in
+  (* a sample bumps its counter and then charges its conversion *)
+  let sample =
+    let s = session () in
+    let m = s.Apps.Common.ses_machine in
+    let at = ref None in
+    Machine.set_sink m (fun e ->
+        match e.Trace.Event.payload with
+        | Trace.Event.Count { name = "io:Temp"; _ } when !at = None ->
+            at := Some (Machine.charges m + 1)
+        | _ -> ());
+    ignore (run_session s : Expkit.Run.one);
+    Option.get !at
+  in
+  let rebooted k =
+    let s = session () in
+    let m = s.Apps.Common.ses_machine in
+    Machine.set_failure m (Failure.Nth_charge k);
+    let engine = start s in
+    (match Kernel.Engine.run_until_boundary engine with
+    | Kernel.Engine.Paused -> Kernel.Engine.resume engine
+    | Kernel.Engine.Finished _ -> Alcotest.failf "no failure at charge %d" k);
+    checki (Printf.sprintf "charge %d: one failure" k) 1 (Machine.failures m);
+    (m, Machine.clock_reads m)
+  in
+  let m, before_reads = rebooted sample in
+  let before = Machine.snapshot m and before_key = Machine.behavior_hash m in
+  let m, after_reads = rebooted (sample + 1) in
+  checki "the sample completed before the second failure only" (before_reads + 1) after_reads;
+  checkb "same behavior" true (Machine.same_behavior m before);
+  checki "same behavior hash" before_key (Machine.behavior_hash m)
+
 let () =
   Alcotest.run "explore"
     [
@@ -459,5 +498,6 @@ let () =
             test_explorer_agrees_with_sweep;
           Alcotest.test_case "pruning is sound" `Quick test_prune_soundness;
           Alcotest.test_case "vm counts sum the walk" `Quick test_walk_counts_every_dispatch;
+          Alcotest.test_case "sample counts share a key" `Quick test_sample_count_not_keyed;
         ] );
     ]

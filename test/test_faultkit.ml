@@ -1,5 +1,5 @@
 (* Tests for the fault-injection kit: deterministic failure schedules,
-   peripheral fault models, correctness oracles, and campaigns. *)
+   the forward-progress watchdog, correctness oracles, and campaigns. *)
 
 open Platform
 
@@ -127,118 +127,31 @@ let test_nth_charge_fires_exactly_once () =
   checki "one failure total" 1 (Machine.failures m);
   checkb "counted past the boundary" true (Machine.charges m > 3)
 
-(* {1 Radio faults: retry, backoff, graceful give-up} *)
+(* {1 Power failure mid-DMA} *)
 
-let retry_events recorder =
-  List.filter_map
-    (fun (e : Trace.Event.t) ->
-      match e.payload with
-      | Trace.Event.Radio_retry { attempt; backoff_us } -> Some (attempt, backoff_us)
-      | _ -> None)
-    (Trace.Recorder.events recorder)
-
-let count_payload recorder pred =
-  List.length
-    (List.filter (fun (e : Trace.Event.t) -> pred e.payload) (Trace.Recorder.events recorder))
-
-let test_radio_drops_retry_then_succeed () =
-  let m = Machine.create ~faults:{ Faults.none with Faults.drop_sends = [ 1; 2 ] } () in
-  let recorder = Trace.Recorder.create () in
-  Machine.set_sink m (Trace.Recorder.sink recorder);
-  let r = Periph.Radio.create m in
-  let ok = Runtimes.Manager.with_backoff m (fun () -> Periph.Radio.send r [| 7; 8; 9 |]) in
-  checkb "delivered after retries" true ok;
-  checki "one packet arrived" 1 (Periph.Radio.packets_sent r);
-  checki "three transmissions paid for" 3 (Machine.event m "io:Send");
-  checki "retry counter" 2 (Machine.event m "radio:retry");
-  checki "no give-up" 0 (Machine.event m "radio:giveup");
-  Alcotest.(check (list (pair int int)))
-    "exponential backoff visible in trace"
-    [ (1, 500); (2, 1_000) ]
-    (retry_events recorder);
-  checki "both drops traced as faults" 2
-    (count_payload recorder (function
-      | Trace.Event.Fault { kind = "radio-drop"; _ } -> true
-      | _ -> false))
-
-let test_radio_exhaustion_gives_up_gracefully () =
-  let m = Machine.create ~faults:{ Faults.none with Faults.drop_sends = [ 1; 2; 3; 4 ] } () in
-  let recorder = Trace.Recorder.create () in
-  Machine.set_sink m (Trace.Recorder.sink recorder);
-  let r = Periph.Radio.create m in
-  let ok = Runtimes.Manager.with_backoff m (fun () -> Periph.Radio.send r [| 1 |]) in
-  checkb "packet dropped" false ok;
-  checki "nothing arrived" 0 (Periph.Radio.packets_sent r);
-  checki "budget spent" 4 (Machine.event m "io:Send");
-  checki "give-up counted" 1 (Machine.event m "radio:giveup");
-  checki "give-up traced" 1
-    (count_payload recorder (function
-      | Trace.Event.Radio_give_up { attempts = 4 } -> true
-      | _ -> false));
-  (* the machine is alive and the next (unfaulted) send goes through *)
-  checkb "degraded, not crashed" true
-    (Runtimes.Manager.with_backoff m (fun () -> Periph.Radio.send r [| 2 |]));
-  checki "next packet arrives" 1 (Periph.Radio.packets_sent r)
-
-let test_radio_log_cap_bounds_log_only () =
-  let m = Machine.create () in
-  let r = Periph.Radio.create ~log_cap:2 m in
-  for i = 1 to 5 do
-    Periph.Radio.send r [| i |]
-  done;
-  checki "all sends counted" 5 (Periph.Radio.packets_sent r);
-  (match Periph.Radio.log r with
-  | [ (_, a); (_, b) ] ->
-      checki "newest kept, oldest first" 4 a.(0);
-      checki "newest kept" 5 b.(0)
-  | log -> Alcotest.failf "expected 2 retained packets, got %d" (List.length log));
-  checkb "zero cap rejected" true
-    (match Periph.Radio.create ~log_cap:0 m with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-(* {1 Sensor and DMA faults} *)
-
-let test_sensor_glitch () =
-  (* same seed, same instant: the only difference is the injected glitch *)
-  let clean = Machine.create () in
-  let v = Periph.Sensors.temperature_dc clean in
-  let m = Machine.create ~faults:{ Faults.none with Faults.glitch_reads = [ 1 ] } () in
-  let recorder = Trace.Recorder.create () in
-  Machine.set_sink m (Trace.Recorder.sink recorder);
-  let g = Periph.Sensors.temperature_dc m in
-  checki "bit-flipped sample" (0x7FFF - v) g;
-  checki "glitch traced" 1
-    (count_payload recorder (function
-      | Trace.Event.Fault { kind = "sensor-glitch"; index = 1 } -> true
-      | _ -> false))
-
-let test_dma_interrupt_leaves_partial_copy () =
-  let m = Machine.create ~faults:{ Faults.none with Faults.interrupt_dmas = [ 1 ] } () in
-  let recorder = Trace.Recorder.create () in
-  Machine.set_sink m (Trace.Recorder.sink recorder);
+let test_nth_charge_cuts_dma_at_chunk () =
+  (* a 64-word copy charges its setup, then one charge per 16-word
+     chunk: failing on the 4th charge dies inside the third chunk, so
+     exactly two chunks land *)
+  let m = Machine.create ~failure:(Failure.Nth_charge 4) () in
   let src = Machine.alloc m Memory.Fram ~name:"src" ~words:64 in
   let dst = Machine.alloc m Memory.Fram ~name:"dst" ~words:64 in
   for i = 0 to 63 do
     Memory.write (Machine.mem m Memory.Fram) (src + i) (i + 1)
   done;
   (match Periph.Dma.copy m ~src:(Loc.fram src) ~dst:(Loc.fram dst) ~words:64 with
-  | () -> Alcotest.fail "interrupted transfer should die"
+  | () -> Alcotest.fail "the 4th charge should have died"
   | exception Machine.Power_failure -> ());
   let fram = Machine.mem m Memory.Fram in
   checki "prefix copied" 1 (Memory.read fram dst);
-  checki "cut at half" 32 (Memory.read fram (dst + 31));
+  checki "cut after two chunks" 32 (Memory.read fram (dst + 31));
   checki "suffix untouched" 0 (Memory.read fram (dst + 32));
-  checki "interrupt traced" 1
-    (count_payload recorder (function
-      | Trace.Event.Fault { kind = "dma-interrupt"; index = 1 } -> true
-      | _ -> false));
-  (* the re-executed transfer draws a fresh occurrence index and
-     completes — one injected fault means one partial copy, not a
-     permanently broken engine *)
+  (* the one-shot boundary has passed, so the re-executed transfer
+     completes *)
   Machine.reboot m;
   Periph.Dma.copy m ~src:(Loc.fram src) ~dst:(Loc.fram dst) ~words:64;
-  checki "retry completes" 64 (Memory.read fram (dst + 63))
+  checki "retry completes" 64 (Memory.read fram (dst + 63));
+  checki "both transfers counted" 2 (Machine.event m "io:DMA")
 
 (* {1 Forward-progress watchdog} *)
 
@@ -682,17 +595,8 @@ let () =
           tc "at-times fires at instants" `Quick test_at_times_fires_at_instants;
           tc "nth-charge fires exactly once" `Quick test_nth_charge_fires_exactly_once;
         ] );
-      ( "radio faults",
-        [
-          tc "drop, retry, succeed" `Quick test_radio_drops_retry_then_succeed;
-          tc "exhaustion degrades gracefully" `Quick test_radio_exhaustion_gives_up_gracefully;
-          tc "log cap bounds log only" `Quick test_radio_log_cap_bounds_log_only;
-        ] );
-      ( "sensor and dma faults",
-        [
-          tc "sensor glitch" `Quick test_sensor_glitch;
-          tc "dma interrupt leaves partial copy" `Quick test_dma_interrupt_leaves_partial_copy;
-        ] );
+      ( "power failure mid-DMA",
+        [ tc "nth-charge cut leaves chunk prefix" `Quick test_nth_charge_cuts_dma_at_chunk ] );
       ( "watchdog",
         [
           tc "stall reports stuck task" `Quick test_stall_watchdog_reports_stuck_task;

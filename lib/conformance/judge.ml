@@ -202,10 +202,11 @@ let judge ?(stop_early = false) ?(config = default_config) ?vm_program (case : G
      (* check 4: bytecode-VM equivalence. One compiled arena per variant
         is recycled across the whole sweep with [Vm.reset] — exactly the
         production configuration — and every tree-walker run is shadowed
-        by a VM run that must match it observably: crash message,
-        outcome and metrics summary, charge count, event counters,
-        committed state of every declared global, and the trace-visible
-        I/O decision sequence. *)
+        by a VM run from power on under the same schedule, which must
+        match it observably: crash message, outcome and metrics summary,
+        charge count, event counters, committed state of every declared
+        global, and the trace-visible I/O decision sequence. A
+        [vm-diverge] finding therefore points at the VM alone. *)
      let vm_arena : (Interp.policy, Vm.t) Hashtbl.t = Hashtbl.create 4 in
      let vm_for variant =
        match Hashtbl.find_opt vm_arena variant with
@@ -219,53 +220,6 @@ let judge ?(stop_early = false) ?(config = default_config) ?vm_program (case : G
            in
            Hashtbl.add vm_arena variant vm;
            vm
-     in
-     (* VM-shadow prefix resume: the continuous shadow run of each
-        variant paces a taped checkpoint walk ({!Kernel.Walker}, with
-        the radio as payload). Each [Nth_charge] shadow in the boundary
-        sweep then fails the walk at its boundary, replaying the taped
-        prefix into the case's decision recorder, and runs only the
-        suffix — the tree walker stays from-power-on (it IS the oracle)
-        while the VM side skips the shared prefix, so every probe checks
-        the walker's captures against a from-power-on run. Probes are
-        placed on the tree walker's golden charge count: one past the
-        shadow's own run runs from power on, so a VM that runs short is
-        reported, not refused by the walker. *)
-     let vm_walks = Hashtbl.create 4 in
-     let vm_continuous variant rec_v =
-       let vm = vm_for variant in
-       Vm.reset ~seed:config.machine_seed vm;
-       let vm_m = Vm.machine vm in
-       let tape, record = Kernel.Walker.tape () in
-       Machine.set_sink vm_m (fun e ->
-           rec_v e;
-           record e);
-       let app, hooks, cur_slot = Vm.prepare vm in
-       Vm.begin_metered vm;
-       let eng = Kernel.Engine.start ~hooks ~cur_slot vm_m app in
-       let radio = Vm.radio vm in
-       let o, walk =
-         Kernel.Walker.pace ~tape
-           ~save:(fun () ->
-             let log = Periph.Radio.snapshot radio in
-             fun () -> Periph.Radio.restore radio log)
-           eng
-       in
-       Vm.flush_counts vm;
-       Hashtbl.replace vm_walks variant (vm, eng, walk, Machine.charges vm_m);
-       (vm, o)
-     in
-     (* [None] when the variant's continuous shadow crashed or ended
-        before charge [k] *)
-     let vm_resumed variant k rec_v =
-       match Hashtbl.find_opt vm_walks variant with
-       | Some (vm, eng, walk, last) when k <= last -> (
-           match Kernel.Walker.fail ~sink:rec_v walk k with
-           | Kernel.Engine.Paused ->
-               Kernel.Engine.resume eng;
-               Some (vm, Kernel.Engine.drive eng)
-           | Kernel.Engine.Finished o -> Some (vm, o))
-       | _ -> None
      in
      let decision_recorder () =
        let log = ref [] in
@@ -308,22 +262,12 @@ let judge ?(stop_early = false) ?(config = default_config) ?vm_program (case : G
          in
          incr runs;
          let rec_v, decisions_v = decision_recorder () in
-         let vm_from_power_on () =
-           let vm = vm_for variant in
-           Vm.reset ~seed:config.machine_seed ~failure vm;
-           Machine.set_sink (Vm.machine vm) rec_v;
-           (vm, Vm.run vm)
-         in
          let vmr =
            try
-             Ok
-               (match failure with
-               | Failure.No_failures -> vm_continuous variant rec_v
-               | Failure.Nth_charge k -> (
-                   match vm_resumed variant k rec_v with
-                   | Some r -> r
-                   | None -> vm_from_power_on ())
-               | _ -> vm_from_power_on ())
+             let vm = vm_for variant in
+             Vm.reset ~seed:config.machine_seed ~failure vm;
+             Machine.set_sink (Vm.machine vm) rec_v;
+             Ok (vm, Vm.run vm)
            with Ast.Error msg -> Error msg
          in
          (match (tree, vmr) with

@@ -34,14 +34,12 @@
        observably: crash message, outcome/metrics summary, charge
        count, event counters, committed state of every declared
        global, and the trace-visible I/O decision sequence. Any
-       mismatch is a [vm-diverge] violation. The continuous shadow
-       paces a taped {!Kernel.Walker}, and each boundary-sweep shadow
-       is failed at its boundary from the walker's capture there
-       ({!Kernel.Walker.fail}) instead of replaying the prefix from
-       power on; the tape replays the prefix's decisions, so every
-       compared artifact is byte-identical either way, and each probe
-       checks the capture path itself against the from-power-on tree
-       walker. Disabled with [check_vm = false].
+       mismatch is a [vm-diverge] violation. Each shadow runs from
+       power on under the tree walker's schedule, as the tree walker
+       does, so a [vm-diverge] finding points at the VM alone; the
+       checkpoint walker's captures are held against re-simulation by
+       their own test, generated programs included. Disabled with
+       [check_vm = false].
 
     A violation is anything the shipped pipeline must never produce;
     expected-unsafe baseline divergence is reported separately as

@@ -24,18 +24,19 @@ open Platform
      captured it at [k], failed) and reboot — that post-reboot state is
      a child.
 
-   A child equal to a visited state is pruned: the same behavior
-   ({!Machine.behavior_hash}, confirmed word for word by
-   {!Machine.same_behavior}), engine watchdog counter and radio log
-   (packet count and payloads; their timestamps are time-derived, like
-   the clock the behavior leaves out). Equal states evolve identically
-   modulo time-derived (declared-volatile) columns, so re-exploring one
-   cannot surface a new violation. Pruning is what makes the walk
-   converge — every boundary inside a stretch that touches no
-   non-volatile state collapses onto one representative. [~prune:false]
-   disables it (the prune-soundness test runs both ways and demands the
-   same set of distinct violations — a pruned state can drop a reboot
-   schedule from the report, never a violation). *)
+   A child equal to a visited state ({!Faultkit.Seen}, the equivalence
+   resumed sweeps share continuations by) is pruned. Equal states
+   evolve identically modulo time-derived (declared-volatile) columns,
+   so re-exploring one cannot surface a new violation. Pruning is what
+   makes the walk converge — every boundary inside a stretch that
+   touches no non-volatile state collapses onto one representative.
+   [~prune:false] disables it (the prune-soundness test runs both ways
+   and demands the same set of distinct violations — a pruned state can
+   drop a reboot schedule from the report, never a violation).
+
+   Machine snapshots meter nothing: [snapshot/pages_copied] counts the
+   pages the walks' attempt-top checkpoints copied, which the untaped
+   {!Kernel.Walker.pace} adds to the walk's sheet. *)
 
 type violation = Faultkit.Campaign.violation =
   | Livelock of string
@@ -118,27 +119,7 @@ let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_sem
     Obs.Attr.add_run attr;
     (o, walk, skips ())
   in
-  (* visited post-reboot states, keyed by the behavior hash, the
-     watchdog counter and the radio's packet count; a hit is confirmed
-     word for word against the state and its logged payloads (their
-     timestamps are time-derived, like the clock the hash leaves out) *)
-  let seen = Hashtbl.create 1024 in
-  let radio = session.Apps.Common.ses_radio in
-  let payloads () = List.map snd (Periph.Radio.log radio) in
-  let visited key =
-    let log = payloads () in
-    List.exists
-      (fun (state, log') -> log = log' && Machine.same_behavior m state)
-      (Option.value ~default:[] (Hashtbl.find_opt seen key))
-  in
-  let remember key =
-    (* taken with the meter detached: the walk's own bookkeeping *)
-    Machine.clear_meter m;
-    let state = Machine.snapshot m in
-    Machine.set_meter m sheet;
-    Hashtbl.replace seen key
-      ((state, payloads ()) :: Option.value ~default:[] (Hashtbl.find_opt seen key))
-  in
+  let seen = Faultkit.Seen.create () in
   let states = ref 0
   and pruned = ref 0
   and truncated = ref false
@@ -192,19 +173,21 @@ let explore ?(depth = 1) ?max_states ?(prune = true) ?ablate_regions ?ablate_sem
       | Kernel.Engine.Paused ->
           Kernel.Engine.resume engine;
           explore_us := !explore_us + (Machine.now m - before);
-          let key =
-            ( Machine.behavior_hash m,
-              Kernel.Engine.stalled engine,
-              Periph.Radio.packets_sent radio )
+          let fresh =
+            (not prune)
+            ||
+            match Faultkit.Seen.find seen engine session.Apps.Common.ses_radio with
+            | Faultkit.Seen.Hit () -> false
+            | Faultkit.Seen.Miss miss ->
+                Faultkit.Seen.add seen miss ();
+                true
           in
-          if prune && visited key then begin
-            incr pruned;
-            Obs.Sheet.bump sheet c_pruned
-          end
-          else begin
-            if prune then remember key;
+          if fresh then
             (* the engine is already positioned at the child *)
             visit ~reboots:(!k :: reboots) ~depth_left:(depth_left - 1)
+          else begin
+            incr pruned;
+            Obs.Sheet.bump sheet c_pruned
           end);
       incr k
     done

@@ -14,14 +14,14 @@
     the findings are exactly the failed cases of the exhaustive
     boundary sweep (tested).
 
-    Convergent states — equal behavior ({!Platform.Machine.behavior_hash},
-    confirmed word for word), engine watchdog counter and radio log
-    (packet count and payloads) — are visited once, so pruning never
-    drops a violation; it is what lets a [10^4]-boundary space collapse
-    to the (much smaller) set of behaviorally distinct post-reboot
-    states. Results are pure
-    functions of (app, variant, seed, depth, max_states): the walk is
-    sequential and deterministic.
+    Convergent states — equal under {!Faultkit.Seen} (machine behavior
+    confirmed word for word, engine watchdog counter, packets received),
+    the equivalence resumed sweeps share continuations by — are visited
+    once, so pruning never drops a violation; it is what lets a
+    [10^4]-boundary space collapse to the (much smaller) set of
+    behaviorally distinct post-reboot states. Results are pure functions
+    of (app, variant, seed, depth, max_states): the walk is sequential
+    and deterministic.
 
     In the spirit of "Towards a Formal Foundation of Intermittent
     Computing" (Surbatovich et al., OOPSLA 2020), which defines

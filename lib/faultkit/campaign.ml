@@ -295,14 +295,6 @@ let final_tail (o : Kernel.Engine.outcome) ~diff =
     diff;
   }
 
-(* A continuation stored for reuse: the post-reboot state it ran from
-   (machine and radio log) and what it added. *)
-type shared = { from : Machine.snapshot; radio : Periph.Radio.snapshot; tail : tail }
-
-(* How a case's continuation went: replayed from a stored one, or
-   simulated to this outcome and NV diff. *)
-type continuation = Shared of tail | Ran of Kernel.Engine.outcome * Oracle.mismatch list
-
 (* Prefix-sharing boundary sweep. Apps with a [session] runner expose
    raw engine inputs, so an exhaustive [Nth_charge] sweep need not
    replay the whole prefix from power on once per boundary: a
@@ -319,19 +311,19 @@ type continuation = Shared of tail | Ran of Kernel.Engine.outcome * Oracle.misma
 
    Most cases then reboot into a state an earlier case of the cell
    already reached, and the rest of the run is the same again. Each
-   pacer keeps those continuations, keyed by the post-reboot state: the
-   machine's behavior (its convergence hash, then word-for-word
-   memories and exact fields), the watchdog counter, the boot and
-   failure counts and the radio log. A case whose state is stored
-   replays the stored tail into its observers instead of simulating it.
-   From a post-reboot state the continuation is a function of that key
-   alone, except through the clock, which reaches simulated values only
-   through {!Machine.clock}; a continuation that read it is simulated
-   every time and never stored. Everything else the key leaves out —
-   the clock, energy accounts, charge and event counts, the engine's
-   metrics and attempt numbers — either accumulates into what the tail
-   records as a delta or only stamps events, and no case observer reads
-   those stamps.
+   pacer keeps those continuations in a {!Seen} table, and a case whose
+   state is stored replays the stored tail into its observers instead
+   of simulating it. From a post-reboot state the continuation is a
+   function of that state alone, except through the clock, which
+   reaches simulated values only through {!Machine.clock}; a
+   continuation that read it is simulated every time and never stored.
+   Everything else the state leaves out — the clock, energy accounts,
+   charge and event counts, the engine's metrics and attempt numbers —
+   either accumulates into what the tail records as a delta or only
+   stamps events, and no case observer reads those stamps. Every case
+   of a cell reboots once after one failure, and every packet it holds
+   went out in the shared no-failure prefix, so boot and failure counts
+   and packet timestamps are the same in all of them.
 
    The resumable cases fan out over [Expkit.Pool.fold]. All cases
    resumed from one pacer share its arena, so each domain that takes a
@@ -340,10 +332,9 @@ type continuation = Shared of tail | Ran of Kernel.Engine.outcome * Oracle.misma
    domain, which reuses the one that captured the golden image — at
    [jobs = 1] that is the only pacer. Pool hands each domain its chunks
    in ascending order, which is the order a walker places boundaries
-   in, and folds
-   results by index, so the fold is in schedule order for any
-   [jobs]. A pacer's stored continuations go with it when the cell is
-   done. *)
+   in, and folds results by index, so the fold is in schedule order for
+   any [jobs]. A pacer's stored continuations go with it when the cell
+   is done. *)
 let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_session variant =
   (* one pacer run: its outcome and machine, and the case runner
      resuming from its checkpoints *)
@@ -359,53 +350,35 @@ let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_s
         ?cur_slot:session.Apps.Common.ses_cur_slot m session.Apps.Common.ses_app
     in
     let o0, walk = Kernel.Walker.pace ~tape ~save:session.Apps.Common.ses_save engine in
-    let radio = session.Apps.Common.ses_radio in
     let nv_diff golden = Oracle.nv_diff ~extra_volatile:spec.nv_volatile ~golden m in
-    let stored = Hashtbl.create 256 in
+    let stored = Seen.create () in
     (* The rest of the run from the post-reboot state the engine stands
        at, its observed events fed to [sink] and its metrics to
-       [sheet], the case's. A simulated continuation is stored, with
-       its deltas, when it read no clock. *)
+       [sheet], the case's: a stored tail, or a simulated run's verdict
+       with nothing left to add. A simulated continuation is stored,
+       with its deltas, when it read no clock. *)
     let continue ~golden ~sheet sink =
-      let key =
-        ( Machine.behavior_hash m,
-          Kernel.Engine.stalled engine,
-          Machine.boots m,
-          Machine.failures m,
-          Periph.Radio.packets_sent radio )
-      in
-      let log = Periph.Radio.snapshot radio in
-      let candidates = Option.value ~default:[] (Hashtbl.find_opt stored key) in
-      match
-        List.find_opt
-          (fun s -> Periph.Radio.same s.radio log && Machine.same_behavior m s.from)
-          candidates
-      with
-      | Some s ->
-          List.iter sink s.tail.events;
-          Shared s.tail
-      | None ->
+      match Seen.find stored engine session.Apps.Common.ses_radio with
+      | Seen.Hit tail ->
+          List.iter sink tail.events;
+          tail
+      | Seen.Miss miss ->
           let sheet0 = Obs.Sheet.copy sheet
           and counts0 = Machine.events m
           and totals0 = totals_of (Kernel.Engine.metrics engine)
           and pf0 = Machine.failures m
           and reads0 = Machine.clock_reads m in
-          (* captured with the meter detached: a from-power-on run takes
-             no snapshots *)
-          Machine.clear_meter m;
-          let from = Machine.snapshot m in
-          Machine.set_meter m sheet;
           let events = ref [] in
           Machine.set_sink m (fun e ->
               sink e;
               if Kernel.Walker.observed e then events := e :: !events);
           let o = Kernel.Engine.drive engine in
           session.Apps.Common.ses_finish ();
-          let diff = nv_diff golden in
-          if Machine.clock_reads m = reads0 then begin
-            let tail =
+          let tail = final_tail o ~diff:(nv_diff golden) in
+          if Machine.clock_reads m = reads0 then
+            Seen.add stored miss
               {
-                (final_tail o ~diff) with
+                tail with
                 events = List.rev !events;
                 delta =
                   Obs.Snapshot.of_sheet
@@ -413,11 +386,8 @@ let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_s
                     (Obs.Sheet.diff sheet sheet0);
                 added = sub_totals (totals_of o.Kernel.Engine.metrics) totals0;
                 pf_added = o.Kernel.Engine.power_failures - pf0;
-              }
-            in
-            Hashtbl.replace stored key ({ from; radio = log; tail } :: candidates)
-          end;
-          Ran (o, diff)
+              };
+          tail
     in
     let resumed_case ~golden k =
       let watch, skips = Oracle.always_skip_watch () in
@@ -439,15 +409,13 @@ let run_cell_resumed ?jobs ?progress ~sweep ~seed (spec : Apps.Common.spec) mk_s
       in
       let (snap, totals, pf), tail =
         match step with
-        | Kernel.Engine.Paused -> (
+        | Kernel.Engine.Paused ->
             Kernel.Engine.resume engine;
             (* flush the prefix's dispatch counts, so the continuation's
                count from zero *)
             session.Apps.Common.ses_finish ();
             session.Apps.Common.ses_begin ();
-            match continue ~golden ~sheet sink with
-            | Shared tail -> standing tail
-            | Ran (o, diff) -> standing (final_tail o ~diff))
+            standing (continue ~golden ~sheet sink)
         | Kernel.Engine.Finished o ->
             (* the failure was deferred past the final commit: nothing
                follows *)

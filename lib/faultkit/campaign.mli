@@ -128,15 +128,15 @@ val run :
     case is failed at its boundary from the walker's capture there
     ({!Kernel.Walker.fail}) instead of replaying from power on, its
     observers fed the taped prefix. Every boundary resumes: the engine
-    charges nothing before its first checkpoint. The resumed
-    cases fan out over the same domain pool, each domain that takes a
-    chunk pacing its own walk (the calling domain reuses the golden
-    pacer, so [jobs = 1] paces once). Each pacer also keeps the
-    continuations it simulated, keyed by the post-reboot state, and a
-    case that reboots into a stored state replays them instead of
-    simulating; a continuation that read the clock
-    ({!Platform.Machine.clock_reads}) is never stored. The report is
-    byte-identical to [~resume:false] and for any [jobs]; only the
+    charges nothing before its first checkpoint. The resumed cases fan
+    out over the same domain pool, each domain that takes a chunk
+    pacing its own walk (the calling domain reuses the golden pacer, so
+    [jobs = 1] paces once). Each pacer also keeps the continuations it
+    simulated in a {!Seen} table, keyed by the post-reboot state as the
+    explorer's pruning is, and a case that reboots into a stored state
+    replays them instead of simulating; a continuation that read the
+    clock ({!Platform.Machine.clock_reads}) is never stored. The report
+    is byte-identical to [~resume:false] and for any [jobs]; only the
     wall-clock changes.
 
     Either way, each case's verdict, snapshot, profile and totals are

@@ -28,13 +28,13 @@ let pp_mismatch fmt { region; offset; expected; actual } =
    failures happened to strike. The set mirrors Footprint's overhead
    accounting: only app-visible committed state must match the golden
    run. *)
-let default_ignores = [ "__"; "rt."; "easeio." ]
+let ignores = [ "__"; "rt."; "easeio." ]
 
 let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
 let max_reported = 16
 
-let nv_diff ?(ignores = default_ignores) ?(extra_volatile = []) ~golden m =
+let nv_diff ?(extra_volatile = []) ~golden m =
   let skip = ignores @ extra_volatile in
   let ignored name = List.exists (fun p -> has_prefix p name) skip in
   let mem = Machine.mem m Memory.Fram in

@@ -30,16 +30,15 @@ type mismatch = { region : string; offset : int; expected : int; actual : int }
 
 val pp_mismatch : Format.formatter -> mismatch -> unit
 
-val nv_diff :
-  ?ignores:string list -> ?extra_volatile:string list -> golden:golden -> Machine.t -> mismatch list
+val nv_diff : ?extra_volatile:string list -> golden:golden -> Machine.t -> mismatch list
 (** Compare the machine's final FRAM image against [golden], skipping
-    regions whose name starts with any of [ignores] or [extra_volatile]
-    (the app's [nv_volatile]). [ignores] defaults to the prefixes
-    [Lang.Footprint] counts as runtime overhead: ["__"] (source
-    transform: locks, timestamps, privatization scratch), ["rt."]
-    (Alpaca shadows, InK second buffers/indices) and ["easeio."]
-    (privatization buffers, site flags), which hold attempt-local
-    working state that lawfully differs across schedules.
+    regions whose name starts with any of [extra_volatile] (the app's
+    [nv_volatile]) or with the prefixes [Lang.Footprint] counts as
+    runtime overhead: ["__"] (source transform: locks, timestamps,
+    privatization scratch), ["rt."] (Alpaca shadows, InK second
+    buffers/indices) and ["easeio."] (privatization buffers, site
+    flags), which hold attempt-local working state that lawfully
+    differs across schedules.
     Reports at most one mismatch per region and at most 16 total; an
     allocation-map divergence is reported as a single ["(layout)"]
     pseudo-mismatch. Empty result = oracle passed. Uncharged: call

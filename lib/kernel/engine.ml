@@ -333,6 +333,10 @@ let checkpoint s =
     k_running = s.s_running;
   }
 
+let checkpoint_pages_copied k =
+  Memory.image_copied (Machine.snapshot_fram k.k_snap)
+  + Memory.image_copied (Machine.snapshot_sram k.k_snap)
+
 (* The engine's loop state from [k]; the machine stays as it is. *)
 let restore_loop s k =
   Metrics.assign ~src:k.k_metrics ~dst:s.s_metrics;

@@ -152,6 +152,10 @@ val checkpoint_charges : checkpoint -> int
 (** The machine's cumulative charge count at capture — the key
     {!Walker} picks the attempt top a boundary belongs to by. *)
 
+val checkpoint_pages_copied : checkpoint -> int
+(** The memory pages its machine snapshot freshly copied
+    ({!Platform.Memory.image_copied}); a snapshot meters nothing. *)
+
 (** {2 Failing a capture}
 
     Inside an attempt the engine's own state moves only where the

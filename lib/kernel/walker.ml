@@ -40,16 +40,13 @@ type capture = {
   meter : Obs.Sheet.t option;
 }
 
-(* Captures taken while one attempt runs forward from its top: boundary
-   [wanted.(i)] is placed from capture [slot.(i)], which is dropped once
-   no later boundary stands on it. *)
+(* Captures taken while one attempt runs forward from its top: the
+   boundaries not yet placed, in ascending order, each with the capture
+   it is placed from (one capture may place several). *)
 type batch = {
   top : int;  (* the mark of the attempt *)
-  wanted : int array;
-  slot : int array;
-  captures : capture option array;
+  mutable pending : (int * capture) list;
   segment : Trace.Event.t array;  (* observed events emitted from the top on *)
-  mutable next : int;  (* the first wanted boundary not yet placed *)
 }
 
 type t = {
@@ -72,21 +69,21 @@ type t = {
    the attempt top every few boundaries. *)
 let batch_size = 32
 
+let c_pages_copied = Obs.Registry.counter "snapshot/pages_copied"
+
 let pace ?tape ?(restart = ignore) ~save s =
   let m = Engine.machine s in
   let marks = ref [] in
   let on_attempt s =
     let payload = save () and top_us = Machine.now m in
+    let ck = Engine.checkpoint s and meter = Machine.meter m in
     let mark =
       match tape with
-      | None -> { ck = Engine.checkpoint s; payload; top_us; cursor = 0; sheet = None }
-      | Some t ->
-          let meter = Machine.meter m in
-          let sheet = Option.map Obs.Sheet.copy meter in
-          Machine.clear_meter m;
-          let ck = Engine.checkpoint s in
-          Option.iter (Machine.set_meter m) meter;
-          { ck; payload; top_us; cursor = t.len; sheet }
+      | None ->
+          let pages = Engine.checkpoint_pages_copied ck in
+          Option.iter (fun sheet -> Obs.Sheet.add sheet c_pages_copied pages) meter;
+          { ck; payload; top_us; cursor = 0; sheet = None }
+      | Some t -> { ck; payload; top_us; cursor = t.len; sheet = Option.map Obs.Sheet.copy meter }
     in
     marks := mark :: !marks
   in
@@ -117,11 +114,11 @@ let first_charges w = charges w 0
    placed before [k], the spacing a sweep places its boundaries at):
    the machine's interceptor captures each failure and lets the run go
    on, re-armed at the next boundary, until the last one takes the
-   machine down. A failure deferred to the
-   end of the commit sequence is captured there once, for every boundary
-   inside the sequence. The segment is observed as a re-simulation from
-   the top would be: its observed events recorded, its metering added
-   to a copy of the top's sheet (a fresh one on an untaped walk). *)
+   machine down. A failure deferred to the end of the commit sequence
+   is captured there once, for every boundary inside the sequence. The
+   segment is observed as a re-simulation from the top would be: its
+   observed events recorded, its metering added to a copy of the top's
+   sheet (a fresh one on an untaped walk). *)
 let forward w ~stride k =
   let m = Engine.machine w.session in
   while w.at + 1 < Array.length w.marks && charges w (w.at + 1) < k do
@@ -130,9 +127,9 @@ let forward w ~stride k =
   let top = w.marks.(w.at) in
   let attempt_end = if w.at + 1 < Array.length w.marks then charges w (w.at + 1) else w.last in
   let n = Int.min batch_size (1 + ((attempt_end - k) / stride)) in
-  let wanted = Array.init n (fun i -> k + (i * stride)) in
-  let slot = Array.make n 0 in
-  let segment = ref [] and seen = ref 0 and captures = ref [] and taken = ref 0 and j = ref 0 in
+  (* the batch's last boundary, and the next one to capture *)
+  let last = k + ((n - 1) * stride) and next = ref k and pending = ref [] in
+  let segment = ref [] and seen = ref 0 in
   let meter =
     match top.sheet with
     | Some sheet -> Some (Obs.Sheet.copy sheet)
@@ -155,12 +152,8 @@ let forward w ~stride k =
   Machine.intercept m
     (Some
        (fun () ->
-         (* captured with the meter detached: a from-power-on run takes
-            no snapshots *)
-         Machine.clear_meter m;
          let snap = Machine.snapshot m in
-         Option.iter (Machine.set_meter m) meter;
-         captures :=
+         let c =
            {
              snap;
              pos = Engine.position w.session;
@@ -168,34 +161,31 @@ let forward w ~stride k =
              seen = !seen;
              meter = Option.map Obs.Sheet.copy meter;
            }
-           :: !captures;
-         while !j < n && wanted.(!j) <= Machine.charges m do
-           slot.(!j) <- !taken;
-           incr j
+         in
+         while !next <= last && !next <= Machine.charges m do
+           pending := (!next, c) :: !pending;
+           next := !next + stride
          done;
-         incr taken;
-         !j < n && (Machine.set_failure m (Failure.Nth_charge wanted.(!j)); true)));
+         !next <= last && (Machine.set_failure m (Failure.Nth_charge !next); true)));
   ignore (Engine.run_until_boundary w.session : Engine.step);
   Machine.intercept m None;
   (* the pass replays the paced run, so it reaches every boundary *)
-  if !j < n then failwith "Walker: a forward pass diverged from its paced run";
+  if !next <= last then failwith "Walker: a forward pass diverged from its paced run";
   (match sink with Some sink -> Machine.set_sink m sink | None -> Machine.clear_sink m);
   (match caller_meter with Some sheet -> Machine.set_meter m sheet | None -> Machine.clear_meter m);
-  {
-    top = w.at;
-    wanted;
-    slot;
-    captures = Array.of_list (List.rev_map Option.some !captures);
-    segment = Array.of_list (List.rev !segment);
-    next = 0;
-  }
+  { top = w.at; pending = List.rev !pending; segment = Array.of_list (List.rev !segment) }
 
-(* Whether the batch holds boundary [k]; moves past the ones before it. *)
-let holds b k =
-  while b.next < Array.length b.wanted && b.wanted.(b.next) < k do
-    b.next <- b.next + 1
-  done;
-  b.next < Array.length b.wanted && b.wanted.(b.next) = k
+(* The capture that places boundary [k], if the batch holds it; the
+   boundaries before [k] are dropped. *)
+let take b k =
+  let rec drop = function (k', _) :: rest when k' < k -> drop rest | l -> l in
+  match drop b.pending with
+  | (k', c) :: rest when k' = k ->
+      b.pending <- rest;
+      Some c
+  | rest ->
+      b.pending <- rest;
+      None
 
 let fail ?sink w k =
   let behind = Int.max w.placed (first_charges w) in
@@ -204,19 +194,15 @@ let fail ?sink w k =
       (Printf.sprintf "Walker.fail: boundary %d is not ahead of %d within the run's %d charges" k
          behind w.last);
   w.placed <- k;
-  let b =
-    match w.batch with
-    | Some b when holds b k -> b
-    | _ ->
+  let b, c =
+    match Option.bind w.batch (fun b -> Option.map (fun c -> (b, c)) (take b k)) with
+    | Some bc -> bc
+    | None ->
         let b = forward w ~stride:(k - behind) k in
         w.batch <- Some b;
-        b
+        (b, Option.get (take b k))
   in
-  let slot = b.slot.(b.next) in
-  let c = Option.get b.captures.(slot) and top = w.marks.(b.top) in
-  if b.next + 1 = Array.length b.slot || b.slot.(b.next + 1) <> slot then
-    b.captures.(slot) <- None;
-  let m = Engine.machine w.session in
+  let top = w.marks.(b.top) and m = Engine.machine w.session in
   (* hand the observers what a re-simulation from the top would have:
      with [sink], the tape up to the top first and a copy of the sheet
      there as the meter *)

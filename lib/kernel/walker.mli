@@ -1,6 +1,6 @@
 (** The checkpoint walker, behind everything that places power
-    failures at charge boundaries: resumed boundary sweeps, the
-    conformance judge's VM shadow and the reboot-space explorer.
+    failures at charge boundaries from a shared prefix: resumed boundary
+    sweeps and the reboot-space explorer.
 
     {!pace} drives a session to its end, recording at every attempt top
     an {!Engine.checkpoint} and a caller payload (state outside the
@@ -24,11 +24,10 @@
 
 val observed : Trace.Event.t -> bool
 (** The event kinds a walk's observers read: task commits and aborts,
-    I/O decisions, boots and power failures ({!Obs.Attr.sink}, the
-    Always watch and the conformance judge's decision recorder ignore
-    the rest). Only these are taped, recorded while a batch runs
-    forward, and handed to the observers of a placed boundary's
-    attempt. *)
+    I/O decisions, boots and power failures ({!Obs.Attr.sink} and the
+    Always watch ignore the rest). Only these are taped, recorded while
+    a batch runs forward, and handed to the observers of a placed
+    boundary's attempt. *)
 
 type tape
 (** The observed trace events of a paced run, in order. *)
@@ -50,11 +49,13 @@ val pace :
     and then checkpointing at every attempt top; [save ()] captures the
     state outside the machine and returns its restorer. With [tape],
     each checkpoint also notes how far the tape and the attached metrics
-    sheet had got, and is captured with the meter detached: a
-    from-power-on run takes no snapshots, so their page accounting must
-    not reach a case. The observers attached now (a sink, a sheet) are
-    the ones the walk's boundaries are observed for. No failure may
-    interrupt the paced run.
+    sheet had got; a case counts no copied pages, as a from-power-on
+    run takes no snapshots. Without it (the explorer), each checkpoint
+    adds the pages it copied ({!Engine.checkpoint_pages_copied}) to the
+    attached sheet's [snapshot/pages_copied]: the walk's own cost. The
+    observers attached now (a sink, a sheet) are the ones the walk's
+    boundaries are observed for. No failure may interrupt the paced
+    run.
 
     [restart] is called whenever a batch starts simulating from an
     attempt top, after the top's payload is restored (the explorer

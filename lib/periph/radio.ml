@@ -18,7 +18,6 @@ let reset t =
 type snapshot = { sn_log : (Units.time_us * int array) list; sn_sent : int }
 
 let snapshot t = { sn_log = t.log; sn_sent = t.sent }
-let same a b = a.sn_sent = b.sn_sent && (a.sn_log == b.sn_log || a.sn_log = b.sn_log)
 
 let restore t sn =
   t.log <- sn.sn_log;

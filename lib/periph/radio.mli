@@ -23,9 +23,6 @@ type snapshot
     snapshot safely shares the list spine. *)
 
 val snapshot : t -> snapshot
-val same : snapshot -> snapshot -> bool
-(** Whether two captures hold the same log (times and payloads) and
-    counters. *)
 
 val restore : t -> snapshot -> unit
 (** Pair with {!Platform.Machine.restore_snapshot} when rolling a run

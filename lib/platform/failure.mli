@@ -24,7 +24,8 @@ type spec =
       (** die the first time simulated time reaches each listed µs
           instant. Entries that fall inside an off interval are
           unreachable and are silently dropped at the next boot.
-          Off-time is the fixed {!deterministic_off_us}. *)
+          Off-time is a fixed 5 ms, as after an [Nth_charge] failure,
+          so deterministic runs stay a pure function of (spec, seed). *)
   | Nth_charge of int
       (** die during the N-th (1-based) {!Machine.charge} call of the
           run, once. Charge calls are the simulator's finest-grained
@@ -36,11 +37,6 @@ val paper_timer : spec
     The off-time range straddles the 10 ms freshness windows used by the
     Timely benchmarks, so some failures violate timeliness and some do
     not — as in the paper's testbed. *)
-
-val deterministic_off_us : int
-(** Fixed off interval applied on [At_times]/[Nth_charge] reboots
-    (5 ms), keeping deterministic runs a pure function of
-    (spec, seed). *)
 
 type t
 

@@ -5,9 +5,11 @@ type t =
 
 let constant p = Constant p
 
-let rf ?(tx_power_w = 3.0) ?(efficiency = 0.55) ~distance_inch () =
-  (* Friis free-space: Pr = Pt * Gt * Gr * (lambda / (4 pi d))^2.
-     915 MHz -> lambda = 0.3276 m; patch antennas with ~6 dBi combined gain. *)
+let rf ?(efficiency = 0.55) ~distance_inch () =
+  (* Friis free-space: Pr = Pt * Gt * Gr * (lambda / (4 pi d))^2, from a
+     3 W transmitter. 915 MHz -> lambda = 0.3276 m; patch antennas with
+     ~6 dBi combined gain. *)
+  let tx_power_w = 3.0 in
   let lambda = 0.3276 in
   let gain = 4.0 in
   let d_m = distance_inch *. 0.0254 in

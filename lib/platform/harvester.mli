@@ -11,9 +11,10 @@ type t
 val constant : float -> t
 (** [constant p] always yields [p] nJ/µs. *)
 
-val rf : ?tx_power_w:float -> ?efficiency:float -> distance_inch:float -> unit -> t
-(** Powercast-style RF harvesting at 915 MHz across [distance_inch]
-    inches. Defaults: 3 W transmitter, 55 % end-to-end conversion. *)
+val rf : ?efficiency:float -> distance_inch:float -> unit -> t
+(** Powercast-style RF harvesting from a 3 W transmitter at 915 MHz
+    across [distance_inch] inches. Default: 55 % end-to-end
+    conversion. *)
 
 val trace : period_us:int -> float array -> t
 (** [trace ~period_us samples] replays [samples] (nJ/µs), each lasting

@@ -55,9 +55,12 @@ type t = {
    inflating traces. *)
 let cap_sample_interval_us = 1_000
 
+(* The MSP430FR5994's memories in 16-bit words: 256 KB FRAM, 8 KB SRAM *)
+let fram_words = 131_072
+let sram_words = 4_096
+
 let create ?(seed = 1) ?(cost = Cost.msp430fr5994) ?(failure = Failure.No_failures)
-    ?(harvester = Harvester.constant 1.0) ?(capacitor = Capacitor.mf1_powercast ())
-    ?(world = World.create ()) ?(fram_words = 131_072) ?(sram_words = 4_096) () =
+    ?(harvester = Harvester.constant 1.0) ?(capacitor = Capacitor.mf1_powercast ()) () =
   let failure = Failure.create failure in
   {
     fram = Memory.create Fram ~words:fram_words;
@@ -69,7 +72,7 @@ let create ?(seed = 1) ?(cost = Cost.msp430fr5994) ?(failure = Failure.No_failur
     harvester;
     cap = capacitor;
     rng = Rng.create seed;
-    world;
+    world = World.create ();
     now = 0;
     on = true;
     tag = App;
@@ -94,11 +97,11 @@ let create ?(seed = 1) ?(cost = Cost.msp430fr5994) ?(failure = Failure.No_failur
   }
 
 (* Recycle a machine for a fresh run: equivalent to [create] with the
-   same structural parameters (cost model, harvester, capacitor, world,
-   memory sizes) but without reallocating the word arrays — the static
-   layouts survive, which is exactly what a compiled-program arena
-   needs. Every piece of run state is re-zeroed by hand; keep this in
-   sync with the record fields above. *)
+   same structural parameters (cost model, harvester, capacitor) but
+   without reallocating the word arrays — the static layouts survive,
+   which is exactly what a compiled-program arena needs. Every piece of
+   run state is re-zeroed by hand; keep this in sync with the record
+   fields above. *)
 let reset ?(seed = 1) ?(failure = Failure.No_failures) t =
   (* every program-reachable address comes from Layout.alloc, so only
      the allocated prefix can be dirty — skip memset-ing the tail *)
@@ -431,8 +434,6 @@ let events t =
    prefix — the resumable-engine and explorer layers build on exactly
    that guarantee. *)
 
-let c_pages_copied = Obs.Registry.counter "snapshot/pages_copied"
-
 type snapshot = {
   sn_fram : Memory.image;
   sn_sram : Memory.image;
@@ -499,16 +500,9 @@ let snapshot_hash sn =
   !h land max_int
 
 let snapshot t =
-  let sn_fram = Memory.snapshot t.fram in
-  let sn_sram = Memory.snapshot t.sram in
-  (match t.meter with
-  | Some sheet ->
-      Obs.Sheet.add sheet c_pages_copied
-        (Memory.image_copied sn_fram + Memory.image_copied sn_sram)
-  | None -> ());
   {
-    sn_fram;
-    sn_sram;
+    sn_fram = Memory.snapshot t.fram;
+    sn_sram = Memory.snapshot t.sram;
     sn_fram_reads = Memory.reads t.fram;
     sn_fram_writes = Memory.writes t.fram;
     sn_sram_reads = Memory.reads t.sram;

@@ -53,18 +53,15 @@ val create :
   ?failure:Failure.spec ->
   ?harvester:Harvester.t ->
   ?capacitor:Capacitor.t ->
-  ?world:World.t ->
-  ?fram_words:int ->
-  ?sram_words:int ->
   unit ->
   t
-(** Defaults: MSP430FR5994 profile — 128 Ki FRAM words (256 KB), 4 Ki
-    SRAM words (8 KB), no failures, constant 1 nJ/µs harvester, the
-    paper's 1 mF capacitor window.
-    [fram_words] and [sram_words] are nominal capacities: they bound
-    addresses and {!alloc} layouts, while host memory follows the words
-    actually written (see {!Memory}), so creating a machine allocates
-    no memory image. *)
+(** The MSP430FR5994's memories — 128 Ki FRAM words (256 KB), 4 Ki SRAM
+    words (8 KB) — and the default world. Defaults: no failures,
+    constant 1 nJ/µs harvester, the paper's 1 mF capacitor window.
+    The memory sizes are nominal capacities: they bound addresses and
+    {!alloc} layouts, while host memory follows the words actually
+    written (see {!Memory}), so creating a machine allocates no memory
+    image. *)
 
 val reset : ?seed:int -> ?failure:Failure.spec -> t -> unit
 (** Recycle the machine for a fresh run: clear both memories and their
@@ -292,8 +289,9 @@ val events : t -> (string * int) list
 type snapshot
 
 val snapshot : t -> snapshot
-(** Capture the current state. When a metrics sheet is attached, bumps
-    the [snapshot/pages_copied] counter by the pages freshly copied. *)
+(** Capture the current state. Nothing is metered: a caller that counts
+    the pages a capture copied reads {!Memory.image_copied} of its
+    images. *)
 
 val restore_snapshot : ?failure:Failure.spec -> t -> snapshot -> unit
 (** Roll the machine back to a captured state: O(resident pages) to

@@ -29,6 +29,8 @@ let light_lux t now =
   let l = 500 + sinus ~period_us:150_000 ~amplitude:300 now + noise t ~salt:4 ~bucket_us:2_000 ~range:60 now in
   max 0 l
 
+(* Ground-truth weather label in [0, 3], a slowly-varying function of
+   time, that sets a scene's brightness *)
 let weather_class t now = abs (Rng.hash2 (t.seed + 5) (now / 500_000)) mod 4
 
 let image_pixel t now i =

@@ -27,7 +27,3 @@ val image_pixel : t -> Units.time_us -> int -> int
 (** [image_pixel w t i] is pixel [i] of the scene captured at time [t],
     in [0, 255]. The whole frame shares the capture time, so one capture
     is internally consistent. *)
-
-val weather_class : t -> Units.time_us -> int
-(** Ground-truth weather label in [0, 3] used to generate classifier
-    scenes; a slowly-varying function of time. *)

@@ -221,7 +221,7 @@ let parse_explore fields =
   let* ablate_regions = get_bool fields ~cmd "ablate_regions" ~default:false in
   let* ablate_semantics = get_bool fields ~cmd "ablate_semantics" ~default:false in
   let* seed = get_int fields ~cmd "seed" ~default:1 in
-  if depth < 1 then bad "explore: depth must be >= 1"
+  if depth < 0 then bad "explore: depth must be >= 0"
   else Ok (Explore { app; runtime; depth; max_states; prune; ablate_regions; ablate_semantics; seed })
 
 let parse json =

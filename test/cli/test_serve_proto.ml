@@ -114,6 +114,20 @@ let with_conn f =
   let fd = connect () in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) (fun () -> f fd)
 
+(* The document that follows a request's result frame; [None] when the
+   stream ends or an error frame comes first. *)
+let await_result fd =
+  let rec go steps =
+    if steps = 0 then None
+    else
+      match recv fd with
+      | None -> None
+      | Some p when has_sub p {|"frame":"result"|} -> recv fd
+      | Some p when has_sub p {|"frame":"error"|} -> None
+      | Some _ -> go (steps - 1)
+  in
+  go 10_000
+
 (* {1 The contract} *)
 
 let () =
@@ -155,6 +169,7 @@ let () =
             {|{"id":9,"cmd":"fuzz","count":1,"max_shrink":-1}|} );
           ( "explore max_states 0 -> bad-request",
             {|{"id":10,"cmd":"explore","app":"lea","max_states":0}|} );
+          ("explore depth -1 -> bad-request", {|{"id":11,"cmd":"explore","app":"lea","depth":-1}|});
         ];
       send fd {|{"cmd":"run","src":"program t;"}|};
       expect_frame "job without id -> bad-request" fd
@@ -214,23 +229,21 @@ let () =
       send fd
         {|{"id":8,"cmd":"faults","app":"Temp.","runtime":"easeio","sweep":"boundaries:64","seed":1}|};
       Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      let saw_result = ref false and doc = ref "" in
-      let steps = ref 0 in
-      while (not !saw_result) && !steps < 10_000 do
-        incr steps;
-        match recv fd with
-        | None -> steps := 10_000
-        | Some p ->
-            if has_sub p {|"frame":"result"|} then begin
-              saw_result := true;
-              match recv fd with Some d -> doc := d | None -> ()
-            end
-      done;
       incr ran;
-      if !saw_result && has_sub !doc {|"boundaries_total"|} then
-        ok "half-closed socket still streams result"
-      else fail "half-closed socket still streams result" "result=%b doc=%d bytes" !saw_result
-        (String.length !doc));
+      match await_result fd with
+      | Some doc when has_sub doc {|"boundaries_total"|} ->
+          ok "half-closed socket still streams result"
+      | doc ->
+          fail "half-closed socket still streams result" "document: %s"
+            (Option.value doc ~default:"(none)"));
+  (* depth 0 explores the root state alone, served as from the CLI *)
+  with_conn (fun fd ->
+      send fd {|{"id":12,"cmd":"explore","app":"lea","depth":0}|};
+      incr ran;
+      match await_result fd with
+      | Some doc when has_sub doc {|"depth": 0|} && has_sub doc {|"states": 1,|} ->
+          ok "explore depth 0 -> result"
+      | doc -> fail "explore depth 0 -> result" "document: %s" (Option.value doc ~default:"(none)"));
   (* SIGTERM is a clean exit: workers joined, socket unlinked, code 0 *)
   incr ran;
   Unix.kill pid Sys.sigterm;

@@ -133,7 +133,6 @@ let test_weather_single_buffer_table5 () =
    its summary exactly as a run on a freshly built machine does. *)
 let test_weather_recycled_matches_fresh () =
   let final m meter =
-    Machine.clear_meter m;
     (Machine.snapshot_hash (Machine.snapshot m), Obs.Snapshot.of_sheet ~events:(Machine.events m) meter)
   in
   let fresh buffering variant ~seed =

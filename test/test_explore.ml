@@ -248,16 +248,15 @@ let captures_match ~taped ~sink ~ks name (spec : Apps.Common.spec) variant =
   let pacing = ref true and marks = ref [] in
   let save () =
     let extras = session.Apps.Common.ses_save () in
-    if !pacing then begin
-      let meter = Machine.meter m in
-      let sheet = if taped then Option.map Obs.Sheet.copy meter else None in
-      if taped then Machine.clear_meter m;
-      let ck = Kernel.Engine.checkpoint engine in
-      Option.iter (Machine.set_meter m) meter;
+    if !pacing then
       marks :=
-        { r_ck = ck; r_extras = extras; r_cursor = (if taped then !len else 0); r_sheet = sheet }
-        :: !marks
-    end;
+        {
+          r_ck = Kernel.Engine.checkpoint engine;
+          r_extras = extras;
+          r_cursor = (if taped then !len else 0);
+          r_sheet = (if taped then Option.map Obs.Sheet.copy (Machine.meter m) else None);
+        }
+        :: !marks;
     extras
   in
   let restart = if taped then ignore else session.Apps.Common.ses_begin in
@@ -279,7 +278,6 @@ let captures_match ~taped ~sink ~ks name (spec : Apps.Common.spec) variant =
     let step = place (if sink then Some case_sink else None) in
     session.Apps.Common.ses_finish ();
     let sheet = Option.get (Machine.meter m) in
-    Machine.clear_meter m;
     let snap = Machine.snapshot m in
     let state =
       ( Machine.snapshot_hash snap,
@@ -321,6 +319,21 @@ let captures_match ~taped ~sink ~ks name (spec : Apps.Common.spec) variant =
     ks;
   (!deferred, !finished)
 
+(* The fuzzer's clean programs, every boundary of each: taped with a
+   case sink (the sweeps' way) on odd seeds, untaped (the explorer's)
+   on even ones. *)
+let generated =
+  List.filter_map
+    (fun seed ->
+      let case = Conformance.Gen.generate ~seed in
+      match case.Conformance.Gen.intent with
+      | Conformance.Gen.Expect _ -> None
+      | Conformance.Gen.Clean ->
+          let name = Printf.sprintf "generated %d" seed and taped = seed mod 2 = 1 in
+          let src = Lang.Pretty.program_to_string case.Conformance.Gen.prog in
+          Some (name, Progs.spec_of_source ~name src, 1, taped, taped))
+    (List.init 40 (fun i -> i + 1))
+
 let test_captures_match_resimulation () =
   let deferred = ref 0 and finished = ref 0 in
   let count (d, f) =
@@ -342,17 +355,18 @@ let test_captures_match_resimulation () =
           in
           count (captures_match ~taped ~sink ~ks name spec variant))
         Apps.Common.all_variants)
-    [
-      ("dma", Apps.Uni.dma, 1, true, true);
-      ("lea", Apps.Uni.lea, 1, true, true);
-      ("temp", Apps.Uni.temp, 1, true, true);
-      ("fir", Apps.Fir.spec, 7, true, true);
-      ("weather", Apps.Weather.spec, 7, true, true);
-      ("fir", Apps.Fir.spec, 11, false, false);
-      ("weather", Apps.Weather.spec, 11, false, false);
-      ("fir", Apps.Fir.spec, 13, true, false);
-      ("weather", Apps.Weather.spec, 13, true, false);
-    ];
+    ([
+       ("dma", Apps.Uni.dma, 1, true, true);
+       ("lea", Apps.Uni.lea, 1, true, true);
+       ("temp", Apps.Uni.temp, 1, true, true);
+       ("fir", Apps.Fir.spec, 7, true, true);
+       ("weather", Apps.Weather.spec, 7, true, true);
+       ("fir", Apps.Fir.spec, 11, false, false);
+       ("weather", Apps.Weather.spec, 11, false, false);
+       ("fir", Apps.Fir.spec, 13, true, false);
+       ("weather", Apps.Weather.spec, 13, true, false);
+     ]
+    @ generated);
   checkb "some failures were deferred past a commit" true (!deferred > 0);
   checkb "some deferred failures finished the run" true (!finished > 0)
 
@@ -477,6 +491,59 @@ let test_sample_count_not_keyed () =
   checkb "same behavior" true (Machine.same_behavior m before);
   checki "same behavior hash" before_key (Machine.behavior_hash m)
 
+(* The table the explorer prunes by and resumed sweeps share
+   continuations by finds a state whose packets carry the same payloads
+   at other times, and tells apart one FRAM word or one more aborted
+   attempt. *)
+let test_seen_table () =
+  let s = (Option.get Progs.radio_log.Apps.Common.session) Apps.Common.Easeio ~seed:1 in
+  let m = s.Apps.Common.ses_machine and radio = s.Apps.Common.ses_radio in
+  let engine = start s in
+  let seen = Faultkit.Seen.create () in
+  let found what expected =
+    match Faultkit.Seen.find seen engine radio with
+    | Faultkit.Seen.Hit v -> Alcotest.(check string) what expected v
+    | Faultkit.Seen.Miss _ -> Alcotest.failf "%s: not found" what
+  in
+  let missed what =
+    match Faultkit.Seen.find seen engine radio with
+    | Faultkit.Seen.Hit v -> Alcotest.failf "%s: found %S" what v
+    | Faultkit.Seen.Miss miss -> miss
+  in
+  let empty = Periph.Radio.snapshot radio in
+  Periph.Radio.send radio [| 42 |];
+  Faultkit.Seen.add seen (missed "an empty table") "sent";
+  found "the state itself" "sent";
+  let sent_at () = List.map fst (Periph.Radio.log radio) in
+  let first = sent_at () in
+  (* the clock has moved on since the first send *)
+  Periph.Radio.restore radio empty;
+  Periph.Radio.send radio [| 42 |];
+  checkb "sent at another time" true (sent_at () <> first);
+  found "equal payloads at other times" "sent";
+  let fram = Machine.mem m Memory.Fram in
+  let word = Memory.read fram 0 in
+  Memory.write fram 0 (word + 1);
+  ignore (missed "one FRAM word" : Faultkit.Seen.miss);
+  Memory.write fram 0 word;
+  found "the word written back" "sent";
+  (* fail the first attempt at its first charge, twice: nothing is
+     written in between *)
+  let abort_first_charge () =
+    Machine.set_failure m (Failure.Nth_charge (Machine.charges m + 1));
+    match Kernel.Engine.run_until_boundary engine with
+    | Kernel.Engine.Paused -> Kernel.Engine.resume engine
+    | Kernel.Engine.Finished _ -> Alcotest.fail "the attempt did not fail"
+  in
+  abort_first_charge ();
+  checki "one aborted attempt" 1 (Kernel.Engine.stalled engine);
+  let once = Machine.snapshot m in
+  Faultkit.Seen.add seen (missed "one aborted attempt") "stalled once";
+  abort_first_charge ();
+  checki "two aborted attempts" 2 (Kernel.Engine.stalled engine);
+  checkb "the same machine behavior" true (Machine.same_behavior m once);
+  ignore (missed "another watchdog count" : Faultkit.Seen.miss)
+
 let () =
   Alcotest.run "explore"
     [
@@ -499,5 +566,6 @@ let () =
           Alcotest.test_case "pruning is sound" `Quick test_prune_soundness;
           Alcotest.test_case "vm counts sum the walk" `Quick test_walk_counts_every_dispatch;
           Alcotest.test_case "sample counts share a key" `Quick test_sample_count_not_keyed;
+          Alcotest.test_case "one state table" `Quick test_seen_table;
         ] );
     ]
